@@ -1,15 +1,12 @@
-"""Experiment harness: parameter sweeps and result tables."""
+"""Experiment harness: result tables and program profiling."""
 
-from repro.analysis.sweep import ensemble_run, parameter_sweep
 from repro.analysis.report import format_table, ratio, series_text
 from repro.analysis.profiler import Profile, ProfileEntry, profile_program
 
 __all__ = [
     "Profile",
     "ProfileEntry",
-    "ensemble_run",
     "format_table",
-    "parameter_sweep",
     "profile_program",
     "ratio",
     "series_text",

@@ -23,8 +23,8 @@ from typing import Dict, Optional
 
 from repro.core.progress import ForwardProgressLedger
 from repro.nvm.technology import FERAM, NVMTechnology
-from repro.system import exactkernel, fastpath
-from repro.system.fastpath import OffRunPlan
+from repro.system import exactkernel
+from repro.system.fastpath import OffRunFastForward, OffRunPlan
 from repro.system.simulator import TickReport
 from repro.system.thresholds import ThresholdPlan, plan_thresholds
 from repro.workloads.base import Workload
@@ -73,7 +73,7 @@ class CheckpointConfig:
             raise ValueError("checkpoints need a nonvolatile technology")
 
 
-class CheckpointPlatform:
+class CheckpointPlatform(OffRunFastForward):
     """Volatile MCU + software checkpointing to on-chip NVM.
 
     Args:
@@ -219,17 +219,6 @@ class CheckpointPlatform:
             on_cross=self._resume,
         )
 
-    def fast_forward(self, p_in_w, start, stop, dt_s):
-        """Bulk-advance through off/done ticks (fast-path engine).
-
-        Same contract as
-        :meth:`repro.core.nvp.NVPPlatform.fast_forward`: delegates to
-        the shared :func:`~repro.system.fastpath.fast_forward_offruns`
-        loop driving :meth:`off_plan`.  Returns ``(state, ticks)``
-        runs or ``None`` to fall back.
-        """
-        return fastpath.fast_forward_offruns(self, p_in_w, start, stop, dt_s)
-
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Batch powered-on ``"run"`` ticks (exact-kernel engine).
 
@@ -237,48 +226,29 @@ class CheckpointPlatform:
         :meth:`repro.core.nvp.NVPPlatform.exact_batch`.  The voltage
         trigger stops before the backup-threshold crossing; the
         periodic trigger stops before the tick whose instructions trip
-        the checkpoint period (the instructions-since-checkpoint
-        counter is carried through the batch).  Deficits and the
-        finishing tick always stay on the scalar path.
+        the checkpoint period.  Deficits and the finishing tick always
+        stay on the scalar path.
         """
-        mode = exactkernel.batchable_workload(self.workload)
-        if (
-            self._state != "on"
-            or self.workload.finished
-            or not mode
-            or getattr(self.storage, "soa_params", None) is None
-        ):
+        if self._state != "on":
             return None
-        plan = self.thresholds(dt_s)
-        if self.config.trigger == "voltage":
-            stop_energy = plan.backup_threshold_j
-            period_limit = None
-        else:
-            stop_energy = None
-            period_limit = self.config.period_instructions
-        kernel = exactkernel.get_kernel()
-        if mode == "recurrence":
-            ticks, counter = kernel.storage_run(
-                self, p_in_w, start, stop, dt_s,
-                stop_energy_j=stop_energy,
-                period_limit=period_limit,
-                period_count=self._instr_since_cp,
-            )
-        else:
-            # Functional (NV16) workloads: ticks really execute through
-            # the block engine; the periodic trigger stops on a
-            # conservative worst-case instruction bound, and the
-            # finishing tick is consumed in-batch.
-            ticks, counter = kernel.isa_storage_run(
-                self, p_in_w, start, stop, dt_s,
-                stop_energy_j=stop_energy,
-                period_limit=period_limit,
-                period_count=self._instr_since_cp,
-            )
-        if not ticks:
-            return None
-        self._instr_since_cp = counter
-        return [("run", ticks)]
+
+        def stops():
+            if self.config.trigger == "voltage":
+                return {
+                    "stop_energy_j": self.thresholds(dt_s).backup_threshold_j
+                }
+            return {
+                "period_limit": self.config.period_instructions,
+                "period_count": self._instr_since_cp,
+            }
+
+        volatile = self.ledger.volatile
+        runs = exactkernel.run_batch(self, p_in_w, start, stop, dt_s, stops)
+        if runs:
+            # Every batched instruction is volatile work done since the
+            # last checkpoint, exactly as the scalar path counts it.
+            self._instr_since_cp += self.ledger.volatile - volatile
+        return runs
 
     # -- transitions -----------------------------------------------------------
 

@@ -54,22 +54,11 @@ class OraclePlatform:
         completions every tick is pure accumulator math — the batched
         kernel integrates consumed energy with a cumulative sum and
         bulk-commits the ledger, bit-identical to per-tick execution
-        (see :mod:`repro.system.exactkernel`).  Stops before the
-        finishing tick; returns ``[("run", ticks)]`` or ``None``.
+        (see :mod:`repro.system.exactkernel`).  It is always powered
+        and never stops for a threshold; returns ``[("run", ticks)]``
+        or ``None``.
         """
-        del p_in_w
-        mode = exactkernel.batchable_workload(self.workload)
-        if self.workload.finished or not mode:
-            return None
-        kernel = exactkernel.get_kernel()
-        if mode == "recurrence":
-            ticks = kernel.oracle_run(self, start, stop, dt_s)
-        else:
-            # Functional (NV16) workloads: each tick really executes
-            # through the block engine; the finishing tick is consumed
-            # in-batch (the simulator checks finished after the batch).
-            ticks = kernel.isa_oracle_run(self, start, stop, dt_s)
-        return [("run", ticks)] if ticks else None
+        return exactkernel.run_batch(self, p_in_w, start, stop, dt_s)
 
     def stats(self) -> Dict[str, float]:
         """Counter snapshot for the simulation result."""

@@ -17,13 +17,13 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.progress import ForwardProgressLedger
-from repro.system import exactkernel, fastpath
-from repro.system.fastpath import OffRunPlan
+from repro.system import exactkernel
+from repro.system.fastpath import OffRunFastForward, OffRunPlan
 from repro.system.simulator import TickReport
 from repro.workloads.base import Workload
 
 
-class WaitComputePlatform:
+class WaitComputePlatform(OffRunFastForward):
     """Charge-then-run volatile MCU.
 
     Args:
@@ -149,19 +149,6 @@ class WaitComputePlatform:
             on_cross=self._boot,
         )
 
-    def fast_forward(self, p_in_w, start, stop, dt_s):
-        """Bulk-advance through charge/done ticks (fast-path engine).
-
-        Same contract as
-        :meth:`repro.core.nvp.NVPPlatform.fast_forward`: consumes runs
-        of analytically predictable ticks — here ``"charge"`` ticks
-        trickle-charging the supercap toward the unit energy target,
-        and ``"done"`` ticks after completion — via the shared
-        :func:`~repro.system.fastpath.fast_forward_offruns` loop
-        driving :meth:`off_plan`.
-        """
-        return fastpath.fast_forward_offruns(self, p_in_w, start, stop, dt_s)
-
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Batch on-unit ``"run"`` ticks (exact-kernel engine).
 
@@ -170,25 +157,16 @@ class WaitComputePlatform:
         any tick whose instructions cross a unit boundary — commits,
         the post-commit energy check and the possible power-down all
         execute on the scalar path — and before deficits and the
-        finishing tick.
+        finishing tick.  Only the closed-form recurrence can predict a
+        unit boundary before executing the tick, so functional
+        workloads stay on the scalar path.
         """
-        if (
-            self._state != "on"
-            or self.workload.finished
-            # Only the closed-form recurrence can predict unit-boundary
-            # crossings before executing the tick; functional ("isa")
-            # workloads stay on the scalar path here because every unit
-            # boundary needs the post-commit energy check to interleave
-            # with execution tick by tick.
-            or exactkernel.batchable_workload(self.workload) != "recurrence"
-            or getattr(self.storage, "soa_params", None) is None
-        ):
+        if self._state != "on":
             return None
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        return exactkernel.run_batch(
             self, p_in_w, start, stop, dt_s,
-            stop_at_unit_boundary=True,
+            lambda: {"stop_at_unit_boundary": True},
         )
-        return [("run", ticks)] if ticks else None
 
     def stats(self) -> Dict[str, float]:
         """Counter snapshot for the simulation result."""

@@ -27,8 +27,8 @@ from repro.core.config import NVPConfig
 from repro.core.progress import ForwardProgressLedger
 from repro.obs import events as ev
 from repro.obs.events import EventBus
-from repro.system import exactkernel, fastpath
-from repro.system.fastpath import OffRunPlan
+from repro.system import exactkernel
+from repro.system.fastpath import OffRunFastForward, OffRunPlan
 from repro.system.simulator import TickReport
 from repro.system.thresholds import ThresholdPlan, plan_thresholds
 from repro.workloads.base import Workload
@@ -38,7 +38,7 @@ from repro.workloads.base import Workload
 Governor = Callable[[float, ThresholdPlan, float], float]
 
 
-class NVPPlatform:
+class NVPPlatform(OffRunFastForward):
     """A nonvolatile processor attached to a storage element.
 
     Args:
@@ -266,40 +266,13 @@ class NVPPlatform:
             on_cross=self._wake,
         )
 
-    def fast_forward(self, p_in_w, start, stop, dt_s):
-        """Advance through analytically predictable ticks in bulk.
-
-        Covers the two steady states the per-tick loop wastes most of
-        its time in: ``"off"`` (charging toward the start threshold
-        with no load) and ``"done"`` (workload finished, storage still
-        integrating the trace).  Delegates to the shared
-        :func:`~repro.system.fastpath.fast_forward_offruns` loop
-        driving :meth:`off_plan`, so every float operation matches the
-        exact path bit-for-bit.
-
-        Args:
-            p_in_w: per-tick DC input power, indexable (the simulator
-                passes a plain list for speed).
-            start: index of the current tick.
-            stop: one past the last tick that may be consumed.
-            dt_s: tick duration.
-
-        Returns:
-            A list of ``(state, ticks)`` runs covering every consumed
-            tick, in order — or ``None`` when this platform state
-            cannot be fast-forwarded (the simulator then falls back to
-            exact ticking).
-        """
-        return fastpath.fast_forward_offruns(self, p_in_w, start, stop, dt_s)
-
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Advance through predictable powered-on ``"run"`` ticks in bulk.
 
-        The active-path sibling of :meth:`fast_forward` (see
-        :mod:`repro.system.exactkernel`): while powered on with an
-        abstract workload, no governor and no peripherals, the run
-        loop is a straight-line recurrence — the batched kernel
-        executes it bit-for-bit and stops before the first event tick
+        The active-path sibling of ``fast_forward`` (see
+        :mod:`repro.system.exactkernel`): while powered on with no
+        governor and no peripherals, the batched kernel executes the
+        run loop bit-for-bit and stops before the first event tick
         (backup-threshold crossing, power deficit, workload
         completion), which the scalar path then executes.
 
@@ -307,36 +280,16 @@ class NVPPlatform:
         ``None`` when this state cannot be batched (the simulator
         falls back to exact ticking until the next state transition).
         """
-        mode = exactkernel.batchable_workload(self.workload)
         if (
             self._state != "on"
-            or self.workload.finished
             or self.governor is not None
             or (self.peripherals is not None and len(self.peripherals) > 0)
-            or not mode
-            or getattr(self.storage, "soa_params", None) is None
         ):
             return None
-        if self.bus is not None:
-            # Stamp the clock so a lazy threshold recompute is staged
-            # with the tick the exact engine would have used.
-            self.bus.set_clock(start, dt_s)
-        plan = self.thresholds(dt_s)
-        kernel = exactkernel.get_kernel()
-        if mode == "recurrence":
-            ticks, _ = kernel.storage_run(
-                self, p_in_w, start, stop, dt_s,
-                stop_energy_j=plan.backup_threshold_j,
-            )
-        else:
-            # Functional (NV16) workloads: the kernel really executes
-            # each tick through the block engine; the finishing tick is
-            # consumed in-batch (the simulator checks finished after).
-            ticks, _ = kernel.isa_storage_run(
-                self, p_in_w, start, stop, dt_s,
-                stop_energy_j=plan.backup_threshold_j,
-            )
-        return [("run", ticks)] if ticks else None
+        return exactkernel.run_batch(
+            self, p_in_w, start, stop, dt_s,
+            lambda: {"stop_energy_j": self.thresholds(dt_s).backup_threshold_j},
+        )
 
     # -- internal transitions ------------------------------------------------
 

@@ -21,7 +21,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.exp.cache import ResultCache
 from repro.exp.spec import config_hash, resolve_config
@@ -634,64 +634,3 @@ class SweepRunner:
                 # the process group, so workers die with us).
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-
-
-# -- in-process factory sweeps (legacy analysis API) ----------------------
-
-
-def factory_sweep(
-    values: Iterable,
-    factory: Callable,
-    rectifier=None,
-    stop_when_finished: bool = True,
-) -> List[Tuple[object, SimulationResult]]:
-    """Run ``factory(value) -> (trace, platform)`` per value, serially.
-
-    The in-process backend behind the deprecated
-    :func:`repro.analysis.sweep.parameter_sweep`.  Accepts any
-    iterable (generators are materialised first).  Factories are
-    arbitrary callables, so this path cannot cross process boundaries
-    or cache — use an :class:`~repro.exp.spec.ExperimentSpec` with
-    :class:`SweepRunner` for that.
-    """
-    from repro.system.simulator import SystemSimulator
-
-    values = list(values)
-    if len(values) == 0:
-        raise ValueError("need at least one sweep value")
-    results = []
-    for value in values:
-        trace, platform = factory(value)
-        simulator = SystemSimulator(
-            trace,
-            platform,
-            rectifier=rectifier,
-            stop_when_finished=stop_when_finished,
-        )
-        results.append((value, simulator.run()))
-    return results
-
-
-def ensemble_factory_sweep(
-    traces: Iterable,
-    platform_factory: Callable,
-    rectifier=None,
-    stop_when_finished: bool = True,
-) -> List[SimulationResult]:
-    """Run one platform recipe over an ensemble of traces, serially.
-
-    Backend of the deprecated
-    :func:`repro.analysis.sweep.ensemble_run`.
-    """
-    traces = list(traces)
-    if len(traces) == 0:
-        raise ValueError("need at least one trace")
-    return [
-        result
-        for _, result in factory_sweep(
-            traces,
-            lambda trace: (trace, platform_factory(trace)),
-            rectifier=rectifier,
-            stop_when_finished=stop_when_finished,
-        )
-    ]

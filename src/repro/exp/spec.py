@@ -27,6 +27,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -127,8 +128,11 @@ def resolve_config(config: Mapping) -> Dict:
     bad = set(merged["nvp"]) - set(_nvp_field_names())
     if bad:
         raise ValueError(f"unknown NVPConfig key(s) {sorted(bad)}")
-    if merged["duration_s"] <= 0:
-        raise ValueError("duration_s must be positive")
+    # Written so NaN fails too: every comparison with NaN is False.
+    if not 0 < merged["duration_s"] < math.inf:
+        raise ValueError("duration_s must be positive and finite")
+    if merged["mean_uw"] is not None and not math.isfinite(merged["mean_uw"]):
+        raise ValueError("mean_uw must be finite")
     if merged["stop_when_finished"] is None:
         merged["stop_when_finished"] = merged["kernel"] is not None
     return merged

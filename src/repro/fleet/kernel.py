@@ -249,9 +249,8 @@ class FleetKernel:
             self._ends_by_tick.setdefault(dev.n_ticks, []).append(dev)
         self.n_live = len(self.devices)
         for dev in self.devices:
-            self._route(dev)
-        self._active.extend(self._pending_active)
-        self._pending_active.clear()
+            if not self._route(dev):
+                self._active.append(dev)
 
     # -- state-time accounting ----------------------------------------
 
@@ -275,31 +274,31 @@ class FleetKernel:
 
     # -- passive-row management ----------------------------------------
 
-    def _route(self, dev: _FleetDevice) -> None:
-        """Park the device on the vectorized path if it is dormant."""
-        if dev.soa is not None:
-            if dev.platform.finished:
-                # Finished but still integrating the trace: a pure
-                # "done" charge run with an unreachable target.
-                dev.mode = MODE_PASSIVE
-                dev.dormant_state = "done"
-                dev.plan = None
-                self.arrays.load_row(dev.row, dev.storage, math.inf)
-                self.n_passive += 1
-                return
-            if dev.off_plan_fn is not None:
-                plan = dev.off_plan_fn(self.dt)
-                if plan is not None:
-                    dev.mode = MODE_PASSIVE
-                    dev.dormant_state = plan.state
-                    dev.plan = plan
-                    self.arrays.load_row(
-                        dev.row, dev.storage, plan.target_j()
-                    )
-                    self.n_passive += 1
-                    return
-        dev.mode = MODE_ACTIVE
-        self._pending_active.append(dev)
+    def _route(self, dev: _FleetDevice) -> bool:
+        """Park the device on the vectorized path if it is dormant.
+
+        Returns whether it was parked; a device that was not stays on
+        the exact path.
+        """
+        if dev.soa is None:
+            return False
+        if dev.platform.finished:
+            # Finished but still integrating the trace: a pure
+            # "done" charge run with an unreachable target.
+            dev.dormant_state = "done"
+            dev.plan = None
+            target = math.inf
+        else:
+            plan = dev.off_plan_fn(self.dt) if dev.off_plan_fn else None
+            if plan is None:
+                return False
+            dev.dormant_state = plan.state
+            dev.plan = plan
+            target = plan.target_j()
+        dev.mode = MODE_PASSIVE
+        self.arrays.load_row(dev.row, dev.storage, target)
+        self.n_passive += 1
+        return True
 
     def _flush_row(self, dev: _FleetDevice) -> None:
         """Account pending dormant ticks and sync the storage object."""
@@ -396,28 +395,17 @@ class FleetKernel:
                 if dev.stop_when_finished:
                     self._finalize(dev, i + 1)
                     continue
-            if finished:
-                if dev.soa is not None:
-                    self._route(dev)
-                    continue
-                if dev.storage is None:
-                    # No storage to keep integrating (the oracle): the
-                    # remaining ticks are pure "done" no-ops, account
-                    # them in bulk and finish the device now.
-                    remaining = dev.n_ticks - (i + 1)
-                    if remaining:
-                        self._account(dev, "done", remaining)
-                    self._finalize(dev, dev.n_ticks)
-                    continue
-            elif dev.soa is not None and dev.off_plan_fn is not None:
-                plan = dev.off_plan_fn(dt)
-                if plan is not None:
-                    dev.mode = MODE_PASSIVE
-                    dev.dormant_state = plan.state
-                    dev.plan = plan
-                    self.arrays.load_row(dev.row, dev.storage, plan.target_j())
-                    self.n_passive += 1
-                    continue
+            if self._route(dev):
+                continue
+            if finished and dev.storage is None:
+                # No storage to keep integrating (the oracle): the
+                # remaining ticks are pure "done" no-ops, account them
+                # in bulk and finish the device now.
+                remaining = dev.n_ticks - (i + 1)
+                if remaining:
+                    self._account(dev, "done", remaining)
+                self._finalize(dev, dev.n_ticks)
+                continue
             still.append(dev)
         self._active = still
 

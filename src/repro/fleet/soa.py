@@ -23,10 +23,10 @@ Why this is exact and not merely close:
   the curve is flat) equals ``np.maximum(eta_floor, eta_peak *
   (1 - offset²))`` because correctly-rounded multiplication is
   monotone, so the parabola never exceeds its peak;
-* an :class:`~repro.storage.ideal.IdealStorage` runs through the same
-  chain with the identity parameters its ``soa_params`` supplies
-  (``C = 1``, flat ``eta = 1``, infinite leak resistance): every extra
-  op is an exact float identity (``x * 1.0``, ``x + 0.0``).
+* an :class:`~repro.storage.ideal.IdealStorage` is a capacitor with
+  identity parameters (``C = 1``, flat ``eta = 1``, infinite leak
+  resistance): every extra op is an exact float identity (``x * 1.0``,
+  ``x + 0.0``).
 
 Rows whose device is *not* currently dormant stay allocated but
 ``alive``-masked out: their target is ``inf`` (no spurious crossings),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from typing import TextIO, Union
 
 import numpy as np
@@ -64,6 +65,8 @@ def load_csv(source: Pathish, source_name: str = "csv") -> PowerTrace:
             samples.append(float(row[1]))
         except ValueError as exc:
             raise ValueError(f"row {line_no}: {exc}") from exc
+        if not (math.isfinite(times[-1]) and math.isfinite(samples[-1])):
+            raise ValueError(f"row {line_no}: time and power must be finite")
     if len(samples) < 2:
         raise ValueError("need at least two samples to infer the time base")
     deltas = np.diff(times)

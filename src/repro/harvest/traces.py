@@ -8,6 +8,7 @@ this framework.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -35,8 +36,11 @@ class PowerTrace:
             raise ValueError("power trace must be one-dimensional")
         if len(samples) == 0:
             raise ValueError("power trace cannot be empty")
-        if dt_s <= 0:
-            raise ValueError("sampling period must be positive")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 < dt_s < math.inf:
+            raise ValueError("sampling period must be positive and finite")
+        if not np.isfinite(samples).all():
+            raise ValueError("power samples must be finite")
         if np.any(samples < 0):
             raise ValueError("power samples cannot be negative")
         self.samples_w = samples

@@ -119,6 +119,9 @@ class Capacitor:
         self.leak_resistance_ohm = leak_resistance_ohm
         self.efficiency = efficiency
         self.min_charge_current_a = min_charge_current_a
+        #: Capacity at rated voltage, joules: the bound every op chain
+        #: (``step``, ``charge_many``, ``soa_params``) clips against.
+        self.capacity_j = 0.5 * capacitance_f * v_max_v * v_max_v
         self._energy_j = 0.5 * capacitance_f * v_initial_v * v_initial_v
         # Cumulative accounting.
         self.total_charged_j = 0.0
@@ -135,8 +138,8 @@ class Capacitor:
 
     @property
     def energy_max_j(self) -> float:
-        """Capacity at rated voltage."""
-        return 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v
+        """Capacity, joules."""
+        return self.capacity_j
 
     @property
     def voltage_v(self) -> float:
@@ -251,7 +254,7 @@ class Capacitor:
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         energy = self._energy_j
-        capacity = 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v
+        capacity = self.capacity_j
         capacitance = self.capacitance_f
         min_current = self.min_charge_current_a
         leak_ohm = self.leak_resistance_ohm
@@ -326,13 +329,12 @@ class Capacitor:
         same per-tick float chain as :meth:`charge_many` — sqrt, the
         efficiency parabola, headroom clip, leak — elementwise across
         many devices, so these must be exactly the values the scalar
-        loop hoists.  ``capacity_j`` in particular is the same
-        ``0.5 * C * v_max²`` product :meth:`charge_many` computes.
+        loop hoists.
         """
         curve = self.efficiency
         return {
             "capacitance_f": self.capacitance_f,
-            "capacity_j": 0.5 * self.capacitance_f * self.v_max_v * self.v_max_v,
+            "capacity_j": self.capacity_j,
             "leak_ohm": self.leak_resistance_ohm,
             "min_current_a": self.min_charge_current_a,
             "eta_peak": curve.eta_peak,

@@ -3,20 +3,35 @@
 Used as a reference to separate architectural effects (backup/restore
 overheads) from storage losses, and as the upper bound in the
 capacitor-sizing experiment.
+
+The ideal store is a :class:`~repro.storage.capacitor.Capacitor` whose
+parameters turn every loss into an exact float identity: ``C = 1``, a
+flat unit-efficiency curve (``x * 1.0 == x``, ``x - x == 0.0``),
+infinite leak resistance (the leak is ``0.0``) and no minimum charge
+current.  So the capacitor's one op chain — ``step``, ``draw``,
+``charge_many`` and the ``soa_*`` contract the fleet and batch kernels
+use — performs the loss-free arithmetic (charge ``p * dt``, clip at
+capacity, draw the load) bit for bit on finite inputs.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.storage.capacitor import StorageStep
+from repro.storage.capacitor import Capacitor, ChargeEfficiency
+
+#: Conversion that loses nothing at any voltage.
+IDEAL_EFFICIENCY = ChargeEfficiency(
+    eta_peak=1.0, eta_floor=1.0, v_opt_v=0.0, v_span_v=1.0
+)
 
 
-class IdealStorage:
+class IdealStorage(Capacitor):
     """Loss-free, efficiency-1.0 energy store with a capacity bound.
 
-    Implements the same ``step``/``draw``/``energy_j`` interface as
-    :class:`~repro.storage.capacitor.Capacitor`.
+    Args:
+        capacity_j: capacity, joules (kept exactly as given).
+        initial_j: starting energy, joules.
     """
 
     def __init__(self, capacity_j: float, initial_j: float = 0.0) -> None:
@@ -24,27 +39,14 @@ class IdealStorage:
             raise ValueError("capacity must be positive")
         if not 0 <= initial_j <= capacity_j:
             raise ValueError("initial energy outside [0, capacity]")
+        super().__init__(
+            capacitance_f=1.0,
+            v_max_v=1.0,
+            leak_resistance_ohm=math.inf,
+            efficiency=IDEAL_EFFICIENCY,
+        )
         self.capacity_j = capacity_j
         self._energy_j = initial_j
-        self.total_charged_j = 0.0
-        self.total_delivered_j = 0.0
-        self.total_leaked_j = 0.0
-        self.total_wasted_j = 0.0
-
-    @property
-    def energy_j(self) -> float:
-        """Stored energy, joules."""
-        return self._energy_j
-
-    @property
-    def energy_max_j(self) -> float:
-        """Capacity, joules."""
-        return self.capacity_j
-
-    @property
-    def state_of_charge(self) -> float:
-        """Stored energy as a fraction of capacity."""
-        return self._energy_j / self.capacity_j
 
     @property
     def voltage_v(self) -> float:
@@ -56,126 +58,6 @@ class IdealStorage:
         if not 0 <= energy_j <= self.capacity_j:
             raise ValueError("energy outside [0, capacity]")
         self._energy_j = energy_j
-
-    def step(self, p_in_w: float, p_load_w: float, dt_s: float) -> StorageStep:
-        """Advance one tick with perfect charging and no leakage."""
-        if p_in_w < 0 or p_load_w < 0:
-            raise ValueError("powers cannot be negative")
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        charged = p_in_w * dt_s
-        wasted = 0.0
-        headroom = self.capacity_j - self._energy_j
-        if charged > headroom:
-            wasted = charged - headroom
-            charged = headroom
-        self._energy_j += charged
-
-        demand = p_load_w * dt_s
-        delivered = min(demand, self._energy_j)
-        self._energy_j -= delivered
-
-        self.total_charged_j += charged
-        self.total_delivered_j += delivered
-        self.total_wasted_j += wasted
-        return StorageStep(
-            delivered_j=delivered,
-            charged_j=charged,
-            leaked_j=0.0,
-            wasted_j=wasted,
-            deficit=delivered < demand - 1e-18,
-        )
-
-    def draw(self, energy_j: float) -> float:
-        """Withdraw up to ``energy_j`` immediately; returns the amount drawn."""
-        if energy_j < 0:
-            raise ValueError("cannot draw negative energy")
-        drawn = min(energy_j, self._energy_j)
-        self._energy_j -= drawn
-        self.total_delivered_j += drawn
-        return drawn
-
-    def charge_many(self, p_in_w, start, stop, dt_s, stop_energy_j=None):
-        """Bulk zero-load charging, bit-identical to per-tick ``step``.
-
-        Same contract as
-        :meth:`repro.storage.capacitor.Capacitor.charge_many`:
-        consumes ``p_in_w[start:stop]`` with no load attached, stops
-        after the tick on which energy reaches ``stop_energy_j``, and
-        returns ``(ticks_consumed, crossed)``.
-        """
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        energy = self._energy_j
-        capacity = self.capacity_j
-        total_charged = self.total_charged_j
-        total_wasted = self.total_wasted_j
-        target = float("inf") if stop_energy_j is None else stop_energy_j
-        index = start
-        crossed = False
-        while index < stop:
-            charged = p_in_w[index] * dt_s
-            index += 1
-            wasted = 0.0
-            headroom = capacity - energy
-            if charged > headroom:
-                wasted = charged - headroom
-                charged = headroom
-            energy += charged
-            total_charged += charged
-            total_wasted += wasted
-            if energy >= target:
-                crossed = True
-                break
-        self._energy_j = energy
-        self.total_charged_j = total_charged
-        self.total_wasted_j = total_wasted
-        return index - start, crossed
-
-    # -- fleet struct-of-arrays contract -------------------------------------
-
-    def soa_params(self) -> dict:
-        """Capacitor-equivalent parameters for the fleet SoA kernel.
-
-        The vectorized kernel always evaluates the full capacitor
-        chain; with ``C = 1``, a flat unit-efficiency curve, infinite
-        leak resistance and no minimum charge current every extra
-        operation is an exact float identity (``x * 1.0``, ``x + 0.0``,
-        ``max(1.0, y <= 1.0)``), so the ideal store's
-        :meth:`charge_many` is reproduced bit for bit.
-        """
-        return {
-            "capacitance_f": 1.0,
-            "capacity_j": self.capacity_j,
-            "leak_ohm": math.inf,
-            "min_current_a": 0.0,
-            "eta_peak": 1.0,
-            "eta_floor": 1.0,
-            "v_opt_v": 0.0,
-            "v_span_v": 1.0,
-        }
-
-    def soa_state(self):
-        """``(energy, charged, leaked, wasted)`` for the fleet kernel."""
-        return (
-            self._energy_j,
-            self.total_charged_j,
-            self.total_leaked_j,
-            self.total_wasted_j,
-        )
-
-    def soa_restore(
-        self,
-        energy_j: float,
-        charged_j: float,
-        leaked_j: float,
-        wasted_j: float,
-    ) -> None:
-        """Adopt state evolved by the fleet SoA kernel (bit-exact)."""
-        self._energy_j = energy_j
-        self.total_charged_j = charged_j
-        self.total_leaked_j = leaked_j
-        self.total_wasted_j = wasted_j
 
     def __repr__(self) -> str:
         return f"IdealStorage(E={self._energy_j * 1e6:.3g}/{self.capacity_j * 1e6:.3g}uJ)"

@@ -17,7 +17,9 @@ ticks in bulk, **stopping before the first event tick**, and return
 batched, upon which the simulator falls back to exact ticking.  The
 event tick itself always executes on the scalar path, so every state
 transition, backup, collapse and commit runs the same Python code in
-both engines.
+both engines.  A platform's ``exact_batch`` checks only its own
+preconditions and names its stop rules; :func:`run_batch` decides the
+rest and picks the kernel.
 
 Bitwise discipline (the same contract ``charge_many`` /
 :mod:`repro.fleet.soa` follow — every IEEE-754 operation in the same
@@ -44,37 +46,29 @@ order):
   float evaluation order.  Their batched path is a fused scalar loop
   replicating ``Capacitor.step``'s exact op chain (charge with
   voltage-dependent efficiency, headroom clip, leak, load draw), with
-  the storage parameterized through the same ``soa_params()`` identity
-  contract the fleet kernel uses, so :class:`~repro.storage.ideal.IdealStorage`
-  runs through identity operations (``x * 1.0``, ``x - 0.0``) that
-  cannot change a bit.
+  the storage parameterized through the same ``soa_params()`` contract
+  the fleet kernel uses.
 
 Event ticks are detected on *candidate* values: the loop computes the
 tick's deltas into locals, and on a deficit (or a pre-tick threshold
 crossing, unit boundary, periodic-checkpoint trip, or finishing tick)
 discards them and stops — the scalar path then re-executes the tick
 from the identical platform state.
-
-The kernel sits behind the narrow :class:`ExactKernel` interface so an
-accelerated backend (generated C via cffi, following the
-compiled-simulator-vs-reference-model pattern) can slot in without
-touching any platform; :data:`active_kernel` selects the
-implementation process-wide.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ExactKernel",
-    "PythonExactKernel",
-    "active_kernel",
-    "get_kernel",
-    "batchable_workload",
+    "run_batch",
+    "oracle_run",
+    "storage_run",
+    "isa_oracle_run",
+    "isa_storage_run",
 ]
 
 #: Conservative relative margin used by the ISA pre-checks.  Covers the
@@ -83,281 +77,419 @@ __all__ = [
 _ISA_MARGIN = 1.0e-8
 
 
-def batchable_workload(workload) -> Optional[str]:
-    """The workload's batchable-advance mode, or ``None``.
+def run_batch(
+    platform,
+    p_in_w,
+    start: int,
+    stop: int,
+    dt_s: float,
+    stops: Optional[Callable[[], Dict]] = None,
+) -> Optional[List[Tuple[str, int]]]:
+    """Batch the platform's next predictable ``"run"`` ticks, if it may.
 
-    Workloads advertise batchability through the
-    ``supports_exact_batch`` capability (see
-    :class:`~repro.workloads.base.Workload`):
+    The body of every platform's ``exact_batch`` once the platform has
+    checked its own preconditions (powered on, no governor, ...).  It
+    declines when the workload is finished or advertises no
+    ``supports_exact_batch`` mode, or when a storage element does not
+    implement the ``soa_params()`` contract.  Otherwise it stamps the
+    bus clock and dispatches on the workload's mode:
 
     * ``"recurrence"`` — ``advance`` is the closed-form
       :class:`~repro.workloads.base.AbstractWorkload` time-credit
-      recurrence; the kernel replays it via
-      :meth:`ExactKernel.oracle_run` / :meth:`ExactKernel.storage_run`.
+      recurrence, replayed by :func:`oracle_run` / :func:`storage_run`;
     * ``"isa"`` — ``advance`` executes real NV16 instructions
-      (:class:`~repro.workloads.base.FunctionalWorkload`); the kernel
-      drives the workload's own ``advance`` tick by tick via
-      :meth:`ExactKernel.isa_oracle_run` /
-      :meth:`ExactKernel.isa_storage_run`.
-    * ``None`` — scalar ticking only.
+      (:class:`~repro.workloads.base.FunctionalWorkload`), driven tick
+      by tick by :func:`isa_oracle_run` / :func:`isa_storage_run`;
 
-    Subclasses that override neither ``advance`` nor ``finished`` keep
-    their base class's mode (the PR 8 exact-type check silently dropped
-    such subclasses to the scalar path).  The return value is truthy
-    iff batchable, so existing boolean gates keep working; platforms
-    dispatch on the mode string.
+    and on whether the platform has a storage element (the oracle has
+    none).  ``stops`` returns the storage kernels' keyword stop rules
+    (``stop_energy_j``, ``period_limit``, ``period_count``,
+    ``stop_at_unit_boundary``); it is called after the clock stamp, so
+    a lazily planned threshold emits with the tick the exact engine
+    would use.  Unit-boundary stops cannot be pre-checked on a
+    functional workload, so that combination declines.
+
+    Returns:
+        ``[("run", ticks)]``, or ``None`` when no tick can be batched
+        (the simulator then ticks exactly until the next transition).
     """
-    return getattr(workload, "supports_exact_batch", None)
+    workload = platform.workload
+    mode = getattr(workload, "supports_exact_batch", None)
+    if not mode or workload.finished:
+        return None
+    storage = getattr(platform, "storage", None)
+    if storage is None:
+        run = oracle_run if mode == "recurrence" else isa_oracle_run
+        ticks = run(platform, start, stop, dt_s)
+    else:
+        if getattr(storage, "soa_params", None) is None:
+            return None
+        bus = getattr(platform, "bus", None)
+        if bus is not None:
+            bus.set_clock(start, dt_s)
+        rules = stops() if stops is not None else {}
+        if mode == "recurrence":
+            ticks = storage_run(platform, p_in_w, start, stop, dt_s, **rules)
+        elif rules.get("stop_at_unit_boundary"):
+            return None
+        else:
+            ticks = isa_storage_run(platform, p_in_w, start, stop, dt_s, **rules)
+    return [("run", ticks)] if ticks else None
 
 
-class ExactKernel:
-    """Interface of a batched active-tick backend.
+def oracle_run(platform, start: int, stop: int, dt_s: float) -> int:
+    """Batch continuously-powered ticks (no storage element).
 
-    Implementations MUST be bit-for-bit identical to the scalar
-    per-tick path: same IEEE-754 operations, same order, including the
-    ``(count * epi) / dt * dt`` demand round-trip and the candidate
-    discard semantics documented in the module docstring.  Both entry
-    points mutate the platform in place and return the number of ticks
-    consumed (0 when the first tick is already an event tick).
+    Per scalar tick: ``advance(dt_s)``, ``ledger.execute`` +
+    ``ledger.commit``, ``consumed_j += advance.energy_j``.  Stops
+    before the workload's finishing tick.  Returns the ticks consumed.
     """
-
-    #: Human-readable backend name (surfaces in docs/benchmarks).
-    name = "abstract"
-
-    def oracle_run(self, platform, start: int, stop: int, dt_s: float) -> int:
-        """Batch continuously-powered ticks (no storage element).
-
-        Per scalar tick: ``advance(dt_s)``, ``ledger.execute`` +
-        ``ledger.commit``, ``consumed_j += advance.energy_j``.  Stops
-        before the workload's finishing tick.
-        """
-        raise NotImplementedError
-
-    def storage_run(
-        self,
-        platform,
-        p_in_w,
-        start: int,
-        stop: int,
-        dt_s: float,
-        stop_energy_j: Optional[float] = None,
-        period_limit: Optional[int] = None,
-        period_count: int = 0,
-        stop_at_unit_boundary: bool = False,
-    ) -> Tuple[int, int]:
-        """Batch powered-on ticks of a storage-backed platform.
-
-        Per scalar tick: stall-decayed exec budget, workload advance,
-        ``ledger.execute``, storage step at the advance's load power,
-        ``consumed_j += delivered``.  Stops before the first tick
-        where any of these holds:
-
-        * stored energy at tick start ``<= stop_energy_j`` (the NVP /
-          Hibernus voltage trigger; ``None`` disables);
-        * ``period_count`` + the tick's instruction count reaches
-          ``period_limit`` (the Mementos periodic checkpoint;
-          ``None`` disables);
-        * the tick's instructions cross a workload unit boundary
-          (wait-and-compute commits; ``stop_at_unit_boundary``);
-        * the workload would finish;
-        * the storage reports a deficit (power collapse).
-
-        ``period_count`` tracks the platform's instructions-since-
-        checkpoint counter through the batch; the updated value is
-        returned alongside the consumed tick count.
-        """
-        raise NotImplementedError
-
-    def isa_oracle_run(self, platform, start: int, stop: int, dt_s: float) -> int:
-        """Batch continuously-powered ticks of a functional workload.
-
-        The per-tick recurrence is the workload's own ``advance``
-        (which drives the NV16 block engine), so the tick is executed
-        for real; the batching win is eliminating the simulator's
-        per-tick overhead (bus staging, report objects, state-machine
-        dispatch) and bulk-applying the integer ledger commits.
-        Unlike :meth:`oracle_run`, the finishing tick *is* consumed
-        in-batch (the caller observes ``platform.finished`` after the
-        batch); the batch simply stops after it.
-        """
-        raise NotImplementedError
-
-    def isa_storage_run(
-        self,
-        platform,
-        p_in_w,
-        start: int,
-        stop: int,
-        dt_s: float,
-        stop_energy_j: Optional[float] = None,
-        period_limit: Optional[int] = None,
-        period_count: int = 0,
-    ) -> Tuple[int, int]:
-        """Batch powered-on storage-backed ticks of a functional workload.
-
-        Same stop conditions as :meth:`storage_run`, but the per-tick
-        instruction count and energy come from really executing the
-        workload's ``advance`` (block engine), so event ticks cannot be
-        predicted from a closed form.  Instead each tick passes two
-        *conservative* pre-checks before ``advance`` is called:
-
-        * ``period_count`` plus a worst-case instruction bound
-          (``int(budget / min_instruction_time * (1 + eps)) + 2``)
-          stays below ``period_limit``;
-        * post-charge/leak stored energy (computable exactly before the
-          advance — it does not depend on the load) covers a worst-case
-          demand bound (``(budget + max_instruction_time) * max_power``
-          plus margins, where ``max_power`` is the worst
-          energy-per-second over the instruction classes).
-
-        A failed pre-check stops the batch and the tick re-executes on
-        the scalar path from identical state — conservative stops only
-        cost a fallback tick, never exactness.  The finishing tick is
-        consumed in-batch, then the batch stops.  There is no
-        ``stop_at_unit_boundary`` variant: unit-boundary semantics
-        cannot be pre-checked conservatively, so wait-and-compute keeps
-        functional workloads on the scalar path.
-        """
-        raise NotImplementedError
+    workload = platform.workload
+    tpi = workload._time_per_instr
+    epi = workload._energy_per_instr
+    credit = workload._time_credit_s
+    retired = workload._retired
+    total_units = workload.total_units
+    limit = (
+        total_units * workload.instructions_per_unit
+        if total_units is not None
+        else None
+    )
+    retired_before = retired
+    dt = dt_s
+    counts = []
+    append = counts.append
+    for _ in range(stop - start):
+        # AbstractWorkload.advance(dt): the time-credit recurrence.
+        budget = dt + credit
+        count = int(budget / tpi)
+        if limit is not None and retired + count >= limit:
+            # Finishing tick: the scalar path executes it so
+            # completion accounting stays on the simulator.
+            break
+        time_used = count * tpi
+        rem = budget - time_used
+        credit = rem if rem < tpi else tpi
+        retired += count
+        append(count)
+    ticks = len(counts)
+    if not ticks:
+        return 0
+    # consumed_j += count * epi, tick by tick: np.cumsum over a 1-D
+    # float64 array adds left to right, so seeding element 0 with
+    # the prior accumulator reproduces every partial sum bit for
+    # bit (property-tested in tests/test_exactkernel.py).
+    series = np.empty(ticks + 1, dtype=np.float64)
+    series[0] = platform.consumed_j
+    np.multiply(
+        np.asarray(counts, dtype=np.float64), epi, out=series[1:]
+    )
+    platform.consumed_j = float(np.cumsum(series)[-1])
+    workload._retired = retired
+    workload._time_credit_s = credit
+    # Each tick executes then commits: persistent absorbs any
+    # volatile remainder plus every batched instruction (integer
+    # math — order-free, applied in bulk).
+    ledger = platform.ledger
+    ledger.persistent += ledger.volatile + (retired - retired_before)
+    ledger.volatile = 0
+    ledger.commits += ticks
+    return ticks
 
 
-class PythonExactKernel(ExactKernel):
-    """The default backend: fused Python loops + numpy integration."""
+def storage_run(
+    platform,
+    p_in_w,
+    start: int,
+    stop: int,
+    dt_s: float,
+    stop_energy_j: Optional[float] = None,
+    period_limit: Optional[int] = None,
+    period_count: int = 0,
+    stop_at_unit_boundary: bool = False,
+) -> int:
+    """Batch powered-on ticks of a storage-backed platform.
 
-    name = "python-fused"
+    Per scalar tick: stall-decayed exec budget, workload advance,
+    ``ledger.execute``, storage step at the advance's load power,
+    ``consumed_j += delivered``.  Stops before the first tick
+    where any of these holds:
 
-    def oracle_run(self, platform, start: int, stop: int, dt_s: float) -> int:
-        workload = platform.workload
-        tpi = workload._time_per_instr
-        epi = workload._energy_per_instr
-        credit = workload._time_credit_s
-        retired = workload._retired
-        total_units = workload.total_units
-        limit = (
-            total_units * workload.instructions_per_unit
-            if total_units is not None
-            else None
+    * stored energy at tick start ``<= stop_energy_j`` (the NVP /
+      Hibernus voltage trigger; ``None`` disables);
+    * ``period_count`` + the tick's instruction count reaches
+      ``period_limit`` (the Mementos periodic checkpoint;
+      ``None`` disables);
+    * the tick's instructions cross a workload unit boundary
+      (wait-and-compute commits; ``stop_at_unit_boundary``);
+    * the workload would finish;
+    * the storage reports a deficit (power collapse).
+
+    ``period_count`` is the platform's instructions-since-checkpoint
+    counter at batch start; every batched instruction also lands in
+    ``ledger.volatile``.  Returns the ticks consumed.
+    """
+    workload = platform.workload
+    storage = platform.storage
+    params = storage.soa_params()
+    capacitance = params["capacitance_f"]
+    capacity = params["capacity_j"]
+    leak_ohm = params["leak_ohm"]
+    min_current = params["min_current_a"]
+    eta_peak = params["eta_peak"]
+    eta_floor = params["eta_floor"]
+    v_opt = params["v_opt_v"]
+    v_span = params["v_span_v"]
+    # A flat curve is voltage-independent: max(eta, eta_peak *
+    # (1 - x**2)) == eta exactly (same hoist charge_many makes).
+    flat_eta = eta_peak if eta_floor == eta_peak else None
+    energy, total_charged, total_leaked, total_wasted = storage.soa_state()
+    total_delivered = storage.total_delivered_j
+
+    tpi = workload._time_per_instr
+    epi = workload._energy_per_instr
+    credit = workload._time_credit_s
+    retired = workload._retired
+    total_units = workload.total_units
+    ipu = workload.instructions_per_unit
+    limit = total_units * ipu if total_units is not None else None
+    stall = platform._stall_s
+    consumed = platform.consumed_j
+    ledger = platform.ledger
+    volatile = ledger.volatile
+    threshold = -math.inf if stop_energy_j is None else stop_energy_j
+
+    dt = dt_s
+    sqrt = math.sqrt
+    index = start
+    ticks = 0
+    while index < stop:
+        # Pre-tick trigger check, exactly where the platform state
+        # machine tests it (before the workload advances).
+        if energy <= threshold:
+            break
+        # -- workload candidate (AbstractWorkload.advance) --------
+        exec_budget = dt - stall
+        if exec_budget < 0.0:
+            exec_budget = 0.0
+        new_stall = stall - dt
+        if new_stall < 0.0:
+            new_stall = 0.0
+        budget = exec_budget + credit
+        count = int(budget / tpi)
+        if limit is not None and retired + count >= limit:
+            break  # finishing tick stays scalar
+        if (
+            period_limit is not None
+            and period_count + count >= period_limit
+        ):
+            break  # periodic-checkpoint tick stays scalar
+        if (
+            stop_at_unit_boundary
+            and count
+            and (retired + count) // ipu > retired // ipu
+        ):
+            break  # unit-commit tick stays scalar
+        time_used = count * tpi
+        rem = budget - time_used
+        new_credit = rem if rem < tpi else tpi
+        load_w = (count * epi) / dt
+
+        # -- storage candidate (Capacitor.step's exact op chain) --
+        p_in = p_in_w[index]
+        wasted = 0.0
+        voltage = sqrt(2.0 * energy / capacitance)
+        input_energy = p_in * dt
+        if (
+            min_current > 0.0
+            and voltage > 0.0
+            and p_in < min_current * voltage
+        ) or input_energy == 0.0:
+            charged = 0.0
+            wasted += input_energy
+            new_energy = energy
+        else:
+            if flat_eta is not None:
+                eta = flat_eta
+            else:
+                offset = (voltage - v_opt) / v_span
+                eta = eta_peak * (1.0 - offset * offset)
+                if eta < eta_floor:
+                    eta = eta_floor
+            charged = input_energy * eta
+            wasted += input_energy - charged
+            headroom = capacity - energy
+            if charged > headroom:
+                wasted += charged - headroom
+                charged = headroom
+            new_energy = energy + charged
+        voltage = sqrt(2.0 * new_energy / capacitance)
+        leaked = voltage * voltage / leak_ohm * dt
+        if leaked > new_energy:
+            leaked = new_energy
+        new_energy -= leaked
+        demand = load_w * dt
+        delivered = demand if demand < new_energy else new_energy
+        if delivered < demand - 1e-18:
+            # Deficit (power collapse): discard the candidate and
+            # stop — the scalar path re-executes this tick from
+            # the identical state and runs the collapse handling.
+            break
+        new_energy -= delivered
+
+        # -- commit the tick --------------------------------------
+        energy = new_energy
+        stall = new_stall
+        credit = new_credit
+        retired += count
+        volatile += count
+        period_count += count
+        consumed += delivered
+        total_charged += charged
+        total_leaked += leaked
+        total_wasted += wasted
+        total_delivered += delivered
+        index += 1
+        ticks += 1
+    if ticks:
+        storage.soa_restore(
+            energy, total_charged, total_leaked, total_wasted
         )
-        retired_before = retired
-        dt = dt_s
-        counts = []
-        append = counts.append
-        for _ in range(stop - start):
-            # AbstractWorkload.advance(dt): the time-credit recurrence.
-            budget = dt + credit
-            count = int(budget / tpi)
-            if limit is not None and retired + count >= limit:
-                # Finishing tick: the scalar path executes it so
-                # completion accounting stays on the simulator.
-                break
-            time_used = count * tpi
-            rem = budget - time_used
-            credit = rem if rem < tpi else tpi
-            retired += count
-            append(count)
-        ticks = len(counts)
-        if not ticks:
-            return 0
-        # consumed_j += count * epi, tick by tick: np.cumsum over a 1-D
-        # float64 array adds left to right, so seeding element 0 with
-        # the prior accumulator reproduces every partial sum bit for
-        # bit (property-tested in tests/test_exactkernel.py).
-        series = np.empty(ticks + 1, dtype=np.float64)
-        series[0] = platform.consumed_j
-        np.multiply(
-            np.asarray(counts, dtype=np.float64), epi, out=series[1:]
-        )
-        platform.consumed_j = float(np.cumsum(series)[-1])
+        storage.total_delivered_j = total_delivered
         workload._retired = retired
         workload._time_credit_s = credit
-        # Each tick executes then commits: persistent absorbs any
-        # volatile remainder plus every batched instruction (integer
-        # math — order-free, applied in bulk).
-        ledger = platform.ledger
-        ledger.persistent += ledger.volatile + (retired - retired_before)
-        ledger.volatile = 0
-        ledger.commits += ticks
-        return ticks
+        platform._stall_s = stall
+        platform.consumed_j = consumed
+        ledger.volatile = volatile
+    return ticks
 
-    def storage_run(
-        self,
-        platform,
-        p_in_w,
-        start: int,
-        stop: int,
-        dt_s: float,
-        stop_energy_j: Optional[float] = None,
-        period_limit: Optional[int] = None,
-        period_count: int = 0,
-        stop_at_unit_boundary: bool = False,
-    ) -> Tuple[int, int]:
-        workload = platform.workload
-        storage = platform.storage
-        params = storage.soa_params()
-        capacitance = params["capacitance_f"]
-        capacity = params["capacity_j"]
-        leak_ohm = params["leak_ohm"]
-        min_current = params["min_current_a"]
-        eta_peak = params["eta_peak"]
-        eta_floor = params["eta_floor"]
-        v_opt = params["v_opt_v"]
-        v_span = params["v_span_v"]
-        # A flat curve is voltage-independent: max(eta, eta_peak *
-        # (1 - x**2)) == eta exactly (same hoist charge_many makes).
-        flat_eta = eta_peak if eta_floor == eta_peak else None
-        energy, total_charged, total_leaked, total_wasted = storage.soa_state()
-        total_delivered = storage.total_delivered_j
 
-        tpi = workload._time_per_instr
-        epi = workload._energy_per_instr
-        credit = workload._time_credit_s
-        retired = workload._retired
-        total_units = workload.total_units
-        ipu = workload.instructions_per_unit
-        limit = total_units * ipu if total_units is not None else None
-        stall = platform._stall_s
-        consumed = platform.consumed_j
-        ledger = platform.ledger
-        volatile = ledger.volatile
-        threshold = -math.inf if stop_energy_j is None else stop_energy_j
+def isa_oracle_run(platform, start: int, stop: int, dt_s: float) -> int:
+    """Batch continuously-powered ticks of a functional workload.
 
-        dt = dt_s
-        sqrt = math.sqrt
-        index = start
-        ticks = 0
+    The per-tick recurrence is the workload's own ``advance``
+    (which drives the NV16 block engine), so the tick is executed
+    for real; the batching win is eliminating the simulator's
+    per-tick overhead (bus staging, report objects, state-machine
+    dispatch) and bulk-applying the integer ledger commits.
+    Unlike :func:`oracle_run`, the finishing tick *is* consumed
+    in-batch (the caller observes ``platform.finished`` after the
+    batch); the batch simply stops after it.
+    """
+    workload = platform.workload
+    ledger = platform.ledger
+    consumed = platform.consumed_j
+    advance = workload.advance
+    total = 0
+    ticks = 0
+    try:
+        while ticks < stop - start:
+            # Really execute the tick: advance drives the block
+            # engine; counts/energy are the workload's own.
+            adv = advance(dt_s)
+            total += adv.instructions
+            consumed += adv.energy_j
+            ticks += 1
+            if workload.finished:
+                break
+    finally:
+        # Also reached when advance raises (stuck unit / execution
+        # fault): committed ticks are written back so the platform
+        # matches the scalar path's state at the raising tick.
+        if ticks:
+            platform.consumed_j = consumed
+            ledger.persistent += ledger.volatile + total
+            ledger.volatile = 0
+            ledger.commits += ticks
+    return ticks
+
+
+def isa_storage_run(
+    platform,
+    p_in_w,
+    start: int,
+    stop: int,
+    dt_s: float,
+    stop_energy_j: Optional[float] = None,
+    period_limit: Optional[int] = None,
+    period_count: int = 0,
+) -> int:
+    """Batch powered-on storage-backed ticks of a functional workload.
+
+    Same stop conditions as :func:`storage_run`, but the per-tick
+    instruction count and energy come from really executing the
+    workload's ``advance`` (block engine), so event ticks cannot be
+    predicted from a closed form.  Instead each tick passes two
+    *conservative* pre-checks before ``advance`` is called:
+
+    * ``period_count`` plus a worst-case instruction bound
+      (``int(budget / min_instruction_time * (1 + eps)) + 2``)
+      stays below ``period_limit``;
+    * post-charge/leak stored energy (computable exactly before the
+      advance — it does not depend on the load) covers a worst-case
+      demand bound (``(budget + max_instruction_time) * max_power``
+      plus margins, where ``max_power`` is the worst
+      energy-per-second over the instruction classes).
+
+    A failed pre-check stops the batch and the tick re-executes on
+    the scalar path from identical state — conservative stops only
+    cost a fallback tick, never exactness.  The finishing tick is
+    consumed in-batch, then the batch stops.  There is no
+    ``stop_at_unit_boundary`` variant: unit-boundary semantics
+    cannot be pre-checked conservatively, so wait-and-compute keeps
+    functional workloads on the scalar path.  Returns the ticks
+    consumed.
+    """
+    workload = platform.workload
+    storage = platform.storage
+    params = storage.soa_params()
+    capacitance = params["capacitance_f"]
+    capacity = params["capacity_j"]
+    leak_ohm = params["leak_ohm"]
+    min_current = params["min_current_a"]
+    eta_peak = params["eta_peak"]
+    eta_floor = params["eta_floor"]
+    v_opt = params["v_opt_v"]
+    v_span = params["v_span_v"]
+    flat_eta = eta_peak if eta_floor == eta_peak else None
+    energy, total_charged, total_leaked, total_wasted = storage.soa_state()
+    total_delivered = storage.total_delivered_j
+
+    min_time, max_time, max_power = workload.advance_bounds()
+    advance = workload.advance
+    stall = platform._stall_s
+    consumed = platform.consumed_j
+    ledger = platform.ledger
+    total_instr = 0
+    threshold = -math.inf if stop_energy_j is None else stop_energy_j
+
+    dt = dt_s
+    margin = 1.0 + _ISA_MARGIN
+    sqrt = math.sqrt
+    index = start
+    ticks = 0
+    try:
         while index < stop:
-            # Pre-tick trigger check, exactly where the platform state
-            # machine tests it (before the workload advances).
+            # Pre-tick trigger check, where the state machine tests it.
             if energy <= threshold:
                 break
-            # -- workload candidate (AbstractWorkload.advance) --------
             exec_budget = dt - stall
             if exec_budget < 0.0:
                 exec_budget = 0.0
             new_stall = stall - dt
             if new_stall < 0.0:
                 new_stall = 0.0
-            budget = exec_budget + credit
-            count = int(budget / tpi)
-            if limit is not None and retired + count >= limit:
-                break  # finishing tick stays scalar
+            # Worst-case instruction count this tick could retire.
+            worst_budget = exec_budget + workload._time_credit_s
+            worst_count = int(worst_budget / min_time * margin) + 2
             if (
                 period_limit is not None
-                and period_count + count >= period_limit
+                and period_count + worst_count >= period_limit
             ):
-                break  # periodic-checkpoint tick stays scalar
-            if (
-                stop_at_unit_boundary
-                and count
-                and (retired + count) // ipu > retired // ipu
-            ):
-                break  # unit-commit tick stays scalar
-            time_used = count * tpi
-            rem = budget - time_used
-            new_credit = rem if rem < tpi else tpi
-            load_w = (count * epi) / dt
-
-            # -- storage candidate (Capacitor.step's exact op chain) --
+                break  # might trip the periodic checkpoint: go scalar
+            # -- storage candidate (Capacitor.step's exact op chain;
+            #    charge and leak do not depend on the load, so they
+            #    can be computed before the workload advances) -----
             p_in = p_in_w[index]
             wasted = 0.0
             voltage = sqrt(2.0 * energy / capacitance)
@@ -390,22 +522,25 @@ class PythonExactKernel(ExactKernel):
             if leaked > new_energy:
                 leaked = new_energy
             new_energy -= leaked
-            demand = load_w * dt
-            delivered = demand if demand < new_energy else new_energy
-            if delivered < demand - 1e-18:
-                # Deficit (power collapse): discard the candidate and
-                # stop — the scalar path re-executes this tick from
-                # the identical state and runs the collapse handling.
+            # Conservative deficit pre-check: worst-case demand
+            # (time-budget times the worst energy-per-second, the
+            # last instruction overshooting by at most max_time,
+            # plus float-rounding margins) must be coverable, else
+            # the tick might collapse — leave it to the scalar path.
+            worst_demand = (
+                (worst_budget + max_time) * max_power * margin + 1e-15
+            )
+            if new_energy < worst_demand:
                 break
+            # -- commit the tick: really execute the instructions --
+            adv = advance(exec_budget)
+            demand = (adv.energy_j / dt) * dt
+            delivered = demand  # guaranteed < new_energy above
             new_energy -= delivered
-
-            # -- commit the tick --------------------------------------
             energy = new_energy
             stall = new_stall
-            credit = new_credit
-            retired += count
-            volatile += count
-            period_count += count
+            total_instr += adv.instructions
+            period_count += adv.instructions
             consumed += delivered
             total_charged += charged
             total_leaked += leaked
@@ -413,186 +548,18 @@ class PythonExactKernel(ExactKernel):
             total_delivered += delivered
             index += 1
             ticks += 1
+            if workload.finished:
+                break  # finishing tick consumed in-batch
+    finally:
+        # Also reached when advance raises mid-batch: prior ticks'
+        # storage/ledger effects are written back so the platform
+        # matches the scalar path's state at the raising tick.
         if ticks:
             storage.soa_restore(
                 energy, total_charged, total_leaked, total_wasted
             )
             storage.total_delivered_j = total_delivered
-            workload._retired = retired
-            workload._time_credit_s = credit
             platform._stall_s = stall
             platform.consumed_j = consumed
-            ledger.volatile = volatile
-        return ticks, period_count
-
-    def isa_oracle_run(self, platform, start: int, stop: int, dt_s: float) -> int:
-        workload = platform.workload
-        ledger = platform.ledger
-        consumed = platform.consumed_j
-        advance = workload.advance
-        total = 0
-        ticks = 0
-        try:
-            while ticks < stop - start:
-                # Really execute the tick: advance drives the block
-                # engine; counts/energy are the workload's own.
-                adv = advance(dt_s)
-                total += adv.instructions
-                consumed += adv.energy_j
-                ticks += 1
-                if workload.finished:
-                    break
-        finally:
-            # Also reached when advance raises (stuck unit / execution
-            # fault): committed ticks are written back so the platform
-            # matches the scalar path's state at the raising tick.
-            if ticks:
-                platform.consumed_j = consumed
-                ledger.persistent += ledger.volatile + total
-                ledger.volatile = 0
-                ledger.commits += ticks
-        return ticks
-
-    def isa_storage_run(
-        self,
-        platform,
-        p_in_w,
-        start: int,
-        stop: int,
-        dt_s: float,
-        stop_energy_j: Optional[float] = None,
-        period_limit: Optional[int] = None,
-        period_count: int = 0,
-    ) -> Tuple[int, int]:
-        workload = platform.workload
-        storage = platform.storage
-        params = storage.soa_params()
-        capacitance = params["capacitance_f"]
-        capacity = params["capacity_j"]
-        leak_ohm = params["leak_ohm"]
-        min_current = params["min_current_a"]
-        eta_peak = params["eta_peak"]
-        eta_floor = params["eta_floor"]
-        v_opt = params["v_opt_v"]
-        v_span = params["v_span_v"]
-        flat_eta = eta_peak if eta_floor == eta_peak else None
-        energy, total_charged, total_leaked, total_wasted = storage.soa_state()
-        total_delivered = storage.total_delivered_j
-
-        min_time, max_time, max_power = workload.advance_bounds()
-        advance = workload.advance
-        stall = platform._stall_s
-        consumed = platform.consumed_j
-        ledger = platform.ledger
-        total_instr = 0
-        threshold = -math.inf if stop_energy_j is None else stop_energy_j
-
-        dt = dt_s
-        margin = 1.0 + _ISA_MARGIN
-        sqrt = math.sqrt
-        index = start
-        ticks = 0
-        try:
-            while index < stop:
-                # Pre-tick trigger check, where the state machine tests it.
-                if energy <= threshold:
-                    break
-                exec_budget = dt - stall
-                if exec_budget < 0.0:
-                    exec_budget = 0.0
-                new_stall = stall - dt
-                if new_stall < 0.0:
-                    new_stall = 0.0
-                # Worst-case instruction count this tick could retire.
-                worst_budget = exec_budget + workload._time_credit_s
-                worst_count = int(worst_budget / min_time * margin) + 2
-                if (
-                    period_limit is not None
-                    and period_count + worst_count >= period_limit
-                ):
-                    break  # might trip the periodic checkpoint: go scalar
-                # -- storage candidate (Capacitor.step's exact op chain;
-                #    charge and leak do not depend on the load, so they
-                #    can be computed before the workload advances) -----
-                p_in = p_in_w[index]
-                wasted = 0.0
-                voltage = sqrt(2.0 * energy / capacitance)
-                input_energy = p_in * dt
-                if (
-                    min_current > 0.0
-                    and voltage > 0.0
-                    and p_in < min_current * voltage
-                ) or input_energy == 0.0:
-                    charged = 0.0
-                    wasted += input_energy
-                    new_energy = energy
-                else:
-                    if flat_eta is not None:
-                        eta = flat_eta
-                    else:
-                        offset = (voltage - v_opt) / v_span
-                        eta = eta_peak * (1.0 - offset * offset)
-                        if eta < eta_floor:
-                            eta = eta_floor
-                    charged = input_energy * eta
-                    wasted += input_energy - charged
-                    headroom = capacity - energy
-                    if charged > headroom:
-                        wasted += charged - headroom
-                        charged = headroom
-                    new_energy = energy + charged
-                voltage = sqrt(2.0 * new_energy / capacitance)
-                leaked = voltage * voltage / leak_ohm * dt
-                if leaked > new_energy:
-                    leaked = new_energy
-                new_energy -= leaked
-                # Conservative deficit pre-check: worst-case demand
-                # (time-budget times the worst energy-per-second, the
-                # last instruction overshooting by at most max_time,
-                # plus float-rounding margins) must be coverable, else
-                # the tick might collapse — leave it to the scalar path.
-                worst_demand = (
-                    (worst_budget + max_time) * max_power * margin + 1e-15
-                )
-                if new_energy < worst_demand:
-                    break
-                # -- commit the tick: really execute the instructions --
-                adv = advance(exec_budget)
-                demand = (adv.energy_j / dt) * dt
-                delivered = demand  # guaranteed < new_energy above
-                new_energy -= delivered
-                energy = new_energy
-                stall = new_stall
-                total_instr += adv.instructions
-                period_count += adv.instructions
-                consumed += delivered
-                total_charged += charged
-                total_leaked += leaked
-                total_wasted += wasted
-                total_delivered += delivered
-                index += 1
-                ticks += 1
-                if workload.finished:
-                    break  # finishing tick consumed in-batch
-        finally:
-            # Also reached when advance raises mid-batch: prior ticks'
-            # storage/ledger effects are written back so the platform
-            # matches the scalar path's state at the raising tick.
-            if ticks:
-                storage.soa_restore(
-                    energy, total_charged, total_leaked, total_wasted
-                )
-                storage.total_delivered_j = total_delivered
-                platform._stall_s = stall
-                platform.consumed_j = consumed
-                ledger.volatile += total_instr
-        return ticks, period_count
-
-
-#: The process-wide backend; a compiled implementation replaces this.
-active_kernel: ExactKernel = PythonExactKernel()
-
-
-def get_kernel() -> ExactKernel:
-    """The currently selected batched-execution backend."""
-    return active_kernel
+            ledger.volatile += total_instr
+    return ticks

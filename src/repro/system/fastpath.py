@@ -4,12 +4,12 @@ Every energy-buffered platform fast-forwards the same way: while
 dormant it charges toward an energy target through the storage
 element's ``charge_many`` primitive, attempts a wake on the
 threshold-crossing tick, and reports the consumed ticks as
-``(state, ticks)`` runs.  Before this module, that loop was
-copy-pasted across :mod:`repro.core.nvp`,
+``(state, ticks)`` runs.  Each of :mod:`repro.core.nvp`,
 :mod:`repro.baselines.checkpoint` and
-:mod:`repro.baselines.waitcompute`; now each platform only describes
-*its* dormant behaviour as an :class:`OffRunPlan` and delegates the
-loop to :func:`fast_forward_offruns`.
+:mod:`repro.baselines.waitcompute` only describes *its* dormant
+behaviour as an :class:`OffRunPlan` and inherits ``fast_forward`` from
+:class:`OffRunFastForward`, which runs the loop in
+:func:`fast_forward_offruns`.
 
 The plan is also the contract the fleet kernel
 (:mod:`repro.fleet.kernel`) drives: a dormant device advances through
@@ -49,17 +49,51 @@ class OffRunPlan:
     on_cross: Callable[[], object]
 
 
+class OffRunFastForward:
+    """The ``fast_forward`` capability of a platform with an ``off_plan``.
+
+    Mixed into every energy-buffered platform: each one describes its
+    dormant behaviour through ``off_plan(dt_s)`` and inherits this one
+    definition.
+    """
+
+    def fast_forward(self, p_in_w, start, stop, dt_s):
+        """Advance through analytically predictable ticks in bulk.
+
+        Covers the steady states the per-tick loop wastes most of its
+        time in: dormant charging toward the platform's wake target
+        (``"off"`` or ``"charge"``, ending with the wake attempt on the
+        crossing tick) and ``"done"`` (workload finished, storage still
+        integrating the trace).  Every float operation matches the
+        exact path bit-for-bit.
+
+        Args:
+            p_in_w: per-tick DC input power, indexable (the simulator
+                passes a plain list for speed).
+            start: index of the current tick.
+            stop: one past the last tick that may be consumed.
+            dt_s: tick duration.
+
+        Returns:
+            A list of ``(state, ticks)`` runs covering every consumed
+            tick, in order — or ``None`` when this platform state
+            cannot be fast-forwarded (the simulator then falls back to
+            exact ticking).
+        """
+        return fast_forward_offruns(self, p_in_w, start, stop, dt_s)
+
+
 def fast_forward_offruns(
     platform, p_in_w, start: int, stop: int, dt_s: float
 ) -> Optional[List[Tuple[str, int]]]:
     """Bulk-advance ``platform`` through dormant/done ticks.
 
-    Implements the ``fast_forward`` contract documented on
-    :meth:`repro.core.nvp.NVPPlatform.fast_forward` for any platform
-    that exposes ``off_plan(dt_s)``: delegates the arithmetic to the
-    storage element's ``charge_many`` so every float operation matches
-    the exact path bit-for-bit, and runs the wake attempt on the
-    crossing tick through the platform's own transition hook.
+    Implements the :meth:`OffRunFastForward.fast_forward` contract for
+    any platform that exposes ``off_plan(dt_s)``: delegates the
+    arithmetic to the storage element's ``charge_many`` so every float
+    operation matches the exact path bit-for-bit, and runs the wake
+    attempt on the crossing tick through the platform's own transition
+    hook.
 
     Args:
         platform: the platform being advanced; must expose

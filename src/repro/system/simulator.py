@@ -10,7 +10,7 @@ Platforms (the NVP and every baseline) implement one method —
 properties; all paradigm-specific behaviour (thresholds, backup,
 checkpointing, wait-and-compute) lives inside the platform.
 
-Two engine optimisations keep long traces cheap (see
+Three engine optimisations keep long traces cheap (see
 ``docs/performance.md``):
 
 * a **vectorized pre-pass** rectifies the whole trace and integrates
@@ -37,6 +37,10 @@ Two engine optimisations keep long traces cheap (see
   subscription-sensitive exactly like fast-forward, with its own
   ``use_exact_batch`` knob and ``sim_ticks{path="exact_batch"}``
   accounting.
+
+Both bulk paths run through one probe loop: fast-forward first, then
+the batch kernel, each disarmed after a miss and re-armed on the next
+state transition.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class Platform(Protocol):
     Platforms may additionally implement the optional fast-path
     capability ``fast_forward(p_in_w, start, stop, dt_s)`` returning a
     list of ``(state, ticks)`` runs (or ``None``); see
-    :meth:`repro.core.nvp.NVPPlatform.fast_forward` for the contract.
+    :meth:`repro.system.fastpath.OffRunFastForward.fast_forward` for
+    the contract.
     The analogous active-path capability
     ``exact_batch(p_in_w, start, stop, dt_s)`` bulk-executes
     predictable powered-on ticks bit-exactly; see
@@ -262,28 +267,23 @@ class SystemSimulator:
         storage = getattr(platform, "storage", None)
         want_ticks = bus is not None and bus.wants(ev.TICK)
         want_samples = bus is not None and self.sample_stride > 0
-        # Only an explicit ``sim.tick`` subscription forces the exact
-        # engine — every other event is synthesized bit-identically
-        # from the fast path's run lengths.  A platform that is already
-        # finished at entry completes on its first tick; the exact path
-        # keeps that accounting.
-        fast = (
-            self.use_fast_forward is not False
-            and not want_ticks
-            and getattr(platform, "fast_forward", None) is not None
-            and not platform.finished
-        )
-        # The batched active-tick engine is selected independently but
-        # under the same subscription sensitivity: only a ``sim.tick``
-        # subscriber forces scalar execution.
-        batch = (
-            self.use_exact_batch is not False
-            and not want_ticks
-            and getattr(platform, "exact_batch", None) is not None
-            and not platform.finished
-        )
+        # The bulk paths, ``(name, bound method)`` in probe order, each
+        # selected by its own knob.  Only an explicit ``sim.tick``
+        # subscription forces the exact engine — every other event is
+        # synthesized bit-identically from the bulk runs.  A platform
+        # that is already finished at entry completes on its first
+        # tick; the exact path keeps that accounting.
+        paths = []
+        if not want_ticks and not platform.finished:
+            for name, knob in (
+                ("fast_forward", self.use_fast_forward),
+                ("exact_batch", self.use_exact_batch),
+            ):
+                advance = getattr(platform, name, None)
+                if knob is not False and advance is not None:
+                    paths.append((name, advance))
         if bus is not None:
-            if fast or batch:
+            if paths:
                 # The synthesizer owns ALL outage emission (fast
                 # segments and interleaved exact ticks alike) so one
                 # state machine sees every tick.
@@ -313,95 +313,65 @@ class SystemSimulator:
         run_ticks = 0
         completion_time: Optional[float] = None
         finished = False
-        ticks_fast = 0
-        ticks_batch = 0
+        bulk_ticks = {"fast_forward": 0, "exact_batch": 0}
         ticks_exact = 0
         index = 0
-        # Disarm the fast-forward and exact-batch probes after a miss
-        # so a platform stuck in an unbatchable state does not pay a
-        # failed call per tick; any state transition re-arms them.
-        try_fast = fast
-        try_batch = batch
+        # ``paths[armed:]`` are the probes still armed.  A miss disarms
+        # the path that missed, so a platform stuck in an unbatchable
+        # state does not pay a failed call per tick; any state
+        # transition re-arms every path.
+        n_paths = len(paths)
+        armed = 0
 
         while index < n_ticks:
-            if try_fast:
+            runs = None
+            while armed < n_paths:
+                name, advance = paths[armed]
                 if synth is not None:
                     # Buffer platform emits (threshold recompute,
                     # restore/wake) so they can be merged with the
                     # synthesized stream in exact-engine order.
                     bus.begin_staging()
                     try:
-                        runs = platform.fast_forward(p_in_w, index, n_ticks, dt)
+                        runs = advance(p_in_w, index, n_ticks, dt)
                     finally:
                         staged = bus.end_staging()
                 else:
-                    runs = platform.fast_forward(p_in_w, index, n_ticks, dt)
+                    runs = advance(p_in_w, index, n_ticks, dt)
                     staged = None
                 if runs:
-                    if synth is not None:
-                        synth.integrate(index, runs, staged, run_state)
-                    for state, count in runs:
-                        if state == run_state:
-                            run_ticks += count
-                        else:
-                            if run_ticks:
-                                state_time[run_state] = (
-                                    state_time.get(run_state, 0.0)
-                                    + run_ticks * dt
-                                )
-                            run_state = state
-                            run_ticks = count
-                        index += count
-                        ticks_fast += count
-                    continue
+                    break
                 if synth is not None and staged:
                     synth.flush_staged(index, staged)
-                try_fast = False
-            if try_batch:
+                armed += 1
+            if runs:
                 if synth is not None:
-                    # Buffer platform emits (a lazy threshold
-                    # recompute at batch start) for in-order merging,
-                    # exactly as the fast-forward path does.
-                    bus.begin_staging()
-                    try:
-                        runs = platform.exact_batch(
-                            p_in_w, index, n_ticks, dt
-                        )
-                    finally:
-                        staged = bus.end_staging()
-                else:
-                    runs = platform.exact_batch(p_in_w, index, n_ticks, dt)
-                    staged = None
-                if runs:
-                    if synth is not None:
-                        synth.integrate(index, runs, staged, run_state)
-                    for state, count in runs:
-                        if state == run_state:
-                            run_ticks += count
-                        else:
-                            if run_ticks:
-                                state_time[run_state] = (
-                                    state_time.get(run_state, 0.0)
-                                    + run_ticks * dt
-                                )
-                            run_state = state
-                            run_ticks = count
-                        index += count
-                        ticks_batch += count
-                    if not finished and platform.finished:
-                        # An "isa"-mode batch consumes the finishing
-                        # tick (unlike the recurrence kernel, which
-                        # stops before it), so completion accounting
-                        # runs here with the same index-past-the-tick
-                        # timestamp the scalar path records.
-                        finished = True
-                        completion_time = index * dt
-                        if self.stop_when_finished:
-                            break
-                    continue
-                if synth is not None and staged:
-                    synth.flush_staged(index, staged)
-                try_batch = False
+                    synth.integrate(index, runs, staged, run_state)
+                begin = index
+                for state, count in runs:
+                    if state == run_state:
+                        run_ticks += count
+                    else:
+                        if run_ticks:
+                            state_time[run_state] = (
+                                state_time.get(run_state, 0.0)
+                                + run_ticks * dt
+                            )
+                        run_state = state
+                        run_ticks = count
+                    index += count
+                bulk_ticks[name] += index - begin
+                if not finished and platform.finished:
+                    # An "isa"-mode batch consumes the finishing tick
+                    # (unlike the recurrence kernel, which stops before
+                    # it), so completion accounting runs here with the
+                    # same index-past-the-tick timestamp the scalar
+                    # path records.
+                    finished = True
+                    completion_time = index * dt
+                    if self.stop_when_finished:
+                        break
+                continue
             p_in = p_in_w[index]
             if bus is not None:
                 t_now = index * dt
@@ -423,8 +393,7 @@ class SystemSimulator:
                     bus.emit(ev.STATE_TRANSITION, state=state, prev=run_state)
                 run_state = state
                 run_ticks = 1
-                try_fast = fast
-                try_batch = batch
+                armed = 0
             else:
                 run_ticks += 1
             if want_samples and (index - 1) % self.sample_stride == 0:
@@ -449,8 +418,8 @@ class SystemSimulator:
             )
         ticks_run = index
         harvested = float(cum_energy_j[ticks_run - 1]) if ticks_run else 0.0
-        self.ticks_fast_forwarded = ticks_fast
-        self.ticks_batched = ticks_batch
+        self.ticks_fast_forwarded = bulk_ticks["fast_forward"]
+        self.ticks_batched = bulk_ticks["exact_batch"]
         self.ticks_exact = ticks_exact
 
         if bus is not None:

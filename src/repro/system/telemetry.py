@@ -51,16 +51,6 @@ class Telemetry:
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
 
-    def record(self, time_s: float, report, platform) -> None:
-        """Capture one tick directly (legacy entry point)."""
-        storage = getattr(platform, "storage", None)
-        self._sample(
-            time_s,
-            report.state,
-            float(storage.energy_j) if storage is not None else 0.0,
-            report.instructions,
-        )
-
     def subscribe_to(self, bus) -> "Telemetry":
         """Listen for ``sim.tick`` events on a bus; returns self."""
         from repro.obs import events as ev

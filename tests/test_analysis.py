@@ -1,55 +1,8 @@
-"""Tests for the sweep harness and report rendering."""
+"""Tests for report rendering."""
 
 import pytest
 
 from repro.analysis.report import format_table, ratio, series_text
-from repro.analysis.sweep import ensemble_run, parameter_sweep
-from repro.harvest.sources import constant_trace, wristwatch_trace
-from repro.system.presets import build_oracle
-from repro.workloads.base import AbstractWorkload
-
-
-class TestParameterSweep:
-    def test_one_result_per_value(self):
-        def factory(units):
-            workload = AbstractWorkload(total_units=units, instructions_per_unit=100)
-            return constant_trace(1e-6, 1.0), build_oracle(workload)
-
-        results = parameter_sweep([1, 2, 3], factory)
-        assert [value for value, _ in results] == [1, 2, 3]
-        assert [r.units_completed for _, r in results] == [1, 2, 3]
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            parameter_sweep([], lambda v: None)
-
-    def test_generator_values_accepted(self):
-        def factory(units):
-            workload = AbstractWorkload(total_units=units, instructions_per_unit=100)
-            return constant_trace(1e-6, 1.0), build_oracle(workload)
-
-        results = parameter_sweep((u for u in (1, 2)), factory)
-        assert [value for value, _ in results] == [1, 2]
-
-    def test_empty_generator_rejected(self):
-        with pytest.raises(ValueError):
-            parameter_sweep((v for v in ()), lambda v: None)
-
-
-class TestEnsembleRun:
-    def test_runs_all_traces(self):
-        traces = [wristwatch_trace(0.2, seed=s) for s in range(3)]
-        results = ensemble_run(
-            traces,
-            lambda trace: build_oracle(AbstractWorkload()),
-            stop_when_finished=False,
-        )
-        assert len(results) == 3
-        assert all(r.forward_progress > 0 for r in results)
-
-    def test_empty_traces_rejected(self):
-        with pytest.raises(ValueError):
-            ensemble_run([], lambda t: None)
 
 
 class TestReport:

@@ -1,11 +1,13 @@
 """The batched active-tick exact kernel (`repro.system.exactkernel`).
 
-Three layers of pinning:
+Four layers of pinning:
 
 * **engine-selection matrix** — every combination of fast-forward
   on/off, exact-batch on/off, and a ``sim.tick`` subscriber must pick
   the documented engines (tick counters partition the run accordingly)
   and return bit-identical results;
+* **declines** — every state a platform must not batch returns
+  ``None`` and leaves the platform untouched;
 * **kernel-vs-scalar properties** — ``storage_run`` advanced N ticks
   equals N scalar ``platform.tick`` calls field by field, across
   denormal/zero/blocked power inputs, and stops exactly at an
@@ -21,15 +23,22 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.checkpoint import CheckpointPlatform
+from repro.baselines.waitcompute import WaitComputePlatform
+from repro.core.nvp import NVPPlatform
 from repro.harvest.sources import square_trace, wristwatch_trace
 from repro.obs.events import EventBus
+from repro.storage.tiered import TieredStorage
 from repro.system import exactkernel
+from repro.system.peripherals import ADC_10BIT, PeripheralSet
 from repro.system.presets import (
     build_checkpoint,
     build_nvp,
     build_oracle,
     build_wait_compute,
+    nvp_capacitor,
     standard_rectifier,
+    supercap,
 )
 from repro.system.simulator import SystemSimulator
 from repro.workloads.base import AbstractWorkload
@@ -129,16 +138,126 @@ class TestEngineSelectionMatrix:
             def finished(self):
                 return super().finished
 
-        assert exactkernel.batchable_workload(
-            AbstractWorkload()
-        ) == "recurrence"
-        assert exactkernel.batchable_workload(Custom()) == "recurrence"
-        assert exactkernel.batchable_workload(OverridesAdvance()) is None
-        assert exactkernel.batchable_workload(OverridesFinished()) is None
-        assert exactkernel.batchable_workload(
+        def mode(workload):
+            return getattr(workload, "supports_exact_batch", None)
+
+        assert mode(AbstractWorkload()) == "recurrence"
+        assert mode(Custom()) == "recurrence"
+        assert mode(OverridesAdvance()) is None
+        assert mode(OverridesFinished()) is None
+        assert mode(
             make_functional_workload(build_kernel("fir"), frames=1)
         ) == "isa"
-        assert exactkernel.batchable_workload(object()) is None
+        assert mode(object()) is None
+
+
+# -- when exact_batch declines -------------------------------------------------
+
+
+def powered_on(platform, power_w=400e-6):
+    """``platform`` scalar-ticked on steady power until it is on."""
+    for _ in range(100_000):
+        if platform._state == "on":
+            return platform
+        platform.tick(power_w, DT)
+    raise AssertionError("platform never powered on")
+
+
+def finished(platform, power_w=400e-6):
+    """``platform`` scalar-ticked on steady power until its work is done."""
+    for _ in range(100_000):
+        if platform.finished:
+            return platform
+        platform.tick(power_w, DT)
+    raise AssertionError("workload never finished")
+
+
+def tiny_workload():
+    return AbstractWorkload(total_units=1, instructions_per_unit=50)
+
+
+class OverridesAdvance(AbstractWorkload):
+    def advance(self, time_budget_s):
+        return super().advance(time_budget_s)
+
+
+def tiered_storage():
+    return TieredStorage(supercap(), supercap())
+
+
+def fir_workload():
+    return make_functional_workload(build_kernel("fir"), frames=1)
+
+
+#: ``case -> builder`` of a platform whose next ticks must not batch.
+DECLINES = {
+    "nvp-off": lambda: build_nvp(AbstractWorkload()),
+    "wait-off": lambda: build_wait_compute(AbstractWorkload()),
+    "checkpoint-off": lambda: build_checkpoint(AbstractWorkload()),
+    "nvp-finished": lambda: finished(build_nvp(tiny_workload())),
+    "wait-finished": lambda: finished(build_wait_compute(tiny_workload())),
+    "checkpoint-finished": lambda: finished(
+        build_checkpoint(tiny_workload())
+    ),
+    "oracle-finished": lambda: finished(build_oracle(tiny_workload())),
+    "nvp-governor": lambda: powered_on(NVPPlatform(
+        AbstractWorkload(), nvp_capacitor(),
+        governor=lambda energy_j, plan, dt_s: 1.0,
+    )),
+    "nvp-peripherals": lambda: powered_on(NVPPlatform(
+        AbstractWorkload(), nvp_capacitor(),
+        peripherals=PeripheralSet([ADC_10BIT]),
+    )),
+    "nvp-tiered": lambda: powered_on(
+        NVPPlatform(AbstractWorkload(), tiered_storage())
+    ),
+    "wait-tiered": lambda: powered_on(
+        WaitComputePlatform(AbstractWorkload(), tiered_storage())
+    ),
+    "checkpoint-tiered": lambda: powered_on(
+        CheckpointPlatform(AbstractWorkload(), tiered_storage())
+    ),
+    "nvp-overrides-advance": lambda: powered_on(
+        build_nvp(OverridesAdvance())
+    ),
+    "wait-overrides-advance": lambda: powered_on(
+        build_wait_compute(OverridesAdvance())
+    ),
+    "checkpoint-overrides-advance": lambda: powered_on(
+        build_checkpoint(OverridesAdvance())
+    ),
+    "oracle-overrides-advance": lambda: build_oracle(OverridesAdvance()),
+    "wait-functional": lambda: powered_on(build_wait_compute(fir_workload())),
+}
+
+
+def fingerprint(platform):
+    """Every piece of platform state a batch could touch."""
+    def scalars(obj):
+        return {
+            key: value for key, value in vars(obj).items()
+            if isinstance(value, (bool, int, float, str, type(None)))
+        }
+
+    storage = getattr(platform, "storage", None)
+    return (
+        scalars(platform),
+        getattr(platform, "_plan", None),
+        scalars(platform.ledger),
+        None if storage is None else (storage.energy_j, scalars(storage)),
+        platform.workload.snapshot(),
+        scalars(platform.workload),
+    )
+
+
+class TestBatchDeclines:
+    @pytest.mark.parametrize("case", sorted(DECLINES))
+    def test_declines_and_leaves_the_platform_untouched(self, case):
+        platform = DECLINES[case]()
+        powers = [400e-6] * 2000
+        before = fingerprint(platform)
+        assert platform.exact_batch(powers, 0, len(powers), DT) is None
+        assert fingerprint(platform) == before
 
 
 # -- kernel-vs-scalar properties ---------------------------------------------
@@ -224,7 +343,7 @@ class TestStorageRunProperties:
 
         fresh, start2 = warmed_nvp(powers)
         assert start2 == start
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        ticks = exactkernel.storage_run(
             fresh, powers, start, len(powers), DT, stop_energy_j=landing
         )
         # Pre-tick check: the tick that *starts* at the landing energy
@@ -263,7 +382,7 @@ class TestStorageRunProperties:
         batched, start = warmed()
         scalar, start2 = warmed()
         assert start == start2
-        ticks, _ = exactkernel.get_kernel().storage_run(
+        ticks = exactkernel.storage_run(
             batched, powers, start, len(powers), DT
         )
         # Without a stop threshold the batch runs until the deficit.
@@ -301,7 +420,7 @@ class TestOracleCumsumDiscipline:
     def test_oracle_run_matches_scalar_ticking(self):
         batched = build_oracle(AbstractWorkload())
         scalar = build_oracle(AbstractWorkload())
-        ticks = exactkernel.get_kernel().oracle_run(batched, 0, 5000, DT)
+        ticks = exactkernel.oracle_run(batched, 0, 5000, DT)
         assert ticks == 5000
         for _ in range(ticks):
             scalar.tick(0.0, DT)
@@ -317,7 +436,7 @@ class TestOracleCumsumDiscipline:
     def test_oracle_run_stops_before_the_finishing_tick(self):
         workload = AbstractWorkload(total_units=1, instructions_per_unit=500)
         batched = build_oracle(workload)
-        ticks = exactkernel.get_kernel().oracle_run(batched, 0, 5000, DT)
+        ticks = exactkernel.oracle_run(batched, 0, 5000, DT)
         assert not batched.finished
         report = batched.tick(0.0, DT)  # the finishing tick, scalar
         assert batched.finished

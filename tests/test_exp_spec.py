@@ -57,6 +57,16 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match="duration"):
             resolve_config({"duration_s": 0})
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration_s .* finite"):
+            resolve_config({"duration_s": duration})
+
+    @pytest.mark.parametrize("mean_uw", [float("nan"), float("inf")])
+    def test_non_finite_mean_uw_rejected(self, mean_uw):
+        with pytest.raises(ValueError, match="mean_uw must be finite"):
+            resolve_config({"mean_uw": mean_uw})
+
 
 class TestConfigHash:
     def test_stable_across_key_order(self):

@@ -31,6 +31,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PowerTrace(np.asarray(samples, dtype=float), dt)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PowerTrace([1e-5, bad, 2e-5], 1e-4)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_period_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            PowerTrace([1e-5, 2e-5], dt)
+
     def test_iteration(self):
         assert list(make_trace([1.0, 2.0])) == [1.0, 2.0]
 

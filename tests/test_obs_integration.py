@@ -148,12 +148,16 @@ class TestTelemetrySubscriberParity:
     def test_bus_telemetry_matches_legacy_recorder(self):
         trace = wristwatch_trace(1.0, seed=11)
 
+        # The series a per-tick loop records by hand.
         legacy = Telemetry()
         platform = build_nvp(AbstractWorkload())
         for index, p_raw in enumerate(trace.samples_w):
             p_in = standard_rectifier().output_power(float(p_raw))
             report = platform.tick(p_in, trace.dt_s)
-            legacy.record(index * trace.dt_s, report, platform)
+            legacy.times_s.append(index * trace.dt_s)
+            legacy.states.append(STATE_CODES[report.state])
+            legacy.energies_j.append(float(platform.storage.energy_j))
+            legacy.instructions.append(report.instructions)
 
         via_bus = Telemetry()
         SystemSimulator(

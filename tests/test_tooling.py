@@ -180,6 +180,15 @@ class TestCsvIO:
         with pytest.raises(ValueError, match=match):
             loads_csv(text)
 
+    @pytest.mark.parametrize("text", [
+        "nan,1e-6\n0.001,2e-6\n",               # would infer dt_s = nan
+        "0,1e-6\n0.001,2e-6\nnan,3e-6\n",       # slips past the dt check
+        "0,1e-6\n0.001,inf\n",
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            loads_csv(text)
+
     def test_stream_objects_accepted(self):
         trace = constant_trace(5e-6, 0.001)
         buffer = io.StringIO()
