@@ -188,6 +188,20 @@ def _ledger_append(record) -> Optional[str]:
     return record["id"]
 
 
+def _open_cache(args):
+    """The cache ``_add_cache_arguments`` selects (``None``: no cache)."""
+    from repro.exp import ResultCache
+
+    if args.no_cache:
+        return None
+    cache = ResultCache(args.cache_dir)
+    if args.fresh:
+        removed = cache.clear()
+        print(f"cache   : cleared {removed} entr(y/ies) "
+              f"from {cache.directory}")
+    return cache
+
+
 def cmd_simulate(args) -> int:
     from repro.exp.spec import config_hash
     from repro.obs import RunManifest
@@ -387,7 +401,6 @@ def cmd_sweep(args) -> int:
     """Run a declarative experiment spec through the sweep engine."""
     from repro.exp import (
         ExperimentSpec,
-        ResultCache,
         SweepInterrupted,
         SweepRunner,
         render_outcome,
@@ -402,13 +415,7 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: cannot load spec: {exc}")
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        if args.fresh:
-            removed = cache.clear()
-            print(f"cache   : cleared {removed} entr(y/ies) "
-                  f"from {cache.directory}")
+    cache = _open_cache(args)
 
     bus = EventBus()
     monitor = None
@@ -505,7 +512,6 @@ def cmd_fleet_run(args) -> int:
     import argparse
     import json
 
-    from repro.exp import ResultCache
     from repro.fleet import (
         FleetSpec,
         FleetTelemetry,
@@ -544,13 +550,7 @@ def cmd_fleet_run(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        if args.fresh:
-            removed = cache.clear()
-            print(f"cache   : cleared {removed} entr(y/ies) "
-                  f"from {cache.directory}")
+    cache = _open_cache(args)
 
     bus = EventBus()
     if watch:
@@ -1087,6 +1087,16 @@ def _add_export_arguments(parser) -> None:
                              "(seed, config, git SHA, durations)")
 
 
+def _add_cache_arguments(parser, no_cache_help: str) -> None:
+    parser.add_argument("--no-cache", action="store_true",
+                        help=no_cache_help)
+    parser.add_argument("--fresh", action="store_true",
+                        help="clear the cache namespace before running")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="cache root (default: $REPRO_CACHE_DIR "
+                             "or .repro-cache)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1160,13 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (1 = in-process serial)")
     p_sweep.add_argument("--timeout", type=float, default=None,
                          help="per-run wall-clock budget in seconds")
-    p_sweep.add_argument("--no-cache", action="store_true",
-                         help="execute every point, read/write no cache")
-    p_sweep.add_argument("--fresh", action="store_true",
-                         help="clear the cache namespace before running")
-    p_sweep.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache root (default: $REPRO_CACHE_DIR "
-                              "or .repro-cache)")
+    _add_cache_arguments(p_sweep, "execute every point, read/write no cache")
     p_sweep.add_argument("--results-dir", default=None, metavar="DIR",
                          help="also write a benchmarks-results JSON here")
     p_sweep.add_argument("--quiet", action="store_true",
@@ -1191,14 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _fleet_common(parser) -> None:
         parser.add_argument("spec", help="fleet spec JSON file "
                                          "(see docs/fleet.md)")
-        parser.add_argument("--no-cache", action="store_true",
-                            help="simulate every device, read/write no "
-                                 "cache")
-        parser.add_argument("--fresh", action="store_true",
-                            help="clear the cache namespace before running")
-        parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="cache root (default: $REPRO_CACHE_DIR "
-                                 "or .repro-cache)")
+        _add_cache_arguments(parser, "simulate every device, read/write no cache")
         parser.add_argument("--results-dir", default=None, metavar="DIR",
                             help="also write a benchmarks-results JSON here")
         parser.add_argument("--telemetry-out", default=None,

@@ -50,6 +50,36 @@ def outcome_table(
     return headers, rows
 
 
+def spec_manifest(
+    spec: ExperimentSpec, outcome: SweepOutcome, command: str, **config
+) -> RunManifest:
+    """A results payload's manifest: the spec's mode, base, axes, ``config``."""
+    manifest = RunManifest.collect(
+        command=f"{command}:{spec.name}",
+        config={
+            "mode": spec.mode,
+            "base": dict(spec.base),
+            "axes": {axis: list(v) for axis, v in spec.axes.items()},
+            **config,
+        },
+    )
+    manifest.duration_s = outcome.wall_s
+    return manifest
+
+
+def sweep_block(outcome: SweepOutcome) -> Dict:
+    """The ``sweep`` accounting block of a results payload."""
+    return {
+        "points": len(outcome.records),
+        "executed": outcome.executed,
+        "cached": outcome.cached,
+        "failed": outcome.failed,
+        "interrupted": outcome.interrupted,
+        "wall_s": outcome.wall_s,
+        "resources": outcome.resource_usage(),
+    }
+
+
 def outcome_payload(
     spec: ExperimentSpec,
     outcome: SweepOutcome,
@@ -58,46 +88,40 @@ def outcome_payload(
 ) -> Dict:
     """The benchmark-results JSON payload for one sweep."""
     headers, rows = outcome_table(outcome, fields)
-    manifest = RunManifest.collect(
-        command=f"{command}:{spec.name}",
-        config={
-            "mode": spec.mode,
-            "base": dict(spec.base),
-            "axes": {axis: list(v) for axis, v in spec.axes.items()},
-        },
-    )
-    manifest.duration_s = outcome.wall_s
+    sweep = sweep_block(outcome)
+    sweep["runs"] = [
+        {
+            "index": record.index,
+            "key": record.key,
+            "status": record.status,
+            "label": record.label,
+            "wall_s": record.wall_s,
+            "cpu_s": record.cpu_s,
+            "peak_rss_kb": record.peak_rss_kb,
+            "pid": record.pid,
+            "error": record.error,
+        }
+        for record in outcome.records
+    ]
     return {
         "experiment": spec.name,
         "description": spec.description,
         "tables": [
             {"title": "sweep points", "columns": headers, "rows": rows}
         ],
-        "sweep": {
-            "points": len(outcome.records),
-            "executed": outcome.executed,
-            "cached": outcome.cached,
-            "failed": outcome.failed,
-            "interrupted": outcome.interrupted,
-            "wall_s": outcome.wall_s,
-            "resources": outcome.resource_usage(),
-            "runs": [
-                {
-                    "index": record.index,
-                    "key": record.key,
-                    "status": record.status,
-                    "label": record.label,
-                    "wall_s": record.wall_s,
-                    "cpu_s": record.cpu_s,
-                    "peak_rss_kb": record.peak_rss_kb,
-                    "pid": record.pid,
-                    "error": record.error,
-                }
-                for record in outcome.records
-            ],
-        },
-        "manifest": manifest.to_dict(),
+        "sweep": sweep,
+        "manifest": spec_manifest(spec, outcome, command).to_dict(),
     }
+
+
+def write_payload(payload: Dict, results_dir: str) -> str:
+    """Write ``<results_dir>/<experiment>.json``; returns the path."""
+    os.makedirs(results_dir, exist_ok=True)
+    path = os.path.join(results_dir, f"{payload['experiment']}.json")
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    return path
 
 
 def write_results(
@@ -108,13 +132,7 @@ def write_results(
     fields: Sequence[Tuple[str, str]] = DEFAULT_FIELDS,
 ) -> str:
     """Write ``<results_dir>/<spec.name>.json``; returns the path."""
-    payload = outcome_payload(spec, outcome, command=command, fields=fields)
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"{spec.name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+    return write_payload(outcome_payload(spec, outcome, command, fields), results_dir)
 
 
 def render_outcome(

@@ -179,6 +179,27 @@ def build_platform(config: Dict, workload):
     return build_oracle(workload)
 
 
+def build_simulator(config: Dict, trace=None, **sim_kwargs):
+    """The simulator a resolved config describes, ready to ``run()``.
+
+    ``trace`` replaces :func:`build_trace` (a fleet device passes its
+    offset tail); ``sim_kwargs`` go to ``SystemSimulator``.
+    """
+    from repro.system.presets import standard_rectifier
+    from repro.system.simulator import SystemSimulator
+
+    if trace is None:
+        trace = build_trace(config)
+    platform = build_platform(config, build_workload(config))
+    return SystemSimulator(
+        trace,
+        platform,
+        rectifier=standard_rectifier() if config["rectifier"] else None,
+        stop_when_finished=config["stop_when_finished"],
+        **sim_kwargs,
+    )
+
+
 def execute_run(config: Dict) -> Dict:
     """Worker entry point: run one resolved config to completion.
 
@@ -196,23 +217,14 @@ def execute_run(config: Dict) -> Dict:
     import os
 
     from repro.obs.resources import sample_resources, usage_between
-    from repro.system.presets import standard_rectifier
-    from repro.system.simulator import SystemSimulator
 
     label = config.get("label") or "?"
     usage_before = sample_resources()
     started = time.perf_counter()
     build_began = time.time()
-    trace = build_trace(config)
-    workload = build_workload(config)
-    platform = build_platform(config, workload)
+    simulator = build_simulator(config)
     sim_began = time.time()
-    result = SystemSimulator(
-        trace,
-        platform,
-        rectifier=standard_rectifier() if config["rectifier"] else None,
-        stop_when_finished=config["stop_when_finished"],
-    ).run()
+    result = simulator.run()
     sim_ended = time.time()
     return {
         "result": result.to_dict(),
@@ -230,7 +242,7 @@ def execute_run(config: Dict) -> Dict:
                 "name": "simulate",
                 "start_s": sim_began,
                 "end_s": sim_ended,
-                "args": {"label": label, "ticks": len(trace)},
+                "args": {"label": label, "ticks": len(simulator.trace)},
             },
         ],
     }
@@ -350,6 +362,26 @@ class SweepOutcome:
         )
 
 
+def preflight(
+    records: Sequence[RunRecord], cache: Optional[ResultCache]
+) -> List[RunRecord]:
+    """Recall every cached record in place; returns the ones left to run.
+
+    A hit takes the stored result and the original run's wall time.
+    """
+    pending: List[RunRecord] = []
+    for record in records:
+        # ``is not None``: an empty cache is falsy (``__len__``).
+        entry = cache.get(record.key) if cache is not None else None
+        if entry is not None and "result" in entry:
+            record.status = STATUS_CACHED
+            record.result = entry["result"]
+            record.wall_s = float(entry.get("wall_s") or 0.0)
+        else:
+            pending.append(record)
+    return pending
+
+
 # -- the runner -----------------------------------------------------------
 
 
@@ -456,20 +488,8 @@ class SweepRunner:
                           key=config_hash(resolved))
             )
 
-        outcome = SweepOutcome(records=records)
-        pending: List[RunRecord] = []
-        for record in records:
-            # ``is not None``: an empty cache is falsy (``__len__``).
-            entry = (
-                self.cache.get(record.key) if self.cache is not None else None
-            )
-            if entry is not None and "result" in entry:
-                record.status = STATUS_CACHED
-                record.result = entry["result"]
-                record.wall_s = float(entry.get("wall_s", 0.0))
-                outcome.cached += 1
-            else:
-                pending.append(record)
+        pending = preflight(records, self.cache)
+        outcome = SweepOutcome(records=records, cached=len(records) - len(pending))
 
         self._emit(
             ev.SWEEP_BEGIN,

@@ -28,8 +28,9 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: Expansion modes understood by :meth:`ExperimentSpec.expand`.
 MODES = ("grid", "zip", "ensemble")
@@ -64,6 +65,13 @@ CONFIG_DEFAULTS: Dict[str, object] = {
     "stop_when_finished": None, # None = True iff a kernel is set
     "rectifier": True,          # route the trace through the AC-DC front end
     "label": None,              # None = auto-generated from swept axes
+}
+
+#: Numeric config keys checked at the boundary, with the bound a value
+#: must exceed.  Keys whose default is ``None`` also accept ``None``.
+_NUMERIC_KEYS = {
+    "duration_s": 0, "mean_uw": -math.inf,
+    "capacitance_f": 0, "energy_margin": -math.inf,
 }
 
 #: ``nvp`` sub-config keys that take names/specs instead of objects.
@@ -128,11 +136,15 @@ def resolve_config(config: Mapping) -> Dict:
     bad = set(merged["nvp"]) - set(_nvp_field_names())
     if bad:
         raise ValueError(f"unknown NVPConfig key(s) {sorted(bad)}")
-    # Written so NaN fails too: every comparison with NaN is False.
-    if not 0 < merged["duration_s"] < math.inf:
-        raise ValueError("duration_s must be positive and finite")
-    if merged["mean_uw"] is not None and not math.isfinite(merged["mean_uw"]):
-        raise ValueError("mean_uw must be finite")
+    for key, low in _NUMERIC_KEYS.items():
+        value = merged[key]
+        if value is None and CONFIG_DEFAULTS[key] is None:
+            continue
+        # Written so NaN fails too (every comparison with NaN is False):
+        # Python's json parses NaN and Infinity literals.
+        if not (isinstance(value, numbers.Real) and low < value < math.inf):
+            positive = "positive and " if low == 0 else ""
+            raise ValueError(f"{key} must be {positive}finite")
     if merged["stop_when_finished"] is None:
         merged["stop_when_finished"] = merged["kernel"] is not None
     return merged
@@ -172,6 +184,9 @@ class ExperimentSpec:
         description: free-form, carried into the results payload.
     """
 
+    #: Expansion modes this kind of spec accepts.
+    modes: ClassVar[Tuple[str, ...]] = MODES
+
     name: str
     axes: Mapping[str, Sequence] = field(default_factory=dict)
     base: Mapping = field(default_factory=dict)
@@ -181,32 +196,44 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("spec needs a name")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
+        if self.mode not in self.modes:
+            raise ValueError(f"unknown mode {self.mode!r}; known: {self.modes}")
         if self.mode == "ensemble" and "seed" not in self.axes:
             raise ValueError("ensemble mode requires a 'seed' axis")
         for axis, values in self.axes.items():
-            if len(list(values)) == 0:
+            # A bare string or number would otherwise be iterated
+            # character by character or raise a TypeError.
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"axis {axis!r} must be a list, got {values!r}")
+            if not values:
                 raise ValueError(f"axis {axis!r} has no values")
         if self.mode == "zip" and self.axes:
-            lengths = {axis: len(list(v)) for axis, v in self.axes.items()}
+            lengths = {axis: len(v) for axis, v in self.axes.items()}
             if len(set(lengths.values())) > 1:
                 raise ValueError(f"zip axes differ in length: {lengths}")
 
     def points(self) -> List[Dict[str, object]]:
         """The swept ``{axis: value}`` combinations, in sweep order."""
-        axes = {axis: list(values) for axis, values in self.axes.items()}
-        if not axes:
+        if not self.axes:
             return [{}]
-        names = list(axes)
+        names = list(self.axes)
         if self.mode == "zip":
             return [
-                dict(zip(names, combo)) for combo in zip(*axes.values())
+                dict(zip(names, combo)) for combo in zip(*self.axes.values())
             ]
         return [
             dict(zip(names, combo))
-            for combo in itertools.product(*axes.values())
+            for combo in itertools.product(*self.axes.values())
         ]
+
+    def raw_configs(self) -> Iterator[Dict]:
+        """Each point merged over the base, auto-labelled, unresolved."""
+        for point in self.points():
+            raw = dict(self.base)
+            raw.update(point)
+            if "label" not in raw and point:
+                raw["label"] = _auto_label(point)
+            yield raw
 
     def expand(self) -> List[Dict]:
         """Resolve every sweep point into a full run config.
@@ -215,14 +242,7 @@ class ExperimentSpec:
         the last axis varies fastest (like nested loops in axis
         order); for zips, index order.
         """
-        configs = []
-        for point in self.points():
-            raw = dict(self.base)
-            raw.update(point)
-            if "label" not in raw and point:
-                raw["label"] = _auto_label(point)
-            configs.append(resolve_config(raw))
-        return configs
+        return [resolve_config(raw) for raw in self.raw_configs()]
 
     def hashes(self) -> List[str]:
         """Content hash per expanded config (same order)."""
@@ -231,7 +251,9 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentSpec":
         """Build a spec from a plain dict (the JSON file layout)."""
-        known = {"name", "axes", "base", "mode", "description"}
+        if not isinstance(data, Mapping):
+            raise ValueError("spec must be a JSON object")
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -239,13 +261,13 @@ class ExperimentSpec:
             )
         if "name" not in data:
             raise ValueError("spec needs a name")
-        return cls(
-            name=data["name"],
-            axes=dict(data.get("axes", {})),
-            base=dict(data.get("base", {})),
-            mode=data.get("mode", "grid"),
-            description=data.get("description", ""),
-        )
+        values = dict(data)
+        for key in ("axes", "base"):
+            value = data.get(key) or {}
+            if not isinstance(value, Mapping):
+                raise ValueError(f"spec {key!r} must be a JSON object")
+            values[key] = dict(value)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentSpec":
@@ -255,8 +277,6 @@ class ExperimentSpec:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: spec must be a JSON object")
         return cls.from_dict(data)
 
     @classmethod

@@ -49,13 +49,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.exp.runner import (
-    STATUS_CACHED,
     STATUS_OK,
     RunRecord,
     SweepOutcome,
     build_platform,
+    build_simulator,
     build_trace,
     build_workload,
+    preflight,
 )
 from repro.fleet.soa import FleetArrays, storage_soa_params
 from repro.fleet.spec import (
@@ -66,7 +67,7 @@ from repro.fleet.spec import (
 from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
 from repro.system.presets import standard_rectifier
-from repro.system.simulator import SystemSimulator, assemble_result
+from repro.system.simulator import assemble_result
 
 #: Device lifecycle modes inside the kernel.
 MODE_ACTIVE = "active"
@@ -505,15 +506,7 @@ def replay_device(config: Dict, **sim_kwargs):
     offset = resolved[DEVICE_OFFSET_KEY]
     if offset:
         trace = trace.tail(offset)
-    workload = build_workload(resolved)
-    platform = build_platform(resolved, workload)
-    simulator = SystemSimulator(
-        trace,
-        platform,
-        rectifier=standard_rectifier() if resolved["rectifier"] else None,
-        stop_when_finished=resolved["stop_when_finished"],
-        **sim_kwargs,
-    )
+    simulator = build_simulator(resolved, trace, **sim_kwargs)
     return simulator.run(), simulator
 
 
@@ -537,20 +530,11 @@ def run_fleet(
     Wall/CPU attribution: the kernel advances all pending devices
     together, so per-record costs are the even share of the batch.
     """
-    records: List[RunRecord] = []
-    pending: List[RunRecord] = []
-    for index, config in enumerate(configs):
-        record = RunRecord(
-            index=index, config=config, key=device_config_hash(config)
-        )
-        entry = cache.get(record.key) if cache is not None else None
-        if entry is not None and "result" in entry:
-            record.status = STATUS_CACHED
-            record.result = entry["result"]
-            record.wall_s = float(entry.get("wall_s") or 0.0)
-        records.append(record)
-        if record.status != STATUS_CACHED:
-            pending.append(record)
+    records = [
+        RunRecord(index=index, config=config, key=device_config_hash(config))
+        for index, config in enumerate(configs)
+    ]
+    pending = preflight(records, cache)
     started = time.perf_counter()
     if pending:
         usage_before = sample_resources()

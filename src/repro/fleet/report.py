@@ -12,15 +12,13 @@ results/ledger trajectory.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.exp.report import spec_manifest, sweep_block, write_payload
 from repro.exp.runner import SweepOutcome
 from repro.fleet.spec import FleetSpec
-from repro.obs.manifest import RunManifest
 
 #: Metrics summarised as percentile blocks: (name, result-dict key).
 SUMMARY_METRICS: Tuple[Tuple[str, str], ...] = (
@@ -128,20 +126,12 @@ def fleet_payload(
     """
     summary = fleet_summary(outcome)
     headers, rows = summary_table(summary)
-    manifest = RunManifest.collect(
-        command=f"{command}:{spec.name}",
-        config={
-            "mode": spec.mode,
-            "base": dict(spec.base),
-            "axes": {axis: list(v) for axis, v in spec.axes.items()},
-            "replicas": spec.replicas,
-            "stagger_s": spec.stagger_s,
-        },
-        n_devices=summary["n_devices"],
+    manifest = spec_manifest(
+        spec, outcome, command, replicas=spec.replicas, stagger_s=spec.stagger_s
     )
-    manifest.duration_s = outcome.wall_s
+    manifest.extra["n_devices"] = summary["n_devices"]
     if telemetry is not None:
-        manifest.stamp_telemetry(telemetry)
+        manifest.extra["telemetry"] = dict(telemetry)
     return {
         "experiment": spec.name,
         "description": spec.description,
@@ -163,15 +153,7 @@ def fleet_payload(
                 for record in outcome.records
             ],
         },
-        "sweep": {
-            "points": len(outcome.records),
-            "executed": outcome.executed,
-            "cached": outcome.cached,
-            "failed": outcome.failed,
-            "interrupted": outcome.interrupted,
-            "wall_s": outcome.wall_s,
-            "resources": outcome.resource_usage(),
-        },
+        "sweep": sweep_block(outcome),
         "manifest": manifest.to_dict(),
     }
 
@@ -184,12 +166,4 @@ def write_fleet_results(
     telemetry: Optional[Dict] = None,
 ) -> str:
     """Write ``<results_dir>/<spec.name>.json``; returns the path."""
-    payload = fleet_payload(
-        spec, outcome, command=command, telemetry=telemetry
-    )
-    os.makedirs(results_dir, exist_ok=True)
-    path = os.path.join(results_dir, f"{spec.name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+    return write_payload(fleet_payload(spec, outcome, command, telemetry), results_dir)

@@ -1,11 +1,13 @@
 """Fleet specification: a population of heterogeneous devices.
 
 A :class:`FleetSpec` describes N devices the fleet kernel advances in
-lockstep.  It reuses the experiment engine's config vocabulary — every
-device config is a :func:`repro.exp.spec.resolve_config` config — and
-adds exactly one fleet-only key, ``trace_offset_s``: the device's
-start offset (seconds) into its trace, so a fleet can stagger many
-devices along one long harvesting recording.
+lockstep.  It is an :class:`~repro.exp.spec.ExperimentSpec` whose
+points are replicated, so it shares the sweep's spec format, checks
+and config vocabulary — every device config is a
+:func:`repro.exp.spec.resolve_config` config — and adds exactly one
+fleet-only config key, ``trace_offset_s``: the device's start offset
+(seconds) into its trace, so a fleet can stagger many devices along
+one long harvesting recording.
 
 Two deliberate hashing decisions keep fleet points cache-compatible
 with ordinary sweeps:
@@ -24,18 +26,14 @@ with ordinary sweeps:
 
 from __future__ import annotations
 
-import itertools
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
-from repro.exp.spec import _auto_label, config_hash, resolve_config
+from repro.exp.spec import ExperimentSpec, config_hash, resolve_config
 
 #: The one config key that exists only for fleet devices.
 DEVICE_OFFSET_KEY = "trace_offset_s"
-
-#: Supported expansion modes (same semantics as ExperimentSpec).
-MODES = ("grid", "zip")
 
 
 def resolve_device_config(config: Mapping) -> Dict:
@@ -52,6 +50,8 @@ def resolve_device_config(config: Mapping) -> Dict:
     offset = raw.pop(DEVICE_OFFSET_KEY, 0.0)
     resolved = resolve_config(raw)
     offset = float(offset)
+    if not math.isfinite(offset):
+        raise ValueError("trace_offset_s must be finite")
     if offset < 0:
         raise ValueError("trace_offset_s cannot be negative")
     if offset >= resolved["duration_s"]:
@@ -77,16 +77,15 @@ def device_config_hash(resolved: Mapping) -> str:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
-    """A declarative fleet: axes × replicas over the sweep vocabulary.
+class FleetSpec(ExperimentSpec):
+    """An experiment spec whose every point is replicated into devices.
+
+    Name, axes, base, mode and description mean what they mean for an
+    :class:`~repro.exp.spec.ExperimentSpec`, except that only the
+    ``grid`` and ``zip`` modes apply; ``trace_offset_s`` is a valid
+    axis.  The fleet adds:
 
     Attributes:
-        name: fleet name (ledger/experiment label).
-        axes: dotted-key axes expanded like an
-            :class:`~repro.exp.spec.ExperimentSpec` (``grid`` product
-            or ``zip`` lockstep).  ``trace_offset_s`` is a valid axis.
-        base: settings shared by every device.
-        mode: ``"grid"`` or ``"zip"``.
         replicas: statistical copies of every expanded point; replica
             ``r`` gets ``platform_seed + r`` and (optionally) a trace
             offset staggered by ``r * stagger_s``.
@@ -95,60 +94,24 @@ class FleetSpec:
             fleet (simulated seconds).  ``None`` leaves the cadence to
             the CLI/telemetry defaults; the ``--telemetry-every`` flag
             overrides it.
-        description: free-form note carried into results files.
     """
 
-    name: str
-    axes: Mapping[str, Sequence] = field(default_factory=dict)
-    base: Mapping = field(default_factory=dict)
-    mode: str = "grid"
+    modes = ("grid", "zip")
+
     replicas: int = 1
     stagger_s: float = 0.0
     telemetry_every_s: Optional[float] = None
-    description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("fleet spec needs a name")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
+        super().__post_init__()
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.stagger_s < 0:
-            raise ValueError("stagger_s cannot be negative")
-        if self.telemetry_every_s is not None and self.telemetry_every_s <= 0:
-            raise ValueError("telemetry_every_s must be positive")
-        for axis, values in self.axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"axis {axis!r} must be a non-empty list")
-        if self.mode == "zip" and self.axes:
-            lengths = {len(values) for values in self.axes.values()}
-            if len(lengths) > 1:
-                raise ValueError("zip mode requires equal-length axes")
-
-    # -- expansion ---------------------------------------------------------
-
-    def points(self) -> List[Dict]:
-        """Axis combinations (before replication), last axis fastest."""
-        if not self.axes:
-            return [{}]
-        names = list(self.axes)
-        if self.mode == "zip":
-            return [
-                dict(zip(names, combo))
-                for combo in zip(*(self.axes[name] for name in names))
-            ]
-        return [
-            dict(zip(names, combo))
-            for combo in itertools.product(
-                *(self.axes[name] for name in names)
-            )
-        ]
-
-    @property
-    def n_devices(self) -> int:
-        """Total device count: expanded points × replicas."""
-        return len(self.points()) * self.replicas
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 <= self.stagger_s < math.inf:
+            raise ValueError("stagger_s must be finite and non-negative")
+        every_s = self.telemetry_every_s
+        if every_s is not None and not 0 < every_s < math.inf:
+            raise ValueError("telemetry_every_s must be positive and finite")
 
     def devices(self) -> List[Dict]:
         """Every device's fully-resolved config, in fleet order.
@@ -159,11 +122,7 @@ class FleetSpec:
         is set, shifts the trace offset by ``r * stagger_s``.
         """
         configs: List[Dict] = []
-        for point in self.points():
-            raw = dict(self.base)
-            raw.update(point)
-            if "label" not in raw and point:
-                raw["label"] = _auto_label(point)
+        for raw in self.raw_configs():
             for replica in range(self.replicas):
                 device = dict(raw)
                 if self.replicas > 1:
@@ -181,43 +140,23 @@ class FleetSpec:
                         if base_label else f"r{replica}"
                     )
                 configs.append(resolve_device_config(device))
-        if not configs:
-            raise ValueError("fleet spec expands to zero devices")
         return configs
-
-    # -- loading -----------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FleetSpec":
-        """Build a spec from parsed JSON, rejecting unknown keys."""
-        if not isinstance(data, Mapping):
-            raise ValueError("fleet spec must be a JSON object")
-        known = {
-            "name", "axes", "base", "mode", "replicas", "stagger_s",
-            "telemetry_every_s", "description",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fleet spec key(s): {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(
-            name=data.get("name", ""),
-            axes=dict(data.get("axes") or {}),
-            base=dict(data.get("base") or {}),
-            mode=data.get("mode", "grid"),
-            replicas=int(data.get("replicas", 1)),
-            stagger_s=float(data.get("stagger_s", 0.0)),
-            telemetry_every_s=(
-                None if data.get("telemetry_every_s") is None
-                else float(data["telemetry_every_s"])
-            ),
-            description=data.get("description", ""),
-        )
+        """:meth:`ExperimentSpec.from_dict`, casting the fleet keys.
 
-    @classmethod
-    def from_file(cls, path: str) -> "FleetSpec":
-        """Load a fleet spec from a JSON file."""
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
+        A ``null`` fleet key means its default.
+        """
+        if isinstance(data, Mapping):
+            data = dict(data)
+            for key, kind in (("replicas", int), ("stagger_s", float),
+                              ("telemetry_every_s", float)):
+                value = data.pop(key, None)
+                if value is None:
+                    continue
+                try:
+                    data[key] = kind(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"{key} must be a number, got {value!r}") from None
+        return super().from_dict(data)

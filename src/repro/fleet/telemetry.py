@@ -106,8 +106,9 @@ class FleetTelemetry:
         threshold_w: float = DEFAULT_THRESHOLD_W,
         storm_fraction: float = DEFAULT_STORM_FRACTION,
     ) -> None:
-        if every_s is not None and every_s <= 0:
-            raise ValueError("telemetry cadence must be positive")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if every_s is not None and not 0 < every_s < math.inf:
+            raise ValueError("telemetry every_s must be positive and finite")
         self.every_s = every_s
         self.out = out
         self.threshold_w = float(threshold_w)

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import re
+import tempfile
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs import events as ev
@@ -272,6 +273,37 @@ def write_events_jsonl(log: Iterable[Event], path: str) -> int:
             handle.write("\n")
             count += 1
     return count
+
+
+def rewrite_jsonl(path: str, records: Iterable[Mapping]) -> None:
+    """Atomically replace ``path`` with one sorted-key JSON line per record.
+
+    The lines go to a temp file beside the target, which is flushed,
+    fsynced and renamed over it, so a reader or a crash sees either
+    the old file or the new one, never a torn mix.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True))
+                handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        # mkstemp creates 0600; ledgers and histories are shared (often
+        # committed) artifacts, so give them normal file permissions.
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def read_events_jsonl(path: str) -> EventLog:

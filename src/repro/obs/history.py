@@ -22,10 +22,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.obs.export import rewrite_jsonl
 
 #: Default on-disk location, relative to the repository root.
 DEFAULT_HISTORY_PATH = os.path.join("benchmarks", "results", "history.jsonl")
@@ -90,29 +91,6 @@ def read_history(path: str) -> List[Dict]:
     return records
 
 
-def _write_history(path: str, records: Sequence[Dict]) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".history.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        # mkstemp creates 0600; the history is a shared (often
-        # committed) artifact, so give it normal file permissions.
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def append_record(
     path: str,
     experiment: str,
@@ -136,7 +114,7 @@ def append_record(
             record["recorded_unix"] = time.time()
             if manifest is not None:
                 record["manifest"] = manifest
-            _write_history(path, records)
+            rewrite_jsonl(path, records)
             return record
     record = {
         "experiment": experiment,
@@ -147,7 +125,7 @@ def append_record(
     if manifest is not None:
         record["manifest"] = manifest
     records.append(record)
-    _write_history(path, records)
+    rewrite_jsonl(path, records)
     return record
 
 

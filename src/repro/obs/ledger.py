@@ -53,19 +53,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.export import rewrite_jsonl
+
 #: Environment variable relocating (non-empty) or disabling (``""``)
 #: the ledger.
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
-
-#: Mirrors :data:`repro.exp.cache.CACHE_DIR_ENV` — duplicated here so
-#: ``repro.obs`` never imports ``repro.exp`` (which imports us back).
-_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-_DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Ledger file name inside the ledger directory.
 LEDGER_BASENAME = "ledger.jsonl"
@@ -83,17 +79,16 @@ OUTCOMES: Tuple[str, ...] = (
 )
 
 
-def default_cache_root() -> str:
-    """The result-cache root the ledger prunes against."""
-    return os.environ.get(_CACHE_DIR_ENV) or _DEFAULT_CACHE_DIR
-
-
 def default_ledger_dir() -> Optional[str]:
     """The ledger directory, or ``None`` when recording is disabled."""
+    # Imported here, as in every function that needs the cache:
+    # ``repro.exp`` imports ``repro.obs`` (and so this module) at load.
+    from repro.exp.cache import default_cache_dir
+
     value = os.environ.get(LEDGER_DIR_ENV)
     if value is not None:
         return value or None
-    return default_cache_root()
+    return default_cache_dir()
 
 
 def default_ledger_path() -> Optional[str]:
@@ -112,12 +107,6 @@ def spec_fingerprint(keys: Sequence[str]) -> str:
     """
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
     return digest[:16]
-
-
-def _code_version() -> str:
-    import repro
-
-    return getattr(repro, "__version__", "unversioned")
 
 
 def make_record(
@@ -150,6 +139,7 @@ def make_record(
         raise ValueError(
             f"unknown outcome {outcome!r}; known: {OUTCOMES}"
         )
+    from repro.exp.cache import code_version
     from repro.obs.manifest import git_revision
 
     record: Dict = {
@@ -162,7 +152,7 @@ def make_record(
         "started_unix": float(started_unix),
         "ended_unix": float(ended_unix),
         "wall_s": max(0.0, float(ended_unix) - float(started_unix)),
-        "code_version": _code_version(),
+        "code_version": code_version(),
         "git_sha": git_revision(),
         "pid": os.getpid(),
     }
@@ -204,8 +194,6 @@ def sweep_record(
     cached (e.g. ``repro compare``) so :meth:`RunLedger.gc` keeps its
     record instead of mistaking the absent keys for an evicted cache.
     """
-    from repro.obs.resources import aggregate_usage
-
     statuses = [record.status for record in outcome.records]
     failures = [record for record in outcome.records
                 if record.status == "failed"]
@@ -225,7 +213,6 @@ def sweep_record(
     hits = outcome.cached
     misses = total - hits
     runs: List[Dict] = []
-    usages: List[Dict] = []
     for record in outcome.records:
         entry: Dict = {
             "key": record.key,
@@ -239,12 +226,6 @@ def sweep_record(
         if record.error:
             entry["error"] = record.error
         runs.append(entry)
-        if record.pid is not None:
-            usages.append({
-                "cpu_s": record.cpu_s,
-                "peak_rss_kb": record.peak_rss_kb,
-                "pid": record.pid,
-            })
     record = make_record(
         command,
         verdict,
@@ -264,7 +245,7 @@ def sweep_record(
             "misses": misses,
             "hit_rate": hits / total if total else 0.0,
         },
-        resources=aggregate_usage(usages),
+        resources=outcome.resource_usage(),
         runs=runs,
         error=failures[0].error if failures else None,
         n_devices=n_devices,
@@ -319,26 +300,7 @@ class RunLedger:
 
     def rewrite(self, records: Sequence[Dict]) -> None:
         """Atomically replace the ledger's contents (gc backend)."""
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=directory, prefix=".ledger.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True))
-                    handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.chmod(tmp, 0o644)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        rewrite_jsonl(self.path, records)
 
     # -- reading -----------------------------------------------------------
 
@@ -445,7 +407,9 @@ class RunLedger:
         Returns ``(kept, pruned)`` counts; with ``dry_run`` the file
         is left untouched.
         """
-        root = cache_root or default_cache_root()
+        from repro.exp.cache import default_cache_dir
+
+        root = cache_root or default_cache_dir()
         kept: List[Dict] = []
         pruned = 0
         for record in self.records():

@@ -94,16 +94,6 @@ class RunManifest:
         self.resources = sample_resources().to_dict()
         return self
 
-    def stamp_telemetry(self, summary: Dict) -> "RunManifest":
-        """Pin a fleet-telemetry summary (snapshot path, cadence, counts).
-
-        Lands under ``extra["telemetry"]`` so artifacts found on disk
-        can be traced back to the JSONL snapshot series they belong
-        to.  Returns self.
-        """
-        self.extra["telemetry"] = dict(summary)
-        return self
-
     def to_dict(self) -> Dict:
         """JSON-serialisable form."""
         return {

@@ -96,6 +96,20 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="unknown config key"):
             main(["sweep", str(path)])
 
+    @pytest.mark.parametrize("spec, key", [
+        # Python's json reads a bare NaN literal as a float.
+        ('{"name": "x", "base": {"capacitance_f": NaN}}', "capacitance_f"),
+        ('{"name": "x", "base": {"platform": "wait", "energy_margin": NaN}}',
+         "energy_margin"),
+        ('{"name": "x", "axes": {"seed": 5}}', "seed"),
+    ])
+    def test_malformed_spec_is_clean_error(self, tmp_path, cache_dir, spec,
+                                           key):
+        path = tmp_path / "bad.json"
+        path.write_text(spec)
+        with pytest.raises(SystemExit, match=f"^error: .*{key}"):
+            main(["sweep", str(path)])
+
     def test_failed_points_set_exit_code(self, tmp_path, cache_dir, capsys):
         path = tmp_path / "fail.json"
         path.write_text(json.dumps({

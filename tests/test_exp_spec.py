@@ -11,6 +11,11 @@ from repro.exp.spec import (
     config_hash,
     resolve_config,
 )
+from repro.fleet import FleetSpec
+
+#: A fleet spec is an experiment spec: both share one validator and
+#: one loader, so the rejection tests below run over both.
+SPEC_KINDS = (ExperimentSpec, FleetSpec)
 
 
 class TestResolveConfig:
@@ -67,6 +72,19 @@ class TestResolveConfig:
         with pytest.raises(ValueError, match="mean_uw must be finite"):
             resolve_config({"mean_uw": mean_uw})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("capacitance_f", float("nan"), "positive and finite"),
+        ("capacitance_f", float("inf"), "positive and finite"),
+        ("capacitance_f", 0.0, "positive and finite"),
+        ("capacitance_f", -1.5e-07, "positive and finite"),
+        ("capacitance_f", "1e-6", "positive and finite"),
+        ("energy_margin", float("nan"), "finite"),
+        ("energy_margin", float("-inf"), "finite"),
+    ])
+    def test_bad_numeric_key_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{key} must be {message}$"):
+            resolve_config({key: value})
+
 
 class TestConfigHash:
     def test_stable_across_key_order(self):
@@ -114,11 +132,12 @@ class TestExpand:
         ]
 
     def test_zip_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            ExperimentSpec(
-                name="z", axes={"seed": [1, 2], "duration_s": [0.5]},
-                mode="zip",
-            )
+        for kind in SPEC_KINDS:
+            with pytest.raises(ValueError, match="differ in length"):
+                kind(
+                    name="z", axes={"seed": [1, 2], "duration_s": [0.5]},
+                    mode="zip",
+                )
 
     def test_ensemble_requires_seed_axis(self):
         with pytest.raises(ValueError, match="seed"):
@@ -128,8 +147,17 @@ class TestExpand:
         assert [c["seed"] for c in spec.expand()] == [1, 2, 3]
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="no values"):
-            ExperimentSpec(name="g", axes={"seed": []})
+        for kind in SPEC_KINDS:
+            with pytest.raises(ValueError, match="no values"):
+                kind(name="g", axes={"seed": []})
+
+    @pytest.mark.parametrize("axis, value", [("seed", 5), ("label", "ab")])
+    def test_axis_must_be_a_list(self, axis, value):
+        # A bare number used to raise a TypeError in the sweep, and a
+        # string was swept character by character.
+        for kind in SPEC_KINDS:
+            with pytest.raises(ValueError, match=f"'{axis}' must be a list"):
+                kind.from_dict({"name": "a", "axes": {axis: value}})
 
     def test_no_axes_is_single_point(self):
         spec = ExperimentSpec(name="one", base={"seed": 9})
@@ -153,15 +181,23 @@ class TestExpand:
         assert all(c["nvp"]["state_bits"] == 256 for c in spec.expand())
 
     def test_unknown_mode_rejected(self):
+        for kind in SPEC_KINDS:
+            with pytest.raises(ValueError, match="unknown mode"):
+                kind(name="m", mode="random")
         with pytest.raises(ValueError, match="unknown mode"):
-            ExperimentSpec(name="m", mode="random")
+            FleetSpec(name="m", axes={"seed": [1]}, mode="ensemble")
 
     def test_needs_name(self):
-        with pytest.raises(ValueError, match="name"):
-            ExperimentSpec(name="")
+        for kind in SPEC_KINDS:
+            with pytest.raises(ValueError, match="name"):
+                kind(name="")
+            with pytest.raises(ValueError, match="name"):
+                kind.from_dict({"axes": {"seed": [1]}})
 
 
 class TestSpecFiles:
+    kind = ExperimentSpec
+
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({
@@ -171,7 +207,7 @@ class TestSpecFiles:
             "base": {"duration_s": 0.5},
             "axes": {"seed": [1, 2]},
         }))
-        spec = ExperimentSpec.from_file(str(path))
+        spec = self.kind.from_file(str(path))
         assert spec.name == "file-spec"
         assert len(spec.expand()) == 2
 
@@ -179,14 +215,20 @@ class TestSpecFiles:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ValueError, match="not valid JSON"):
-            ExperimentSpec.from_file(str(path))
+            self.kind.from_file(str(path))
 
     def test_from_file_rejects_non_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
-            ExperimentSpec.from_file(str(path))
+            self.kind.from_file(str(path))
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown spec key"):
-            ExperimentSpec.from_dict({"name": "x", "points": 4})
+            self.kind.from_dict({"name": "x", "points": 4})
+
+
+class TestFleetSpecFiles(TestSpecFiles):
+    """The same loading rules, through the fleet spec."""
+
+    kind = FleetSpec

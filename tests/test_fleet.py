@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.exp.cache import ResultCache
-from repro.exp.spec import config_hash, resolve_config
+from repro.exp.spec import ExperimentSpec, config_hash, resolve_config
 from repro.fleet import (
     DEVICE_OFFSET_KEY,
     FleetArrays,
@@ -44,6 +44,8 @@ class TestDeviceConfig:
             )
         with pytest.raises(ValueError):
             resolve_device_config({DEVICE_OFFSET_KEY: -0.5})
+        with pytest.raises(ValueError, match="trace_offset_s must be finite"):
+            resolve_device_config({DEVICE_OFFSET_KEY: float("nan")})
 
     def test_unknown_keys_still_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +69,7 @@ class TestFleetSpec:
     def test_grid_expansion_with_replicas(self):
         spec = make_spec(replicas=3, stagger_s=0.05)
         devices = spec.devices()
-        assert spec.n_devices == len(devices) == 6
+        assert len(devices) == 6
         # Replicas are innermost: seeds bump, offsets stagger.
         first_point = devices[:3]
         assert [d["platform_seed"] for d in first_point] == [0, 1, 2]
@@ -98,6 +100,38 @@ class TestFleetSpec:
         a = [device_config_hash(d) for d in make_spec(replicas=2).devices()]
         b = [device_config_hash(d) for d in make_spec(replicas=2).devices()]
         assert a == b
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("replicas", 0, "replicas must be >= 1"),
+        ("replicas", float("inf"), "replicas must be a number"),
+        ("stagger_s", -0.1, "stagger_s must be finite and non-negative"),
+        ("stagger_s", float("nan"), "stagger_s must be finite"),
+        ("stagger_s", float("inf"), "stagger_s must be finite"),
+        ("telemetry_every_s", float("nan"), "telemetry_every_s must be"),
+    ])
+    def test_bad_fleet_key_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_spec(**{key: value})
+
+    @pytest.mark.parametrize("mode, axes", [
+        ("grid", {"platform": ["nvp", "wait"],
+                  "capacitance_f": [1.5e-07, 4.7e-07]}),
+        ("zip", {"platform": ["nvp", "checkpoint"],
+                 "label": ["a", "b"], "seed": [3, 4]}),
+    ])
+    def test_single_replica_devices_are_sweep_points(self, mode, axes):
+        """One expansion feeds both, so devices share sweep cache keys."""
+        data = {
+            "name": "same", "mode": mode, "axes": axes,
+            "base": {"source": "rf", "duration_s": 0.2, "platform_seed": 2},
+        }
+        sweep = ExperimentSpec.from_dict(data)
+        devices = FleetSpec.from_dict(dict(data, replicas=1)).devices()
+        assert devices == [
+            dict(config, **{DEVICE_OFFSET_KEY: 0.0})
+            for config in sweep.expand()
+        ]
+        assert [device_config_hash(d) for d in devices] == sweep.hashes()
 
 
 class TestSoAContract:
@@ -260,6 +294,14 @@ class TestFleetCli:
         path.write_text(json.dumps({"name": "x", "axes": {"platform": []}}))
         with pytest.raises(SystemExit):
             main(["fleet", "run", str(path)])
+        # Python's json reads a bare NaN literal as a float.
+        path.write_text('{"name": "x", "replicas": 2, "stagger_s": NaN}')
+        with pytest.raises(SystemExit, match="error: .*stagger_s"):
+            main(["fleet", "run", str(path)])
+
+    def test_non_finite_cadence_errors_cleanly(self, spec_file, cache_dir):
+        with pytest.raises(SystemExit, match="error: .*every_s"):
+            main(["fleet", "run", spec_file, "--telemetry-every", "nan"])
 
     def test_replay_index_out_of_range(self, spec_file, cache_dir):
         with pytest.raises(SystemExit):

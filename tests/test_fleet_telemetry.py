@@ -38,6 +38,9 @@ class TestFleetTelemetry:
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):
             FleetTelemetry(every_s=0.0)
+        for every_s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="every_s .* finite"):
+                FleetTelemetry(every_s=every_s)
 
     def test_default_cadence_and_schema(self):
         telemetry = FleetTelemetry()
@@ -210,6 +213,10 @@ class TestSpecCadence:
         with pytest.raises(ValueError):
             FleetSpec.from_dict({
                 "name": "t", "telemetry_every_s": 0.0,
+            })
+        with pytest.raises(ValueError, match="telemetry_every_s .* finite"):
+            FleetSpec.from_dict({
+                "name": "t", "telemetry_every_s": float("nan"),
             })
 
 
