@@ -25,17 +25,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.config import DEFAULT_STATE_BITS
+from repro.exp.runner import build_trace
+from repro.exp.spec import resolve_config
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
-from repro.harvest.sources import SOURCE_GENERATORS, hybrid_trace
+from repro.harvest.sources import SOURCE_GENERATORS
 from repro.nvm.technology import TECHNOLOGIES
 from repro.obs.history import DEFAULT_HISTORY_PATH, DEFAULT_MAX_REGRESSION
 from repro.system.presets import (
@@ -57,14 +60,32 @@ PLATFORM_BUILDERS = {
 }
 
 
+def _flag_config(args) -> Dict:
+    """The run config keys the trace and workload flags set."""
+    return {
+        "source": args.source,
+        "duration_s": args.duration,
+        "seed": args.seed,
+        "mean_uw": args.mean_uw,
+        "kernel": getattr(args, "kernel", None),
+        "frames": getattr(args, "frames", 5),
+    }
+
+
 def _make_trace(args):
-    if args.source == "hybrid":
-        trace = hybrid_trace(args.duration, seed=args.seed)
-    else:
-        trace = SOURCE_GENERATORS[args.source](args.duration, seed=args.seed)
-    if args.mean_uw is not None:
-        trace = trace.scaled_to_mean(args.mean_uw * 1e-6)
-    return trace
+    """The trace the flags describe, built like a sweep point's.
+
+    Every command that takes trace flags calls this before building
+    anything else.  The trace and workload flags are resolved through
+    ``resolve_config`` first, so a malformed one exits 2 with one
+    ``error:`` line naming its config key.
+    """
+    try:
+        config = resolve_config(_flag_config(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return build_trace(config)
 
 
 def _make_workload(args):
@@ -220,6 +241,7 @@ def cmd_simulate(args) -> int:
     if args.sample_stride < 0:
         print("error: --sample-stride must be >= 0", file=sys.stderr)
         return 2
+    trace = _make_trace(args)
     started = time.time()
     usage_before = sample_resources()
     fingerprint = config_hash({**config, "seed": args.seed})[:16]
@@ -240,7 +262,6 @@ def cmd_simulate(args) -> int:
         from repro.isa import blockengine
 
         blockengine.set_enabled(False)
-    trace = _make_trace(args)
     workload, build = _make_workload(args)
     platform = PLATFORM_BUILDERS[args.platform](workload)
     bus, log, metrics = _make_observability(args)
@@ -310,8 +331,10 @@ def cmd_observe(args) -> int:
             "kernel": args.kernel,
         },
     )
-    if args.interval is not None and args.interval <= 0:
-        print("error: --interval must be positive", file=sys.stderr)
+    # Written so NaN fails too: every comparison with NaN is False.
+    if args.interval is not None and not 0 < args.interval < math.inf:
+        print("error: --interval must be positive and finite",
+              file=sys.stderr)
         return 2
     trace = _make_trace(args)
     workload, _build = _make_workload(args)
@@ -342,14 +365,7 @@ def cmd_compare(args) -> int:
 
     trace = _make_trace(args)
     configs = [
-        {
-            "platform": name,
-            "source": args.source,
-            "duration_s": args.duration,
-            "seed": args.seed,
-            "mean_uw": args.mean_uw,
-            "label": name,
-        }
+        {**_flag_config(args), "platform": name, "label": name}
         for name in PLATFORM_BUILDERS
     ]
     try:

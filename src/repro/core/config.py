@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,8 +75,10 @@ class NVPConfig:
     label: str = field(default="nvp")
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError("clock must be positive")
+        # The real-valued knobs are written so NaN and infinity fail
+        # too: every comparison with NaN is False.
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError("clock_hz must be positive and finite")
         if self.state_bits <= 0:
             raise ValueError("state_bits must be positive")
         if self.backup_parallelism <= 0:
@@ -84,12 +87,12 @@ class NVPConfig:
             raise ValueError(
                 f"unknown backup strategy {self.backup_strategy!r}"
             )
-        if self.backup_margin < 1.0:
-            raise ValueError("backup margin must be >= 1.0")
-        if self.run_reserve_ticks < 0:
-            raise ValueError("run reserve cannot be negative")
-        if self.controller_overhead_j < 0:
-            raise ValueError("controller overhead cannot be negative")
+        if not 1.0 <= self.backup_margin < math.inf:
+            raise ValueError("backup_margin must be >= 1.0 and finite")
+        if not 0 <= self.run_reserve_ticks < math.inf:
+            raise ValueError("run_reserve_ticks must be >= 0 and finite")
+        if not 0 <= self.controller_overhead_j < math.inf:
+            raise ValueError("controller_overhead_j must be >= 0 and finite")
         if self.sram_backup_words < 0:
             raise ValueError("sram_backup_words cannot be negative")
         if self.approx_registers is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.exp.cache import ResultCache
-from repro.exp.spec import config_hash, resolve_config
+from repro.exp.spec import build_nvp_config, config_hash, resolve_config
 from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.system.result import SimulationResult
@@ -98,41 +98,6 @@ def build_workload(config: Dict):
     return AbstractWorkload()
 
 
-def _build_nvp_config(overrides: Dict):
-    """NVPConfig from the JSON-able ``nvp`` sub-config."""
-    from repro.core.config import NVPConfig
-    from repro.nvm.retention import (
-        LinearPolicy,
-        LogPolicy,
-        ParabolaPolicy,
-        UniformPolicy,
-    )
-    from repro.nvm.technology import technology_by_name
-
-    kwargs = dict(overrides)
-    if isinstance(kwargs.get("technology"), str):
-        kwargs["technology"] = technology_by_name(kwargs["technology"])
-    policy = kwargs.get("retention_policy")
-    if isinstance(policy, dict):
-        spec = dict(policy)
-        kind = spec.pop("kind", None)
-        classes = {
-            "linear": LinearPolicy,
-            "log": LogPolicy,
-            "parabola": ParabolaPolicy,
-            "uniform": UniformPolicy,
-        }
-        if kind not in classes:
-            raise ValueError(
-                f"unknown retention policy kind {kind!r}; "
-                f"known: {sorted(classes)}"
-            )
-        kwargs["retention_policy"] = classes[kind](**spec)
-    if "approx_registers" in kwargs and kwargs["approx_registers"] is not None:
-        kwargs["approx_registers"] = tuple(kwargs["approx_registers"])
-    return NVPConfig(**kwargs)
-
-
 def build_platform(config: Dict, workload):
     """The platform preset a resolved config describes."""
     from repro.system.presets import (
@@ -150,7 +115,7 @@ def build_platform(config: Dict, workload):
     if name == "nvp":
         return build_nvp(
             workload,
-            _build_nvp_config(config["nvp"]) if config["nvp"] else None,
+            build_nvp_config(config["nvp"]) if config["nvp"] else None,
             capacitance_f=(
                 capacitance if capacitance is not None else NVP_CAPACITANCE_F
             ),

@@ -74,18 +74,53 @@ _NUMERIC_KEYS = {
     "capacitance_f": 0, "energy_margin": -math.inf,
 }
 
-#: ``nvp`` sub-config keys that take names/specs instead of objects.
-#: ``technology`` is an NVM catalog name; ``retention_policy`` is
-#: ``{"kind": "linear"|"log"|"parabola"|"uniform", ...ctor kwargs}``.
-_NVP_RESOLVED_KEYS = ("technology", "retention_policy")
+#: Lowest value a finite numeric key may take.
+_MINIMUMS = {"mean_uw": 0, "energy_margin": 1}
 
 
 def _nvp_field_names() -> Tuple[str, ...]:
-    from dataclasses import fields
-
     from repro.core.config import NVPConfig
 
     return tuple(f.name for f in fields(NVPConfig))
+
+
+def build_nvp_config(overrides: Mapping):
+    """NVPConfig from the JSON-able ``nvp`` sub-config.
+
+    ``technology`` is an NVM catalog name; ``retention_policy`` is
+    ``{"kind": "linear"|"log"|"parabola"|"uniform", ...ctor kwargs}``.
+    """
+    from repro.core.config import NVPConfig
+    from repro.nvm.retention import (
+        LinearPolicy,
+        LogPolicy,
+        ParabolaPolicy,
+        UniformPolicy,
+    )
+    from repro.nvm.technology import technology_by_name
+
+    kwargs = dict(overrides)
+    if isinstance(kwargs.get("technology"), str):
+        kwargs["technology"] = technology_by_name(kwargs["technology"])
+    policy = kwargs.get("retention_policy")
+    if isinstance(policy, dict):
+        spec = dict(policy)
+        kind = spec.pop("kind", None)
+        classes = {
+            "linear": LinearPolicy,
+            "log": LogPolicy,
+            "parabola": ParabolaPolicy,
+            "uniform": UniformPolicy,
+        }
+        if kind not in classes:
+            raise ValueError(
+                f"unknown retention policy kind {kind!r}; "
+                f"known: {sorted(classes)}"
+            )
+        kwargs["retention_policy"] = classes[kind](**spec)
+    if "approx_registers" in kwargs and kwargs["approx_registers"] is not None:
+        kwargs["approx_registers"] = tuple(kwargs["approx_registers"])
+    return NVPConfig(**kwargs)
 
 
 def _assign(config: Dict, key: str, value) -> None:
@@ -106,6 +141,10 @@ def resolve_config(config: Mapping) -> Dict:
     Accepts dotted keys (``"nvp.state_bits"``).  Returns a new plain
     dict containing *every* key from :data:`CONFIG_DEFAULTS`, suitable
     for hashing and for shipping to a worker process.
+
+    The ``nvp`` block is parsed into an ``NVPConfig`` to validate it,
+    and the object is dropped: the resolved config keeps the plain
+    JSON block, so hashes and cache keys do not depend on it.
 
     Raises:
         ValueError: unknown keys, unknown platform/source/kernel, or
@@ -136,6 +175,13 @@ def resolve_config(config: Mapping) -> Dict:
     bad = set(merged["nvp"]) - set(_nvp_field_names())
     if bad:
         raise ValueError(f"unknown NVPConfig key(s) {sorted(bad)}")
+    if merged["nvp"]:
+        try:
+            build_nvp_config(merged["nvp"])
+        except (AttributeError, KeyError, TypeError) as exc:
+            # Values of the wrong type fail inside NVPConfig; report
+            # them like every other malformed key.
+            raise ValueError(f"nvp: {exc.args[0]}") from exc
     for key, low in _NUMERIC_KEYS.items():
         value = merged[key]
         if value is None and CONFIG_DEFAULTS[key] is None:
@@ -145,6 +191,13 @@ def resolve_config(config: Mapping) -> Dict:
         if not (isinstance(value, numbers.Real) and low < value < math.inf):
             positive = "positive and " if low == 0 else ""
             raise ValueError(f"{key} must be {positive}finite")
+    for key, low in _MINIMUMS.items():
+        if merged[key] is not None and merged[key] < low:
+            raise ValueError(f"{key} must be >= {low}")
+    frames = merged["frames"]
+    if (isinstance(frames, bool) or not isinstance(frames, numbers.Integral)
+            or frames < 1):
+        raise ValueError("frames must be a positive integer")
     if merged["stop_when_finished"] is None:
         merged["stop_when_finished"] = merged["kernel"] is not None
     return merged

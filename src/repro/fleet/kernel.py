@@ -19,12 +19,11 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * the vectorized charge step reproduces ``charge_many`` — and hence
   repeated ``storage.step(p, 0.0, dt)`` — exactly (see
   :mod:`repro.fleet.soa`);
-* run-length state-time accounting uses the same
-  merge-and-flush-on-transition accumulator as the engine, with
-  dormant runs merged as integer tick counts before the single
-  ``count * dt`` product;
-* harvested energy is the same cumulative-sum prefix the engine's
-  vectorized pre-pass reads;
+* each device keeps its books in the engine's own
+  :class:`~repro.system.simulator.RunTally` (dormant runs merge as
+  integer tick counts before the single ``count * dt`` product), and
+  harvested energy is the engine's
+  :func:`~repro.system.simulator.harvested_j` over the device's slice;
 * powered-on devices route their predictable ``"run"`` ticks through
   the platform's ``exact_batch`` capability (the batched exact kernel,
   :mod:`repro.system.exactkernel`) when available — the same bulk
@@ -67,7 +66,7 @@ from repro.fleet.spec import (
 from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
 from repro.system.presets import standard_rectifier
-from repro.system.simulator import assemble_result
+from repro.system.simulator import RunTally, assemble_result, harvested_j
 
 #: Device lifecycle modes inside the kernel.
 MODE_ACTIVE = "active"
@@ -160,20 +159,14 @@ class _FleetDevice:
         "index", "config", "platform", "storage", "off_plan_fn", "soa",
         "exact_batch_fn", "skip_until", "batch_armed",
         "row", "base", "n_ticks", "stop_when_finished",
-        "state_time", "run_state", "run_ticks",
-        "completion_time", "finished_seen", "ticks_run",
+        "tally",
         "mode", "dormant_state", "plan", "result",
     )
 
-    def __init__(self, index: int, config: Dict) -> None:
+    def __init__(self, index: int, config: Dict, dt_s: float) -> None:
         self.index = index
         self.config = config
-        self.state_time: Dict[str, float] = {}
-        self.run_state: Optional[str] = None
-        self.run_ticks = 0
-        self.completion_time: Optional[float] = None
-        self.finished_seen = False
-        self.ticks_run = 0
+        self.tally = RunTally(dt_s)
         self.mode = MODE_ACTIVE
         self.dormant_state: Optional[str] = None
         self.plan = None
@@ -231,7 +224,7 @@ class FleetKernel:
         # -- device rows ----------------------------------------------
         self.arrays = FleetArrays(len(configs), self.dt)
         for row, config in enumerate(configs):
-            dev = _FleetDevice(row, config)
+            dev = _FleetDevice(row, config, self.dt)
             dev.row = row
             dev.base = int(segments.bases[row])
             dev.n_ticks = int(segments.n_ticks[row])
@@ -252,26 +245,6 @@ class FleetKernel:
         for dev in self.devices:
             if not self._route(dev):
                 self._active.append(dev)
-
-    # -- state-time accounting ----------------------------------------
-
-    def _account(self, dev: _FleetDevice, state: str, count: int) -> None:
-        """Merge ``count`` ticks of ``state`` into the device's runs.
-
-        Same accumulator the single engine keeps: consecutive
-        same-state runs merge as integer tick counts; a transition
-        flushes the previous run with one ``ticks * dt`` product.
-        """
-        if state == dev.run_state:
-            dev.run_ticks += count
-        else:
-            if dev.run_ticks:
-                dev.state_time[dev.run_state] = (
-                    dev.state_time.get(dev.run_state, 0.0)
-                    + dev.run_ticks * self.dt
-                )
-            dev.run_state = state
-            dev.run_ticks = count
 
     # -- passive-row management ----------------------------------------
 
@@ -307,7 +280,7 @@ class FleetKernel:
         if pend:
             if dev.plan is not None and dev.plan.on_charged is not None:
                 dev.plan.on_charged(pend)
-            self._account(dev, dev.dormant_state, pend)
+            dev.tally.add(dev.dormant_state, pend)
             self.arrays.pending[dev.row] = 0
         self.arrays.store_row(dev.row, dev.storage)
 
@@ -328,8 +301,8 @@ class FleetKernel:
             # The crossing tick belongs to the wake, not the dormant
             # run — same re-attribution the shared fast-forward loop
             # performs.
-            dev.run_ticks -= 1
-            self._account(dev, report.state, 1)
+            dev.tally.ticks -= 1
+            dev.tally.add(report.state, 1)
             arrays.retire_row(dev.row)
             dev.mode = MODE_ACTIVE
             dev.batch_armed = True
@@ -364,47 +337,38 @@ class FleetKernel:
                 if runs:
                     batched = 0
                     for state, n in runs:
-                        self._account(dev, state, n)
+                        dev.tally.add(state, n)
                         batched += n
                     dev.skip_until = i + batched
                     self.ticks_batched += batched
-                    if not dev.finished_seen and dev.platform.finished:
-                        # An "isa"-mode batch consumes the finishing
-                        # tick; record completion one-past it, exactly
-                        # as the scalar branch does.  Passive routing
-                        # waits for the rejoin tick at skip_until.
-                        dev.finished_seen = True
-                        dev.completion_time = (i + batched) * dt
-                        if dev.stop_when_finished:
-                            self._finalize(dev, i + batched)
-                            continue
+                    # Passive routing waits for the rejoin tick at
+                    # skip_until.
+                    if (dev.tally.finish(dev.platform, i + batched)
+                            and dev.stop_when_finished):
+                        self._finalize(dev, i + batched)
+                        continue
                     still.append(dev)
                     continue
                 # Probe missed: the next tick is an event tick — run
                 # it exactly, and re-arm on the next state transition
                 # (same disarm-after-miss the single engine uses).
                 dev.batch_armed = False
-            prev_state = dev.run_state
             report = dev.platform.tick(float(power[dev.base + i]), dt)
-            self._account(dev, report.state, 1)
-            if report.state != prev_state:
+            if dev.tally.add(report.state, 1):
                 dev.batch_armed = True
-            finished = dev.platform.finished
-            if not dev.finished_seen and finished:
-                dev.finished_seen = True
-                dev.completion_time = (i + 1) * dt
-                if dev.stop_when_finished:
-                    self._finalize(dev, i + 1)
-                    continue
+            if (dev.tally.finish(dev.platform, i + 1)
+                    and dev.stop_when_finished):
+                self._finalize(dev, i + 1)
+                continue
             if self._route(dev):
                 continue
-            if finished and dev.storage is None:
+            if dev.platform.finished and dev.storage is None:
                 # No storage to keep integrating (the oracle): the
                 # remaining ticks are pure "done" no-ops, account them
                 # in bulk and finish the device now.
                 remaining = dev.n_ticks - (i + 1)
                 if remaining:
-                    self._account(dev, "done", remaining)
+                    dev.tally.add("done", remaining)
                 self._finalize(dev, dev.n_ticks)
                 continue
             still.append(dev)
@@ -417,25 +381,11 @@ class FleetKernel:
             self._flush_row(dev)
             self.arrays.retire_row(dev.row)
             self.n_passive -= 1
-        dt = self.dt
-        if dev.run_ticks:
-            dev.state_time[dev.run_state] = (
-                dev.state_time.get(dev.run_state, 0.0)
-                + dev.run_ticks * dt
-            )
-            dev.run_ticks = 0
-        if ticks_run:
-            # Same prefix sum the engine's vectorized pre-pass reads:
-            # cumsum over the device's sub-trace, times dt.
-            cum = np.cumsum(self.P[dev.base:dev.base + dev.n_ticks])
-            harvested = float(cum[ticks_run - 1] * dt)
-        else:
-            harvested = 0.0
         dev.result = assemble_result(
-            dev.platform, dev.state_time, ticks_run, dt,
-            dev.completion_time, harvested,
+            dev.platform, dev.tally.flush(), ticks_run, self.dt,
+            dev.tally.completion_time,
+            harvested_j(self.P[dev.base:], ticks_run, self.dt),
         )
-        dev.ticks_run = ticks_run
         dev.mode = MODE_FINAL
         self.n_live -= 1
         if self.bus is not None:

@@ -68,54 +68,6 @@ class OutageStats:
         return counts, edges
 
 
-class OutageTracker:
-    """Incremental sub-threshold detector publishing bus events.
-
-    The batch :func:`analyze_outages` needs the whole trace up front;
-    the tracker sees one sample per tick — the simulator feeds it the
-    rectified input power — and emits ``outage.begin`` /
-    ``outage.end`` events on an observability bus as the supply
-    crosses the threshold.
-
-    Args:
-        threshold_w: the operating power threshold.
-        bus: an :class:`~repro.obs.events.EventBus` (may have no
-            subscribers; emission is then free).
-    """
-
-    def __init__(self, threshold_w: float, bus) -> None:
-        if threshold_w < 0:
-            raise ValueError("threshold cannot be negative")
-        self.threshold_w = threshold_w
-        self.bus = bus
-        self.count = 0
-        self.below = False
-        self._began_s = 0.0
-
-    def update(self, p_w: float, t_s: float) -> None:
-        """Feed one power sample at simulation time ``t_s``."""
-        if p_w < self.threshold_w:
-            if not self.below:
-                self.below = True
-                self._began_s = t_s
-                self.bus.emit(
-                    "outage.begin", t_s, threshold_w=self.threshold_w
-                )
-        elif self.below:
-            self.below = False
-            self.count += 1
-            self.bus.emit(
-                "outage.end", t_s, duration_s=t_s - self._began_s
-            )
-
-    def finish(self, t_s: float) -> None:
-        """Close an interval left open at the end of the trace."""
-        if self.below:
-            self.below = False
-            self.count += 1
-            self.bus.emit("outage.end", t_s, duration_s=t_s - self._began_s)
-
-
 def outage_intervals(
     trace: PowerTrace, threshold_w: float = DEFAULT_THRESHOLD_W
 ) -> List[Tuple[int, int]]:

@@ -22,6 +22,7 @@ discipline as :class:`SweepMonitor`.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Dict, Optional, TextIO
 
@@ -43,8 +44,9 @@ class LiveSummary:
         interval_s: Optional[float] = None,
         stream: Optional[TextIO] = None,
     ) -> None:
-        if interval_s is not None and interval_s <= 0:
-            raise ValueError("interval must be positive")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if interval_s is not None and not 0 < interval_s < math.inf:
+            raise ValueError("interval must be positive and finite")
         self.interval_s = interval_s
         self.stream = stream if stream is not None else sys.stdout
         self.counts: Dict[str, int] = {}

@@ -7,9 +7,8 @@ predictable tick runs in bulk, so nothing walks the trace tick by tick
 identical for every non-TICK event, from three sources:
 
 * **outage crossings** precomputed once from the rectified power trace
-  with the same float comparisons and the same ``tick * dt`` time
-  products the incremental
-  :class:`~repro.harvest.outage.OutageTracker` performs;
+  by :func:`~repro.harvest.outage.outage_intervals`, the same
+  intervals :func:`~repro.harvest.outage.analyze_outages` counts;
 * **platform emits staged** by the :class:`~repro.obs.events.EventBus`
   during ``fast_forward`` (threshold/restore/wake events, stamped with
   their tick via :meth:`~repro.obs.events.EventBus.set_clock`);
@@ -30,6 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.harvest.outage import outage_intervals
+from repro.harvest.traces import PowerTrace
 from repro.obs import events as ev
 from repro.obs.events import EventBus, StagedEvent
 
@@ -47,11 +48,13 @@ PHASE_SAMPLE = 3
 class FastPathEventSynthesizer:
     """Emits the exact engine's non-TICK event stream from run lengths.
 
-    One instance serves one simulation: the simulator creates it when
-    a bus is attached but no subscriber wants per-tick events, calls
-    :meth:`integrate` after every fast-forwarded segment,
-    :meth:`flush_outages` before every exact tick (hybrid runs
-    interleave both engines), and :meth:`finish` at the end.
+    One instance serves one simulation: the simulator creates it
+    whenever a bus is attached, calls :meth:`integrate` after every
+    bulk segment, :meth:`flush_outages` before every exact tick
+    (hybrid runs interleave both engines), and :meth:`finish` at the
+    end.  It is the only outage emitter, so an exact-only run (a
+    ``sim.tick`` subscriber, or both bulk paths switched off) replays
+    the same crossings.
 
     Args:
         bus: the event bus to publish on.
@@ -71,40 +74,29 @@ class FastPathEventSynthesizer:
         dt_s: float,
         sample_stride: int = 0,
     ) -> None:
-        if threshold_w < 0:
-            raise ValueError("threshold cannot be negative")
         if sample_stride < 0:
             raise ValueError("sample stride cannot be negative")
         self.bus = bus
         self.threshold_w = threshold_w
         self.dt_s = dt_s
         self.sample_stride = int(sample_stride)
-        # Vectorized edge detection over the whole trace, mirroring
-        # outage_intervals(); ticks become plain Python ints so the
-        # ``tick * dt`` products match the exact engine's float math.
-        below = np.asarray(p_dc_w) < threshold_w
-        begins: List[int] = []
-        ends: List[int] = []
-        if below.any():
-            edges = np.diff(below.astype(np.int8))
-            begins = [int(i) for i in np.flatnonzero(edges == 1) + 1]
-            ends = [int(i) for i in np.flatnonzero(edges == -1) + 1]
-            if below[0]:
-                begins.insert(0, 0)
-        # Begins and ends strictly alternate (a supply cannot cross the
-        # threshold twice at one tick), so a plain sort interleaves
-        # them in occurrence order.
-        crossings = [(t, True) for t in begins] + [(t, False) for t in ends]
-        crossings.sort()
-        self._crossings: List[Tuple[int, bool]] = crossings
+        # Ticks become plain Python ints so the ``tick * dt`` products
+        # are Python float math.  An interval still open at the end of
+        # the trace ends at its length, a tick no run reaches:
+        # :meth:`finish` closes it at the run's end instead.
+        intervals = outage_intervals(PowerTrace(p_dc_w, dt_s), threshold_w)
+        self._crossings: List[Tuple[int, bool]] = [
+            (int(tick), is_begin)
+            for begin, end in intervals
+            for tick, is_begin in ((begin, True), (end, False))
+        ]
         self._next = 0
         self._below = False
         self._began_s = 0.0
 
     # -- outage delivery ---------------------------------------------------
 
-    def _emit_crossing(self, tick: int, is_begin: bool) -> None:
-        t_s = tick * self.dt_s
+    def _emit_crossing(self, t_s: float, is_begin: bool) -> None:
         if is_begin:
             self._below = True
             self._began_s = t_s
@@ -113,19 +105,24 @@ class FastPathEventSynthesizer:
             self._below = False
             self.bus.emit(ev.OUTAGE_END, t_s, duration_s=t_s - self._began_s)
 
+    def _take(self, through_tick: int) -> List[Tuple[int, bool]]:
+        """Remove and return the pending crossings with
+        ``tick <= through_tick``."""
+        crossings = self._crossings
+        start = stop = self._next
+        while stop < len(crossings) and crossings[stop][0] <= through_tick:
+            stop += 1
+        self._next = stop
+        return crossings[start:stop]
+
     def flush_outages(self, through_tick: int) -> None:
         """Deliver every pending crossing with ``tick <= through_tick``.
 
         The simulator calls this before each exact tick, where the
         exact engine would have run its incremental outage update.
         """
-        crossings = self._crossings
-        while self._next < len(crossings):
-            tick, is_begin = crossings[self._next]
-            if tick > through_tick:
-                break
-            self._next += 1
-            self._emit_crossing(tick, is_begin)
+        for tick, is_begin in self._take(through_tick):
+            self._emit_crossing(tick * self.dt_s, is_begin)
 
     # -- segment delivery --------------------------------------------------
 
@@ -180,13 +177,7 @@ class FastPathEventSynthesizer:
                         )
                     )
             index += count
-        crossings = self._crossings
-        end_tick = index - 1
-        while self._next < len(crossings):
-            tick, is_begin = crossings[self._next]
-            if tick > end_tick:
-                break
-            self._next += 1
+        for tick, is_begin in self._take(index - 1):
             entries.append((tick, PHASE_OUTAGE, True, is_begin))
         if staged:
             for event in staged:
@@ -203,7 +194,7 @@ class FastPathEventSynthesizer:
         dt = self.dt_s
         for tick, _phase, is_crossing, payload in entries:
             if is_crossing:
-                self._emit_crossing(tick, payload)
+                self._emit_crossing(tick * dt, payload)
             else:
                 name, t_s, data = payload
                 emit(name, tick * dt if t_s is None else t_s, **data)
@@ -230,13 +221,9 @@ class FastPathEventSynthesizer:
         """Close the stream after the last processed tick.
 
         Delivers crossings among the processed ticks that no segment
-        covered, then closes a still-open outage at ``end_t`` exactly
-        like :meth:`~repro.harvest.outage.OutageTracker.finish`.
+        covered, then closes a still-open outage at ``end_t``.
         """
         if ticks_run:
             self.flush_outages(ticks_run - 1)
         if self._below:
-            self._below = False
-            self.bus.emit(
-                ev.OUTAGE_END, end_t, duration_s=end_t - self._began_s
-            )
+            self._emit_crossing(end_t, False)

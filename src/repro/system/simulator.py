@@ -13,9 +13,9 @@ checkpointing, wait-and-compute) lives inside the platform.
 Three engine optimisations keep long traces cheap (see
 ``docs/performance.md``):
 
-* a **vectorized pre-pass** rectifies the whole trace and integrates
-  harvested energy once with numpy, instead of per-tick Python float
-  math;
+* a **vectorized pre-pass** rectifies the whole trace once with
+  numpy, and harvested energy is one prefix sum over the ticks run
+  (:func:`harvested_j`), instead of per-tick Python float math;
 * a **steady-state fast-forward**: platforms that implement the
   optional ``fast_forward(p_in_w, start, stop, dt_s)`` capability
   advance through runs of analytically predictable ticks ("off"
@@ -40,7 +40,8 @@ Three engine optimisations keep long traces cheap (see
 
 Both bulk paths run through one probe loop: fast-forward first, then
 the batch kernel, each disarmed after a miss and re-armed on the next
-state transition.
+state transition.  Every path keeps its books in one :class:`RunTally`,
+the same one the fleet kernel keeps per device.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Dict, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.harvest.outage import DEFAULT_THRESHOLD_W, OutageTracker
+from repro.harvest.outage import DEFAULT_THRESHOLD_W
 from repro.harvest.rectifier import Rectifier
 from repro.harvest.traces import PowerTrace
 from repro.obs import events as ev
@@ -154,6 +155,73 @@ def assemble_result(
     return result
 
 
+class RunTally:
+    """One run's books: seconds per state and the completion stamp.
+
+    Shared by :meth:`SystemSimulator.run` and the fleet kernel
+    (:mod:`repro.fleet.kernel`), so every engine keeps them with the
+    same float operations.  Consecutive ticks of one state, from
+    scalar ticks and bulk runs alike, merge into the open run
+    (:attr:`state`, :attr:`ticks`) as an integer count; a transition
+    flushes it into :attr:`state_time` with a single ``ticks * dt``
+    product.
+    """
+
+    __slots__ = ("dt", "state_time", "state", "ticks", "completion_time")
+
+    def __init__(self, dt_s: float) -> None:
+        self.dt = dt_s
+        self.state_time: Dict[str, float] = {}
+        self.state: Optional[str] = None
+        self.ticks = 0
+        self.completion_time: Optional[float] = None
+
+    def add(self, state: str, ticks: int) -> bool:
+        """Account ``ticks`` ticks of ``state``; True on a transition."""
+        if state == self.state:
+            self.ticks += ticks
+            return False
+        self.flush()
+        self.state = state
+        self.ticks = ticks
+        return True
+
+    def flush(self) -> Dict[str, float]:
+        """Close the open run into :attr:`state_time` and return it."""
+        if self.ticks:
+            self.state_time[self.state] = (
+                self.state_time.get(self.state, 0.0) + self.ticks * self.dt
+            )
+            self.ticks = 0
+        return self.state_time
+
+    def finish(self, platform: Platform, ticks_run: int) -> bool:
+        """Stamp :attr:`completion_time` the first time ``platform`` is
+        finished after ``ticks_run`` ticks; True on that call only.
+
+        The stamp is one past the finishing tick on every path: an
+        ``"isa"``-mode batch consumes the finishing tick (unlike the
+        recurrence kernel, which stops before it), so callers check
+        after each scalar tick and after each bulk run alike.
+        """
+        if self.completion_time is None and platform.finished:
+            self.completion_time = ticks_run * self.dt
+            return True
+        return False
+
+
+def harvested_j(p_dc: np.ndarray, ticks_run: int, dt_s: float) -> float:
+    """Energy harvested over the first ``ticks_run`` ticks of ``p_dc``.
+
+    ``np.cumsum`` adds left to right, so the prefix sum of any one
+    run length has the same bits whether the array is the whole trace
+    or a fleet device's slice of the shared power array.
+    """
+    if not ticks_run:
+        return 0.0
+    return float(np.cumsum(p_dc[:ticks_run])[-1] * dt_s)
+
+
 class SystemSimulator:
     """Walks a power trace through a platform.
 
@@ -248,13 +316,12 @@ class SystemSimulator:
         samples = self.trace.samples_w
 
         # -- vectorized pre-pass ---------------------------------------
-        # Rectify the whole trace and integrate harvested energy once;
-        # both engine paths then share the identical per-tick values.
+        # Rectify the whole trace once; both engine paths then share
+        # the identical per-tick values.
         if self.rectifier is not None:
             p_dc = self.rectifier.output_power_array(samples)
         else:
             p_dc = samples
-        cum_energy_j = np.cumsum(p_dc) * dt
         # Plain Python floats index ~3x faster than ndarray scalars on
         # the per-tick path, and every platform does scalar math.
         p_in_w = p_dc.tolist()
@@ -262,7 +329,6 @@ class SystemSimulator:
 
         bus = self.bus
         platform = self.platform
-        outages: Optional[OutageTracker] = None
         synth: Optional[FastPathEventSynthesizer] = None
         storage = getattr(platform, "storage", None)
         want_ticks = bus is not None and bus.wants(ev.TICK)
@@ -283,19 +349,16 @@ class SystemSimulator:
                 if knob is not False and advance is not None:
                     paths.append((name, advance))
         if bus is not None:
-            if paths:
-                # The synthesizer owns ALL outage emission (fast
-                # segments and interleaved exact ticks alike) so one
-                # state machine sees every tick.
-                synth = FastPathEventSynthesizer(
-                    bus,
-                    p_dc,
-                    self.outage_threshold_w,
-                    dt,
-                    sample_stride=self.sample_stride,
-                )
-            else:
-                outages = OutageTracker(self.outage_threshold_w, bus)
+            # The synthesizer owns ALL outage emission (bulk segments
+            # and exact ticks alike) so one state machine sees every
+            # tick, whichever engine ran it.
+            synth = FastPathEventSynthesizer(
+                bus,
+                p_dc,
+                self.outage_threshold_w,
+                dt,
+                sample_stride=self.sample_stride,
+            )
             bus.emit(
                 ev.SIM_BEGIN,
                 0.0,
@@ -304,15 +367,7 @@ class SystemSimulator:
                 dt_s=dt,
             )
 
-        # state_time is accumulated per state *run* (count * dt flushed
-        # at each transition) rather than dict-churned every tick; the
-        # fast-forward path merges its runs into the same accumulator,
-        # so both paths compute identical sums.
-        state_time: Dict[str, float] = {}
-        run_state: Optional[str] = None
-        run_ticks = 0
-        completion_time: Optional[float] = None
-        finished = False
+        tally = RunTally(dt)
         bulk_ticks = {"fast_forward": 0, "exact_batch": 0}
         ticks_exact = 0
         index = 0
@@ -346,56 +401,28 @@ class SystemSimulator:
                 armed += 1
             if runs:
                 if synth is not None:
-                    synth.integrate(index, runs, staged, run_state)
+                    synth.integrate(index, runs, staged, tally.state)
                 begin = index
                 for state, count in runs:
-                    if state == run_state:
-                        run_ticks += count
-                    else:
-                        if run_ticks:
-                            state_time[run_state] = (
-                                state_time.get(run_state, 0.0)
-                                + run_ticks * dt
-                            )
-                        run_state = state
-                        run_ticks = count
+                    tally.add(state, count)
                     index += count
                 bulk_ticks[name] += index - begin
-                if not finished and platform.finished:
-                    # An "isa"-mode batch consumes the finishing tick
-                    # (unlike the recurrence kernel, which stops before
-                    # it), so completion accounting runs here with the
-                    # same index-past-the-tick timestamp the scalar
-                    # path records.
-                    finished = True
-                    completion_time = index * dt
-                    if self.stop_when_finished:
-                        break
+                if tally.finish(platform, index) and self.stop_when_finished:
+                    break
                 continue
             p_in = p_in_w[index]
             if bus is not None:
-                t_now = index * dt
-                bus.now_s = t_now
-                if synth is not None:
-                    synth.flush_outages(index)
-                else:
-                    outages.update(p_in, t_now)
+                bus.now_s = index * dt
+                synth.flush_outages(index)
             report = platform.tick(p_in, dt)
             state = report.state
             index += 1
             ticks_exact += 1
-            if state != run_state:
-                if run_ticks:
-                    state_time[run_state] = (
-                        state_time.get(run_state, 0.0) + run_ticks * dt
-                    )
+            prev = tally.state
+            if tally.add(state, 1):
                 if bus is not None:
-                    bus.emit(ev.STATE_TRANSITION, state=state, prev=run_state)
-                run_state = state
-                run_ticks = 1
+                    bus.emit(ev.STATE_TRANSITION, state=state, prev=prev)
                 armed = 0
-            else:
-                run_ticks += 1
             if want_samples and (index - 1) % self.sample_stride == 0:
                 bus.emit(ev.SAMPLE, state=state, tick=index - 1)
             if want_ticks:
@@ -407,17 +434,9 @@ class SystemSimulator:
                         float(storage.energy_j) if storage is not None else 0.0
                     ),
                 )
-            if not finished and platform.finished:
-                finished = True
-                completion_time = index * dt
-                if self.stop_when_finished:
-                    break
-        if run_ticks:
-            state_time[run_state] = (
-                state_time.get(run_state, 0.0) + run_ticks * dt
-            )
+            if tally.finish(platform, index) and self.stop_when_finished:
+                break
         ticks_run = index
-        harvested = float(cum_energy_j[ticks_run - 1]) if ticks_run else 0.0
         self.ticks_fast_forwarded = bulk_ticks["fast_forward"]
         self.ticks_batched = bulk_ticks["exact_batch"]
         self.ticks_exact = ticks_exact
@@ -425,10 +444,7 @@ class SystemSimulator:
         if bus is not None:
             end_t = ticks_run * dt
             bus.now_s = end_t
-            if synth is not None:
-                synth.finish(ticks_run, end_t)
-            else:
-                outages.finish(end_t)
+            synth.finish(ticks_run, end_t)
             bus.emit(
                 ev.SIM_END,
                 end_t,
@@ -437,8 +453,8 @@ class SystemSimulator:
             )
 
         result = assemble_result(
-            self.platform, state_time, ticks_run, dt, completion_time,
-            harvested,
+            self.platform, tally.flush(), ticks_run, dt,
+            tally.completion_time, harvested_j(p_dc, ticks_run, dt),
         )
         if self.metrics is not None:
             self._publish_metrics(result)

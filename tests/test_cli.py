@@ -243,3 +243,37 @@ class TestAllPlatformChoices:
         ]) == 0
         out = capsys.readouterr().out
         assert "result" in out
+
+
+class TestMalformedFlags:
+    """A malformed trace/workload flag or interval exits 2 with one
+    ``error:`` line naming its config key, before anything is built."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--duration", "nan"], "duration_s"),
+        (["simulate", "--duration", "inf"], "duration_s"),
+        (["simulate", "--duration", "0"], "duration_s"),
+        (["simulate", "--duration", "-1"], "duration_s"),
+        (["simulate", "--mean-uw", "nan"], "mean_uw"),
+        (["simulate", "--mean-uw", "-5"], "mean_uw"),
+        (["simulate", "--kernel", "crc", "--frames", "0"], "frames"),
+        (["observe", "--duration", "nan"], "duration_s"),
+        (["observe", "--interval", "nan"], "interval"),
+        (["observe", "--interval", "inf"], "interval"),
+        (["compare", "--duration", "0"], "duration_s"),
+        (["compare", "--mean-uw", "nan"], "mean_uw"),
+        (["outages", "--duration", "-1"], "duration_s"),
+    ])
+    def test_one_error_line_exit_2(self, capsys, argv, key):
+        # A flag check returns 2; a trace/workload flag exits with 2.
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ")
+        assert key in lines[0]
+        assert captured.out == ""

@@ -102,6 +102,10 @@ class TestSweepCommand:
         ('{"name": "x", "base": {"platform": "wait", "energy_margin": NaN}}',
          "energy_margin"),
         ('{"name": "x", "axes": {"seed": 5}}', "seed"),
+        ('{"name": "x", "base": {"nvp.backup_margin": NaN}}', "backup_margin"),
+        ('{"name": "x", "base": {"kernel": "crc", "frames": 2.5}}', "frames"),
+        ('{"name": "x", "base": {"nvp": {"technology": "SRAM"}}}',
+         "volatile state technology"),
     ])
     def test_malformed_spec_is_clean_error(self, tmp_path, cache_dir, spec,
                                            key):
@@ -115,7 +119,7 @@ class TestSweepCommand:
         path.write_text(json.dumps({
             "name": "failing",
             "base": {"duration_s": 0.2, "seed": 1,
-                     "nvp": {"technology": "SRAM"}},
+                     "source": "profile", "profile_index": 9},
         }))
         assert main(["sweep", str(path)]) == 1
         out = capsys.readouterr().out

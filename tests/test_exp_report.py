@@ -34,11 +34,11 @@ class TestOutcomeTable:
 
     def test_failed_rows_carry_error(self):
         spec, _ = _spec_and_outcome()
-        bad = spec.expand()[0] | {"nvp": {"technology": "SRAM"}}
+        bad = spec.expand()[0] | {"source": "profile", "profile_index": 9}
         outcome = SweepRunner().run([bad])
         _, rows = outcome_table(outcome)
         assert rows[0][1] == "failed"
-        assert "volatile" in rows[0][2]
+        assert "profile_index" in rows[0][2]
 
 
 class TestPayload:

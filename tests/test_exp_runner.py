@@ -148,8 +148,10 @@ class TestCaching:
 class TestIsolation:
     def _bad_config(self):
         # Valid declaratively, raises at build time in the worker:
-        # an NVP cannot keep state in volatile SRAM.
-        return fast_spec().expand()[0] | {"nvp": {"technology": "SRAM"}}
+        # there are only five standard profiles.
+        return fast_spec().expand()[0] | {
+            "source": "profile", "profile_index": 9,
+        }
 
     def test_failed_point_recorded_sweep_continues_serial(self):
         configs = fast_spec(seed=[1, 2]).expand()
@@ -160,7 +162,7 @@ class TestIsolation:
         assert [r.status for r in outcome] == ["ok", "failed", "ok"]
         failed = outcome.records[1]
         assert failed.result is None
-        assert "volatile" in failed.error
+        assert "profile_index" in failed.error
 
     def test_failed_point_recorded_sweep_continues_parallel(self):
         configs = fast_spec(seed=[1, 2]).expand()
@@ -415,6 +417,8 @@ class TestResultHydration:
         assert hydrated.to_dict() == record.result
 
     def test_failed_record_hydrates_to_none(self):
-        bad = fast_spec().expand()[0] | {"nvp": {"technology": "SRAM"}}
+        bad = fast_spec().expand()[0] | {
+            "source": "profile", "profile_index": 9,
+        }
         outcome = SweepRunner().run([bad])
         assert outcome.records[0].simulation_result() is None

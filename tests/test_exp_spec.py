@@ -80,9 +80,19 @@ class TestResolveConfig:
         ("capacitance_f", "1e-6", "positive and finite"),
         ("energy_margin", float("nan"), "finite"),
         ("energy_margin", float("-inf"), "finite"),
+        ("energy_margin", 0.5, ">= 1"),
+        ("mean_uw", -1.0, ">= 0"),
+        ("frames", 2.5, "a positive integer"),
+        ("frames", 0, "a positive integer"),
+        ("nvp.backup_margin", float("nan"), ">= 1.0 and finite"),
+        ("nvp.clock_hz", float("inf"), "positive and finite"),
+        ("nvp.run_reserve_ticks", float("nan"), ">= 0 and finite"),
+        ("nvp.controller_overhead_j", float("inf"), ">= 0 and finite"),
     ])
     def test_bad_numeric_key_rejected(self, key, value, message):
-        with pytest.raises(ValueError, match=f"^{key} must be {message}$"):
+        # An ``nvp.*`` override is named by its NVPConfig field.
+        field = key.split(".")[-1]
+        with pytest.raises(ValueError, match=f"^{field} must be {message}$"):
             resolve_config({key: value})
 
 

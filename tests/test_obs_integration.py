@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.harvest.outage import (
-    DEFAULT_THRESHOLD_W,
-    OutageTracker,
-    analyze_outages,
-)
+from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import square_trace, wristwatch_trace
 from repro.obs import events as ev
 from repro.obs.events import EventBus
@@ -212,22 +208,45 @@ class TestChargeStateCode:
         assert telemetry.duty_cycle() == 0.5
 
 
-class TestOutageTrackerParity:
-    def test_tracker_matches_batch_analysis(self):
-        trace = wristwatch_trace(1.0, seed=5)
-        stats = analyze_outages(trace, DEFAULT_THRESHOLD_W)
+class TestOutageEventParity:
+    """Either engine's outage events equal the batch analysis of the
+    rectified trace, which shares no code with the event path beyond
+    ``outage_intervals``."""
+
+    TRACES = {
+        "wristwatch": lambda: wristwatch_trace(1.0, seed=5),
+        "square_outage": lambda: square_trace(400e-6, 0.0, 2.0, 0.08, 3.0),
+    }
+
+    @pytest.mark.parametrize("trace_name", sorted(TRACES))
+    @pytest.mark.parametrize("engine", ["exact", "bulk"])
+    def test_events_match_batch_analysis(self, trace_name, engine):
+        trace = self.TRACES[trace_name]()
+        rectified = standard_rectifier().convert(trace)
+        stats = analyze_outages(rectified, DEFAULT_THRESHOLD_W)
         bus = EventBus()
-        log = bus.record()
-        tracker = OutageTracker(DEFAULT_THRESHOLD_W, bus)
-        for index, p_w in enumerate(trace.samples_w):
-            tracker.update(float(p_w), index * trace.dt_s)
-        tracker.finish(len(trace.samples_w) * trace.dt_s)
-        assert tracker.count == stats.count
+        log = bus.record(names=(ev.OUTAGE_BEGIN, ev.OUTAGE_END))
+        knob = False if engine == "exact" else None
+        simulator = SystemSimulator(
+            trace,
+            build_nvp(AbstractWorkload()),
+            rectifier=standard_rectifier(),
+            stop_when_finished=False,
+            bus=bus,
+            use_fast_forward=knob,
+            use_exact_batch=knob,
+        )
+        simulator.run()
+        if engine == "exact":
+            assert simulator.ticks_exact == len(trace)
+        else:
+            assert simulator.ticks_exact < len(trace)
+        assert stats.count > 0
         assert len(log.filter(ev.OUTAGE_BEGIN)) == stats.count
         durations = [
             event.data["duration_s"] for event in log.filter(ev.OUTAGE_END)
         ]
-        assert durations == pytest.approx(list(stats.durations_s))
+        assert durations == pytest.approx(list(stats.durations_s), rel=1e-9)
 
 
 class TestLiveSummary:
@@ -247,6 +266,12 @@ class TestLiveSummary:
         rendered = summary.render()
         assert "duty cycle" in rendered
         assert "backup success" in rendered
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"),
+                                          float("inf")])
+    def test_rejects_bad_interval(self, interval):
+        with pytest.raises(ValueError, match="interval"):
+            LiveSummary(interval_s=interval)
 
     def test_progress_lines_at_interval(self, capsys):
         bus = EventBus()
