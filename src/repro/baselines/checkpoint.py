@@ -206,9 +206,9 @@ class CheckpointPlatform(OffRunFastForward):
     def off_plan(self, dt_s: float) -> Optional[OffRunPlan]:
         """Dormant-charging plan: sleep toward the start threshold.
 
-        Both trigger variants sleep the same way; the wake runs
-        through the same :meth:`_resume` the per-tick path uses.
-        ``None`` while powered on.
+        Both trigger variants sleep the same way; :meth:`tick` runs
+        the crossing tick and its :meth:`_resume`.  ``None`` while
+        powered on.
         """
         if self._state != "off":
             return None
@@ -216,7 +216,6 @@ class CheckpointPlatform(OffRunFastForward):
             state="off",
             target_j=lambda: self.thresholds(dt_s).start_threshold_j,
             on_charged=None,
-            on_cross=self._resume,
         )
 
     def exact_batch(self, p_in_w, start, stop, dt_s):

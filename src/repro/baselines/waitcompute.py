@@ -135,9 +135,8 @@ class WaitComputePlatform(OffRunFastForward):
         """Dormant-charging plan: trickle toward the unit target.
 
         The target is re-evaluated per charge run (it moves as units
-        complete); the boot attempt on the crossing tick runs through
-        the same :meth:`_boot` the per-tick path uses.  ``None`` while
-        powered on.
+        complete); :meth:`tick` runs the crossing tick and its
+        :meth:`_boot`.  ``None`` while powered on.
         """
         del dt_s
         if self._state != "off":
@@ -146,7 +145,6 @@ class WaitComputePlatform(OffRunFastForward):
             state="charge",
             target_j=self.unit_energy_target_j,
             on_charged=None,
-            on_cross=self._boot,
         )
 
     def exact_batch(self, p_in_w, start, stop, dt_s):

@@ -247,10 +247,10 @@ class NVPPlatform(OffRunFastForward):
     def off_plan(self, dt_s: float) -> Optional[OffRunPlan]:
         """The dormant-charging plan while powered off.
 
-        Charges toward the start threshold with no load, keeps the
+        Charges toward the start threshold with no load and keeps the
         retention-age clock (``_off_ticks``) in sync with the consumed
-        ticks, and wakes through the same :meth:`_wake` the per-tick
-        path uses.  ``None`` while powered on.
+        ticks; :meth:`tick` runs the crossing tick and its
+        :meth:`_wake`.  ``None`` while powered on.
         """
         if self._state != "off":
             return None
@@ -263,7 +263,6 @@ class NVPPlatform(OffRunFastForward):
             state="off",
             target_j=lambda: self.thresholds(dt_s).start_threshold_j,
             on_charged=on_charged,
-            on_cross=self._wake,
         )
 
     def exact_batch(self, p_in_w, start, stop, dt_s):

@@ -5,11 +5,12 @@ tick by tick.  Dormant devices (off/charge/done) live in the
 struct-of-arrays state (:class:`repro.fleet.soa.FleetArrays`) and
 bulk-advance through one vectorized charge step per tick; devices that
 are powered on tick exactly through their own platform state machine,
-just like the single-device engine.  Wake attempts on
-threshold-crossing ticks run through the platform's
-:class:`~repro.system.fastpath.OffRunPlan` hooks — the very hooks the
-single-device fast path drives — so every transition executes the
-same Python code in both engines.
+just like the single-device engine.  A dormant device charges toward
+its :class:`~repro.system.fastpath.OffRunPlan` target — the plan the
+single-device fast path drives — and the vectorized step stops before
+the tick that reaches it; the device then joins the exact path in
+that same lockstep tick, so its own ``tick()`` runs the wake attempt
+and every transition executes the same Python code in both engines.
 
 The per-device :class:`~repro.system.result.SimulationResult` is
 therefore **bit-for-bit identical** to running
@@ -171,7 +172,8 @@ class _FleetDevice:
         self.dormant_state: Optional[str] = None
         self.plan = None
         self.result = None
-        self.skip_until = 0
+        # The tick a bulk run hands the device back at (none yet).
+        self.skip_until = -1
         self.batch_armed = True
 
     @property
@@ -206,7 +208,6 @@ class FleetKernel:
         self.telemetry = telemetry
         self.devices: List[_FleetDevice] = []
         self._active: List[_FleetDevice] = []
-        self._pending_active: List[_FleetDevice] = []
         self._ends_by_tick: Dict[int, List[_FleetDevice]] = {}
         self.n_passive = 0
         self.ticks_advanced = 0
@@ -284,34 +285,23 @@ class FleetKernel:
             self.arrays.pending[dev.row] = 0
         self.arrays.store_row(dev.row, dev.storage)
 
-    def _handle_crossings(self, rows: np.ndarray) -> None:
-        """Run wake attempts for rows that crossed their target."""
-        arrays = self.arrays
+    def _rejoin(self, rows: np.ndarray, i: int) -> None:
+        """Hand rows that reach their target to the exact path.
+
+        :meth:`FleetArrays.charge_tick` left tick ``i`` to them, so
+        each device's own ``tick()`` runs it (charge, threshold test,
+        wake) in this lockstep tick; a failed wake parks it again.
+        """
         for row in rows:
             dev = self.devices[row]
             self._flush_row(dev)
-            report = dev.plan.on_cross()
-            if report.state == dev.dormant_state:
-                # Wake failed; the crossing tick stays dormant.  The
-                # attempt may have drawn stored energy (failed
-                # restore), so re-sync the row from the storage.
-                arrays.energy[dev.row] = dev.storage.energy_j
-                arrays.target[dev.row] = dev.plan.target_j()
-                continue
-            # The crossing tick belongs to the wake, not the dormant
-            # run — same re-attribution the shared fast-forward loop
-            # performs.
-            dev.tally.ticks -= 1
-            dev.tally.add(report.state, 1)
-            arrays.retire_row(dev.row)
+            self.arrays.retire_row(row)
+            self.n_passive -= 1
             dev.mode = MODE_ACTIVE
-            dev.batch_armed = True
             dev.plan = None
             dev.dormant_state = None
-            self.n_passive -= 1
-            # Joins the exact path from the *next* tick: the crossing
-            # tick was consumed by the vectorized step.
-            self._pending_active.append(dev)
+            dev.skip_until = i
+            self._active.append(dev)
 
     # -- exact path ----------------------------------------------------
 
@@ -327,7 +317,11 @@ class FleetKernel:
                 # tick; the device rejoins the lockstep at skip_until.
                 still.append(dev)
                 continue
-            if dev.batch_armed and dev.exact_batch_fn is not None:
+            # A bulk run stops before an event tick, where a probe
+            # would miss: the rejoin tick runs exactly, then re-arms.
+            rejoin = i == dev.skip_until
+            if (not rejoin and dev.batch_armed
+                    and dev.exact_batch_fn is not None):
                 p_list = self._p_list
                 if p_list is None:
                     p_list = self._p_list = power.tolist()
@@ -354,7 +348,7 @@ class FleetKernel:
                 # (same disarm-after-miss the single engine uses).
                 dev.batch_armed = False
             report = dev.platform.tick(float(power[dev.base + i]), dt)
-            if dev.tally.add(report.state, 1):
+            if dev.tally.add(report.state, 1) or rejoin:
                 dev.batch_armed = True
             if (dev.tally.finish(dev.platform, i + 1)
                     and dev.stop_when_finished):
@@ -422,12 +416,9 @@ class FleetKernel:
             if self.n_passive:
                 crossed = arrays.charge_tick(arrays.gather_power(power, i))
                 if crossed is not None:
-                    self._handle_crossings(crossed)
+                    self._rejoin(crossed, i)
             if self._active:
                 self._tick_active(i)
-            if self._pending_active:
-                self._active.extend(self._pending_active)
-                self._pending_active.clear()
             # With telemetry disabled this is the loop's only extra
             # work: a single None check (the zero-overhead contract).
             if telemetry is not None and i >= sample_at:

@@ -174,10 +174,13 @@ class FleetArrays:
 
         Evaluates :meth:`Capacitor.charge_many`'s per-tick float chain
         elementwise (see the module docstring for the bit-exactness
-        argument) and returns the rows whose stored energy crossed
-        their target on this tick, or ``None`` when no row crossed.
-        Dead rows evolve garbage that is never read and, with
-        ``target = inf``, never cross.
+        argument) and returns the rows whose stored energy would reach
+        their target on this tick, or ``None`` when no row would.
+        Like :meth:`Capacitor.charge_many`, those rows discard the
+        tick: their energy, ledgers and ``pending`` keep their bits,
+        and the device's own ``tick()`` runs it.  Dead rows evolve
+        garbage that is never read and, with ``target = inf``, never
+        cross.
         """
         dt = self.dt_s
         e = self.energy
@@ -207,12 +210,17 @@ class FleetArrays:
         leaked = v * v / self.leak_ohm * dt
         leaked = np.where(leaked > e, e, leaked)
         e -= leaked
+        crossed = e >= self.target
+        rows = np.flatnonzero(crossed) if crossed.any() else None
+        if rows is not None:
+            # Discard the candidate tick on these rows; adding 0.0
+            # keeps the bits of a ledger, which is never negative.
+            e[rows] = self.energy[rows]
+            charged[rows] = leaked[rows] = wasted[rows] = 0.0
+            self.pending -= crossed
         self.energy = e
         self.total_charged += charged
         self.total_leaked += leaked
         self.total_wasted += wasted
         self.pending += 1
-        crossed = e >= self.target
-        if crossed.any():
-            return np.flatnonzero(crossed)
-        return None
+        return rows

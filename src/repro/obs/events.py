@@ -14,7 +14,10 @@ Design constraints:
   ``bus is not None`` test, so an un-observed simulation allocates
   nothing on the hot path;
 * **deterministic ordering** — the sequence number makes event order
-  total even when many events share one tick timestamp.
+  total even when many events share one tick timestamp;
+* **delivered as emitted** — every engine stops its bulk calls before
+  event ticks, so a platform emits only on ticks the bus clock is
+  stamped for, and no emit needs buffering or re-sorting.
 """
 
 from __future__ import annotations
@@ -144,52 +147,22 @@ class Event:
 Subscriber = Callable[[Event], None]
 
 
-class StagedEvent:
-    """An emit captured during :meth:`EventBus.begin_staging`.
-
-    Producers running inside an opaque bulk operation (a platform's
-    ``fast_forward``) emit as usual; the bus buffers the calls with
-    their timestamps and the tick the producer stamped via
-    :meth:`EventBus.set_clock`, so the caller can later interleave them
-    with synthesized events in exact-engine order (see
-    :mod:`repro.obs.synth`).
-    """
-
-    __slots__ = ("name", "t_s", "tick", "data")
-
-    def __init__(self, name: str, t_s: float, tick: int, data: Dict) -> None:
-        self.name = name
-        self.t_s = t_s
-        self.tick = tick
-        self.data = data
-
-    def __repr__(self) -> str:
-        return (
-            f"StagedEvent({self.name!r}, t={self.t_s:.6g}s, "
-            f"tick={self.tick}, {self.data})"
-        )
-
-
 class EventBus:
     """Publish/subscribe hub for simulation events.
 
     Producers call :meth:`emit`; consumers :meth:`subscribe` either to
     everything or to a set of event names.  The bus carries the
-    simulation clock (:attr:`now_s`): the simulator advances it once
-    per tick so producers deeper in the stack (platform, policies)
+    simulation clock (:attr:`now_s`): the simulator stamps it before
+    every call into the platform, an exact tick or the first tick of a
+    bulk call, so producers deeper in the stack (platform, policies)
     need no time plumbing of their own.
     """
 
     def __init__(self) -> None:
         self.now_s: float = 0.0
-        #: Tick index matching :attr:`now_s`; producers inside a bulk
-        #: ``fast_forward`` stamp both via :meth:`set_clock` so staged
-        #: emits can later be merged in tick order.
-        self.now_tick: int = 0
         self._seq = 0
         self._all: List[Subscriber] = []
         self._named: Dict[str, List[Subscriber]] = {}
-        self._staging: Optional[List[StagedEvent]] = None
 
     # -- subscription ------------------------------------------------------
 
@@ -232,39 +205,6 @@ class EventBus:
         self.subscribe(log.append, names)
         return log
 
-    # -- clock + staging ---------------------------------------------------
-
-    def set_clock(self, tick: int, dt_s: float) -> None:
-        """Stamp the bus clock from a tick index.
-
-        ``now_s`` is computed as ``tick * dt_s`` — the same float
-        product the exact engine uses — so events emitted from inside a
-        bulk operation carry bitwise-identical timestamps.
-        """
-        self.now_tick = tick
-        self.now_s = tick * dt_s
-
-    def begin_staging(self) -> None:
-        """Start buffering emits instead of delivering them.
-
-        While staging is active, :meth:`emit` appends a
-        :class:`StagedEvent` (stamped with :attr:`now_tick`) and
-        delivers nothing; the sequence number does not advance.  The
-        caller drains the buffer with :meth:`end_staging` and replays
-        it in merged order (see :mod:`repro.obs.synth`).
-        """
-        if self._staging is not None:
-            raise RuntimeError("event staging already active")
-        self._staging = []
-
-    def end_staging(self) -> List[StagedEvent]:
-        """Stop staging and return the buffered emits in call order."""
-        if self._staging is None:
-            raise RuntimeError("event staging not active")
-        staged = self._staging
-        self._staging = None
-        return staged
-
     # -- publication -------------------------------------------------------
 
     def emit(self, name: str, t_s: Optional[float] = None, **data) -> Optional[Event]:
@@ -272,19 +212,10 @@ class EventBus:
 
         ``t_s`` defaults to the bus clock (:attr:`now_s`).  The
         :class:`Event` object is only constructed when at least one
-        subscriber will receive it.  During staging
-        (:meth:`begin_staging`) the call is buffered instead of
-        delivered and ``None`` is returned.
+        subscriber will receive it.
         """
         named = self._named.get(name)
         if not self._all and not named:
-            return None
-        if self._staging is not None:
-            self._staging.append(
-                StagedEvent(
-                    name, self.now_s if t_s is None else t_s, self.now_tick, data
-                )
-            )
             return None
         self._seq += 1
         event = Event(name, self.now_s if t_s is None else t_s, self._seq, data)

@@ -1,58 +1,50 @@
 """Run-length event synthesis: observability that survives the fast path.
 
-The steady-state fast-forward engine advances through analytically
-predictable tick runs in bulk, so nothing walks the trace tick by tick
-— yet subscribers expect the exact engine's event stream.  The
+The bulk engines advance through analytically predictable tick runs
+in one call, so nothing walks those ticks one by one — yet
+subscribers expect the exact engine's event stream.  The
 :class:`FastPathEventSynthesizer` reconstructs that stream, bitwise
-identical for every non-TICK event, from three sources:
+identical for every non-TICK event, from two sources:
 
 * **outage crossings** precomputed once from the rectified power trace
   by :func:`~repro.harvest.outage.outage_intervals`, the same
   intervals :func:`~repro.harvest.outage.analyze_outages` counts;
-* **platform emits staged** by the :class:`~repro.obs.events.EventBus`
-  during ``fast_forward`` (threshold/restore/wake events, stamped with
-  their tick via :meth:`~repro.obs.events.EventBus.set_clock`);
 * **state transitions and coarse samples** synthesized from the
-  ``(state, ticks)`` runs the fast path returns.
+  ``(state, ticks)`` runs a bulk call returns.
 
-The merged stream is delivered in the exact engine's per-tick phase
-order — outage crossings first, then platform-interior emits, then the
-state transition, then the coarse :data:`~repro.obs.events.SAMPLE` —
-so a non-TICK subscriber cannot tell which engine ran.  Equivalence is
-property-tested across presets and randomized traces in
-``tests/test_obs_synth.py``.
+A bulk call stops before every event tick, so a platform emits from
+inside one only at the call's first tick (a lazily re-planned
+threshold).  The simulator stamps the bus clock and flushes that
+tick's outages before every call into the platform, so those emits
+land where the exact engine puts them; the synthesizer then delivers
+the rest of the segment in the exact engine's per-tick order — outage
+crossings, then the state transition, then the coarse
+:data:`~repro.obs.events.SAMPLE` — so a non-TICK subscriber cannot
+tell which engine ran.  Equivalence is property-tested across presets
+and randomized traces in ``tests/test_obs_synth.py`` and
+``tests/test_fastpath_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.harvest.outage import outage_intervals
 from repro.harvest.traces import PowerTrace
 from repro.obs import events as ev
-from repro.obs.events import EventBus, StagedEvent
-
-#: Per-tick emission phases of the exact engine, used as merge keys:
-#: the simulator updates outage tracking before ``platform.tick``,
-#: the platform emits its interior events during the tick, the
-#: simulator emits the state transition after the tick returns, and
-#: the coarse sample closes the tick.
-PHASE_OUTAGE = 0
-PHASE_PLATFORM = 1
-PHASE_TRANSITION = 2
-PHASE_SAMPLE = 3
+from repro.obs.events import EventBus
 
 
 class FastPathEventSynthesizer:
     """Emits the exact engine's non-TICK event stream from run lengths.
 
     One instance serves one simulation: the simulator creates it
-    whenever a bus is attached, calls :meth:`integrate` after every
-    bulk segment, :meth:`flush_outages` before every exact tick
-    (hybrid runs interleave both engines), and :meth:`finish` at the
-    end.  It is the only outage emitter, so an exact-only run (a
+    whenever a bus is attached, calls :meth:`flush_outages` before
+    every call into the platform, :meth:`integrate` after every bulk
+    segment (hybrid runs interleave both engines), and :meth:`finish`
+    at the end.  It is the only outage emitter, so an exact-only run (a
     ``sim.tick`` subscriber, or both bulk paths switched off) replays
     the same crossings.
 
@@ -118,8 +110,9 @@ class FastPathEventSynthesizer:
     def flush_outages(self, through_tick: int) -> None:
         """Deliver every pending crossing with ``tick <= through_tick``.
 
-        The simulator calls this before each exact tick, where the
-        exact engine would have run its incremental outage update.
+        The simulator calls this before each call into the platform,
+        where the exact engine would have run its incremental outage
+        update.
         """
         for tick, is_begin in self._take(through_tick):
             self._emit_crossing(tick * self.dt_s, is_begin)
@@ -130,90 +123,40 @@ class FastPathEventSynthesizer:
         self,
         start: int,
         runs: Sequence[Tuple[str, int]],
-        staged: Optional[List[StagedEvent]],
         prev_state: Optional[str],
     ) -> None:
-        """Synthesize and deliver the events of one fast segment.
+        """Synthesize and deliver the events of one bulk segment.
+
+        Events go out in the exact engine's per-tick order: a tick's
+        outage crossings, then its state transition, then its coarse
+        sample.
 
         Args:
             start: first tick covered by ``runs``.
-            runs: the ``(state, ticks)`` runs ``fast_forward`` returned.
-            staged: platform emits captured by the bus during the call.
+            runs: the ``(state, ticks)`` runs the bulk call returned.
             prev_state: the simulator's run state before the segment
                 (``None`` at the very start of the simulation).
         """
-        # (tick, phase, kind, payload) — kind True = outage crossing
-        # carrying is_begin; kind False = direct emit carrying
-        # (name, t_s, data).  The sort is stable, so staged platform
-        # events sharing one tick keep their call order.
-        entries: List[Tuple[int, int, bool, object]] = []
+        emit = self.bus.emit
+        dt = self.dt_s
+        stride = self.sample_stride
         index = start
         state = prev_state
-        stride = self.sample_stride
         for run_state, count in runs:
             if run_state != state:
-                entries.append(
-                    (
-                        index,
-                        PHASE_TRANSITION,
-                        False,
-                        (
-                            ev.STATE_TRANSITION,
-                            None,
-                            {"state": run_state, "prev": state},
-                        ),
-                    )
+                self.flush_outages(index)
+                emit(
+                    ev.STATE_TRANSITION, index * dt,
+                    state=run_state, prev=state,
                 )
                 state = run_state
             if stride:
                 first = index + (-index % stride)
                 for tick in range(first, index + count, stride):
-                    entries.append(
-                        (
-                            tick,
-                            PHASE_SAMPLE,
-                            False,
-                            (ev.SAMPLE, None, {"state": run_state, "tick": tick}),
-                        )
-                    )
+                    self.flush_outages(tick)
+                    emit(ev.SAMPLE, tick * dt, state=run_state, tick=tick)
             index += count
-        for tick, is_begin in self._take(index - 1):
-            entries.append((tick, PHASE_OUTAGE, True, is_begin))
-        if staged:
-            for event in staged:
-                entries.append(
-                    (
-                        event.tick,
-                        PHASE_PLATFORM,
-                        False,
-                        (event.name, event.t_s, event.data),
-                    )
-                )
-        entries.sort(key=lambda e: (e[0], e[1]))
-        emit = self.bus.emit
-        dt = self.dt_s
-        for tick, _phase, is_crossing, payload in entries:
-            if is_crossing:
-                self._emit_crossing(tick * dt, payload)
-            else:
-                name, t_s, data = payload
-                emit(name, tick * dt if t_s is None else t_s, **data)
-
-    def flush_staged(
-        self, through_tick: int, staged: List[StagedEvent]
-    ) -> None:
-        """Deliver emits staged by a ``fast_forward`` probe that
-        returned no runs (e.g. a threshold recompute before deciding
-        the state cannot be fast-forwarded).
-
-        Pending outage crossings at or before ``through_tick`` go
-        first, matching the exact engine's phase order for the tick
-        the probe inspected.
-        """
-        self.flush_outages(through_tick)
-        emit = self.bus.emit
-        for event in staged:
-            emit(event.name, event.t_s, **event.data)
+        self.flush_outages(index - 1)
 
     # -- end of run --------------------------------------------------------
 

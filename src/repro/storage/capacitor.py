@@ -245,10 +245,10 @@ class Capacitor:
         but in one tight loop with no :class:`StorageStep` allocation
         or attribute traffic.
 
-        Stops *after* the first tick on which the stored energy
-        reaches ``stop_energy_j`` (the threshold-crossing tick is
-        consumed, matching the platform state machines, which charge
-        first and test the threshold second).  Returns
+        Stops *before* the first tick on which the stored energy
+        would reach ``stop_energy_j``: that tick's candidate values are
+        discarded, so the platform's own ``tick()`` runs it (charge,
+        threshold test, then the wake).  Returns
         ``(ticks_consumed, crossed)``.
         """
         if dt_s <= 0:
@@ -276,7 +276,6 @@ class Capacitor:
         crossed = False
         while index < stop:
             p_in = p_in_w[index]
-            index += 1
             wasted = 0.0
             voltage = sqrt(2.0 * energy / capacitance)
             input_energy = p_in * dt_s
@@ -288,6 +287,7 @@ class Capacitor:
             if blocked or input_energy == 0.0:
                 charged = 0.0
                 wasted += input_energy
+                new_energy = energy
             else:
                 if flat_eta is not None:
                     eta = flat_eta
@@ -302,18 +302,20 @@ class Capacitor:
                 if charged > headroom:
                     wasted += charged - headroom
                     charged = headroom
-                energy += charged
-            voltage = sqrt(2.0 * energy / capacitance)
+                new_energy = energy + charged
+            voltage = sqrt(2.0 * new_energy / capacitance)
             leaked = voltage * voltage / leak_ohm * dt_s
-            if leaked > energy:
-                leaked = energy
-            energy -= leaked
+            if leaked > new_energy:
+                leaked = new_energy
+            new_energy -= leaked
+            if new_energy >= target:
+                crossed = True
+                break
+            energy = new_energy
             total_charged += charged
             total_leaked += leaked
             total_wasted += wasted
-            if energy >= target:
-                crossed = True
-                break
+            index += 1
         self._energy_j = energy
         self.total_charged_j = total_charged
         self.total_leaked_j = total_leaked

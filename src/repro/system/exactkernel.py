@@ -15,9 +15,10 @@ sibling of ``fast_forward``): consume a run of predictable ``"run"``
 ticks in bulk, **stopping before the first event tick**, and return
 ``(state, ticks)`` runs — or ``None`` when the current state cannot be
 batched, upon which the simulator falls back to exact ticking.  The
-event tick itself always executes on the scalar path, so every state
-transition, backup, collapse and commit runs the same Python code in
-both engines.  A platform's ``exact_batch`` checks only its own
+event tick itself always executes on the scalar path — the same rule
+``fast_forward`` keeps for the wake tick — so every state transition,
+wake, backup, collapse and commit runs the same Python code in every
+engine.  A platform's ``exact_batch`` checks only its own
 preconditions and names its stop rules; :func:`run_batch` decides the
 rest and picks the kernel.
 
@@ -91,8 +92,8 @@ def run_batch(
     checked its own preconditions (powered on, no governor, ...).  It
     declines when the workload is finished or advertises no
     ``supports_exact_batch`` mode, or when a storage element does not
-    implement the ``soa_params()`` contract.  Otherwise it stamps the
-    bus clock and dispatches on the workload's mode:
+    implement the ``soa_params()`` contract.  Otherwise it dispatches
+    on the workload's mode:
 
     * ``"recurrence"`` — ``advance`` is the closed-form
       :class:`~repro.workloads.base.AbstractWorkload` time-credit
@@ -104,10 +105,11 @@ def run_batch(
     and on whether the platform has a storage element (the oracle has
     none).  ``stops`` returns the storage kernels' keyword stop rules
     (``stop_energy_j``, ``period_limit``, ``period_count``,
-    ``stop_at_unit_boundary``); it is called after the clock stamp, so
-    a lazily planned threshold emits with the tick the exact engine
-    would use.  Unit-boundary stops cannot be pre-checked on a
-    functional workload, so that combination declines.
+    ``stop_at_unit_boundary``); it is called once, at ``start``, the
+    tick the simulator stamped the bus clock for, so a lazily planned
+    threshold emits with the tick the exact engine would use.
+    Unit-boundary stops cannot be pre-checked on a functional
+    workload, so that combination declines.
 
     Returns:
         ``[("run", ticks)]``, or ``None`` when no tick can be batched
@@ -124,9 +126,6 @@ def run_batch(
     else:
         if getattr(storage, "soa_params", None) is None:
             return None
-        bus = getattr(platform, "bus", None)
-        if bus is not None:
-            bus.set_clock(start, dt_s)
         rules = stops() if stops is not None else {}
         if mode == "recurrence":
             ticks = storage_run(platform, p_in_w, start, stop, dt_s, **rules)
@@ -370,8 +369,8 @@ def isa_oracle_run(platform, start: int, stop: int, dt_s: float) -> int:
     The per-tick recurrence is the workload's own ``advance``
     (which drives the NV16 block engine), so the tick is executed
     for real; the batching win is eliminating the simulator's
-    per-tick overhead (bus staging, report objects, state-machine
-    dispatch) and bulk-applying the integer ledger commits.
+    per-tick overhead (report objects, state-machine dispatch) and
+    bulk-applying the integer ledger commits.
     Unlike :func:`oracle_run`, the finishing tick *is* consumed
     in-batch (the caller observes ``platform.finished`` after the
     batch); the batch simply stops after it.

@@ -2,9 +2,11 @@
 
 Every energy-buffered platform fast-forwards the same way: while
 dormant it charges toward an energy target through the storage
-element's ``charge_many`` primitive, attempts a wake on the
-threshold-crossing tick, and reports the consumed ticks as
-``(state, ticks)`` runs.  Each of :mod:`repro.core.nvp`,
+element's ``charge_many`` primitive, stops before the tick that would
+reach the target, and reports the consumed ticks as one
+``(state, ticks)`` run.  The wake attempt on that tick is an event
+tick like any other: the platform's own ``tick()`` runs it, in every
+engine.  Each of :mod:`repro.core.nvp`,
 :mod:`repro.baselines.checkpoint` and
 :mod:`repro.baselines.waitcompute` only describes *its* dormant
 behaviour as an :class:`OffRunPlan` and inherits ``fast_forward`` from
@@ -13,9 +15,8 @@ behaviour as an :class:`OffRunPlan` and inherits ``fast_forward`` from
 
 The plan is also the contract the fleet kernel
 (:mod:`repro.fleet.kernel`) drives: a dormant device advances through
-the vectorized struct-of-arrays charge step, and on the crossing tick
-the kernel calls the same ``on_cross`` hook this loop would, so both
-paths stay bit-identical to exact ticking.
+the vectorized struct-of-arrays charge step, which stops before the
+same tick, and then joins the exact path for it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, List, Optional, Tuple
 
 @dataclass
 class OffRunPlan:
-    """How a dormant platform charges and wakes.
+    """How a dormant platform charges.
 
     Attributes:
         state: run-length state name while dormant (``"off"`` or
@@ -37,16 +38,11 @@ class OffRunPlan:
         on_charged: optional bookkeeping for consumed dormant ticks
             (the NVP's retention-age clock); called after every charge
             run with the number of ticks consumed.
-        on_cross: wake attempt on the threshold-crossing tick.  Must
-            return the platform's :class:`~repro.system.simulator.TickReport`;
-            a report whose state equals ``state`` means the wake failed
-            and the crossing tick stays a dormant tick.
     """
 
     state: str
     target_j: Callable[[], float]
     on_charged: Optional[Callable[[int], None]]
-    on_cross: Callable[[], object]
 
 
 class OffRunFastForward:
@@ -62,8 +58,8 @@ class OffRunFastForward:
 
         Covers the steady states the per-tick loop wastes most of its
         time in: dormant charging toward the platform's wake target
-        (``"off"`` or ``"charge"``, ending with the wake attempt on the
-        crossing tick) and ``"done"`` (workload finished, storage still
+        (``"off"`` or ``"charge"``, stopping before the tick that
+        reaches it) and ``"done"`` (workload finished, storage still
         integrating the trace).  Every float operation matches the
         exact path bit-for-bit.
 
@@ -91,9 +87,10 @@ def fast_forward_offruns(
     Implements the :meth:`OffRunFastForward.fast_forward` contract for
     any platform that exposes ``off_plan(dt_s)``: delegates the
     arithmetic to the storage element's ``charge_many`` so every float
-    operation matches the exact path bit-for-bit, and runs the wake
-    attempt on the crossing tick through the platform's own transition
-    hook.
+    operation matches the exact path bit-for-bit, and leaves the tick
+    that reaches the wake target to the platform's own ``tick()``.
+    The plan's target is read once, at ``start``, so a platform emits
+    from inside this call only at that tick.
 
     Args:
         platform: the platform being advanced; must expose
@@ -104,10 +101,10 @@ def fast_forward_offruns(
         dt_s: tick duration.
 
     Returns:
-        ``(state, ticks)`` runs covering every consumed tick, in
-        order — or ``None`` when the platform state cannot be
-        fast-forwarded (the simulator then falls back to exact
-        ticking).
+        ``[(state, ticks)]`` covering the consumed ticks — or ``None``
+        when the platform state cannot be fast-forwarded or its first
+        tick already reaches the target (the simulator then falls back
+        to exact ticking).
     """
     charge_many = getattr(platform.storage, "charge_many", None)
     if charge_many is None:
@@ -118,38 +115,9 @@ def fast_forward_offruns(
     plan = platform.off_plan(dt_s)
     if plan is None:
         return None
-    bus = getattr(platform, "bus", None)
-    if bus is not None:
-        # Stamp the bus clock so emits from inside the bulk operation
-        # (threshold recompute, wake events) carry the tick the exact
-        # engine would have used.
-        bus.set_clock(start, dt_s)
-    runs: List[Tuple[str, int]] = []
-    pending = 0
-    index = start
-    while index < stop:
-        consumed, crossed = charge_many(
-            p_in_w, index, stop, dt_s, plan.target_j()
-        )
-        index += consumed
-        if plan.on_charged is not None:
-            plan.on_charged(consumed)
-        pending += consumed
-        if not crossed:
-            break
-        if bus is not None:
-            # The crossing tick is the last one consumed.
-            bus.set_clock(index - 1, dt_s)
-        report = plan.on_cross()
-        if report.state == plan.state:
-            # Wake failed; the crossing tick stays a dormant tick and
-            # charging resumes.
-            continue
-        pending -= 1
-        if pending:
-            runs.append((plan.state, pending))
-        runs.append((report.state, 1))
-        return runs
-    if pending:
-        runs.append((plan.state, pending))
-    return runs or None
+    consumed, _ = charge_many(p_in_w, start, stop, dt_s, plan.target_j())
+    if not consumed:
+        return None
+    if plan.on_charged is not None:
+        plan.on_charged(consumed)
+    return [(plan.state, consumed)]

@@ -38,10 +38,16 @@ Three engine optimisations keep long traces cheap (see
   ``use_exact_batch`` knob and ``sim_ticks{path="exact_batch"}``
   accounting.
 
-Both bulk paths run through one probe loop: fast-forward first, then
-the batch kernel, each disarmed after a miss and re-armed on the next
-state transition.  Every path keeps its books in one :class:`RunTally`,
-the same one the fleet kernel keeps per device.
+Both bulk paths keep one contract: they stop before every event tick
+(fast-forward before the tick that reaches the wake target), which
+then runs through the platform's own ``tick()``.  They run through one
+probe loop: fast-forward first, then the batch kernel, each disarmed
+after a miss and re-armed on the next state transition or after the
+exact tick that follows a bulk run.  Before every call into the
+platform the simulator stamps the bus clock and flushes that tick's
+outages, so the events a platform emits land in the exact engine's
+order.  Every path keeps its books in one :class:`RunTally`, the same
+one the fleet kernel keeps per device.
 """
 
 from __future__ import annotations
@@ -374,34 +380,28 @@ class SystemSimulator:
         # ``paths[armed:]`` are the probes still armed.  A miss disarms
         # the path that missed, so a platform stuck in an unbatchable
         # state does not pay a failed call per tick; any state
-        # transition re-arms every path.
+        # transition re-arms every path.  A bulk run stops before an
+        # event tick, where the same probe would miss, so the tick
+        # after it runs exactly and then re-arms every path too.
         n_paths = len(paths)
         armed = 0
+        rejoin = False
 
         while index < n_ticks:
+            if bus is not None:
+                # A platform emits only at the first tick of a call.
+                bus.now_s = index * dt
+                synth.flush_outages(index)
             runs = None
             while armed < n_paths:
                 name, advance = paths[armed]
-                if synth is not None:
-                    # Buffer platform emits (threshold recompute,
-                    # restore/wake) so they can be merged with the
-                    # synthesized stream in exact-engine order.
-                    bus.begin_staging()
-                    try:
-                        runs = advance(p_in_w, index, n_ticks, dt)
-                    finally:
-                        staged = bus.end_staging()
-                else:
-                    runs = advance(p_in_w, index, n_ticks, dt)
-                    staged = None
+                runs = advance(p_in_w, index, n_ticks, dt)
                 if runs:
                     break
-                if synth is not None and staged:
-                    synth.flush_staged(index, staged)
                 armed += 1
             if runs:
                 if synth is not None:
-                    synth.integrate(index, runs, staged, tally.state)
+                    synth.integrate(index, runs, tally.state)
                 begin = index
                 for state, count in runs:
                     tally.add(state, count)
@@ -409,12 +409,10 @@ class SystemSimulator:
                 bulk_ticks[name] += index - begin
                 if tally.finish(platform, index) and self.stop_when_finished:
                     break
+                armed = n_paths
+                rejoin = True
                 continue
-            p_in = p_in_w[index]
-            if bus is not None:
-                bus.now_s = index * dt
-                synth.flush_outages(index)
-            report = platform.tick(p_in, dt)
+            report = platform.tick(p_in_w[index], dt)
             state = report.state
             index += 1
             ticks_exact += 1
@@ -423,6 +421,9 @@ class SystemSimulator:
                 if bus is not None:
                     bus.emit(ev.STATE_TRANSITION, state=state, prev=prev)
                 armed = 0
+            elif rejoin:
+                armed = 0
+            rejoin = False
             if want_samples and (index - 1) % self.sample_stride == 0:
                 bus.emit(ev.SAMPLE, state=state, tick=index - 1)
             if want_ticks:

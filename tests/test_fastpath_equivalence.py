@@ -8,6 +8,8 @@ outage-heavy square waves, across every platform preset, compared field
 by field with strict equality (no ``approx``).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -207,13 +209,10 @@ class TestSynthesizedEventStreams:
     scalar interpreter emits — `(name, t_s, seq, data)` tuples equal,
     in order, across platforms and sources."""
 
-    @pytest.mark.parametrize("platform", sorted(PLATFORM_BUILDERS))
-    @pytest.mark.parametrize("trace_kind", sorted(TRACE_MAKERS))
-    def test_streams_bitwise_identical_across_engines(
-        self, platform, trace_kind
-    ):
-        trace = TRACE_MAKERS[trace_kind](3)
-        builder = PLATFORM_BUILDERS[platform]
+    @staticmethod
+    def assert_engines_agree(builder, trace):
+        """Every engine combination emits the scalar engine's stream
+        and result; returns that stream."""
 
         def stream(fast, batch):
             bus = EventBus()
@@ -230,6 +229,48 @@ class TestSynthesizedEventStreams:
             events, result = stream(fast, batch)
             assert events == scalar_events, (fast, batch)
             assert result.to_dict() == scalar_result.to_dict()
+        return scalar_events
+
+    @pytest.mark.parametrize("platform", sorted(PLATFORM_BUILDERS))
+    @pytest.mark.parametrize("trace_kind", sorted(TRACE_MAKERS))
+    def test_streams_bitwise_identical_across_engines(
+        self, platform, trace_kind
+    ):
+        self.assert_engines_agree(
+            PLATFORM_BUILDERS[platform], TRACE_MAKERS[trace_kind](3)
+        )
+
+    @pytest.mark.parametrize("trace_kind, recomputes", [
+        ("rf", 22), ("square_outage", 1), ("wristwatch", 26),
+    ])
+    def test_adaptive_margin_streams_bitwise_identical(
+        self, trace_kind, recomputes
+    ):
+        """Margin changes make the NVP re-plan its thresholds inside
+        ``fast_forward``'s ``target_j()``: the one emit a platform
+        makes from inside a bulk call, at the call's first tick."""
+        from repro.core.config import NVPConfig
+        from repro.core.nvp import NVPPlatform
+        from repro.system.presets import nvp_capacitor
+        from tests.test_adaptive_margin import UnderestimatingWorkload
+
+        def adaptive_nvp(workload):
+            del workload
+            return NVPPlatform(
+                UnderestimatingWorkload(),
+                nvp_capacitor(),
+                NVPConfig(backup_margin=1.0, label="nvp"),
+                seed=0,
+                adaptive_margin=True,
+            )
+
+        if trace_kind == "wristwatch":
+            trace = wristwatch_trace(6.0, seed=2018, mean_power_w=20e-6)
+        else:
+            trace = TRACE_MAKERS[trace_kind](3)
+        events = self.assert_engines_agree(adaptive_nvp, trace)
+        names = [name for name, *_ in events]
+        assert names.count(ev.THRESHOLD_RECOMPUTE) == recomputes
 
 
 class TestChargeManyPrimitive:
@@ -265,22 +306,30 @@ class TestChargeManyPrimitive:
         assert bulk.total_wasted_j == reference.total_wasted_j
         assert bulk.total_leaked_j == reference.total_leaked_j
 
-    def test_stops_after_crossing_tick(self):
+    def test_stops_before_crossing_tick(self):
         cap = Capacitor(150e-9)
         target = 2e-8
         powers = [100e-6] * 1000
         consumed, crossed = cap.charge_many(powers, 0, len(powers), 1e-4,
                                             target)
         assert crossed
-        assert cap.energy_j >= target
-        # The reference loop crosses on the same tick.
+        assert cap.energy_j < target
+        # The reference loop stops before the step that reaches the
+        # target; the platform's own tick() runs that step.
         reference = Capacitor(150e-9)
         ticks = 0
-        while reference.energy_j < target:
-            reference.step(100e-6, 0.0, 1e-4)
+        while True:
+            trial = copy.deepcopy(reference)
+            trial.step(100e-6, 0.0, 1e-4)
+            if trial.energy_j >= target:
+                break
+            reference = trial
             ticks += 1
         assert ticks == consumed
-        assert reference.energy_j == cap.energy_j
+        assert cap.energy_j == reference.energy_j
+        assert cap.total_charged_j == reference.total_charged_j
+        assert cap.total_wasted_j == reference.total_wasted_j
+        assert cap.total_leaked_j == reference.total_leaked_j
 
     def test_respects_window_bounds(self):
         cap = Capacitor(150e-9)
@@ -436,6 +485,38 @@ class TestFleetEquivalence:
         )
         assert_identical(fleet_result, single)
 
+    def test_failed_wakes_match_engine(self):
+        """A wake that fails on the crossing tick leaves the device
+        dormant in every engine.  Here each restore costs 1% more than
+        the start threshold its plan was made with."""
+        from repro.exp.runner import build_simulator, build_trace
+        from repro.fleet import FleetKernel
+
+        def overpriced_restore(platform):
+            needed = 1.01 * platform.thresholds(1e-4).start_threshold_j
+            platform.controller.restore_energy_j = lambda: needed
+
+        configs = [
+            fleet_config("nvp", {"source": "wristwatch"}, seed=4,
+                         trace_offset_s=offset)
+            for offset in (0.0, 0.05, 0.3)
+        ]
+        kernel = FleetKernel(configs)
+        for dev in kernel.devices:
+            overpriced_restore(dev.platform)
+        for config, result in zip(configs, kernel.run()):
+            assert result.failed_restores > 0 and result.restores > 0
+            trace = build_trace(config)
+            if config["trace_offset_s"]:
+                trace = trace.tail(config["trace_offset_s"])
+            for fast, batch in ((False, False), (None, None)):
+                simulator = build_simulator(
+                    config, trace, use_fast_forward=fast,
+                    use_exact_batch=batch,
+                )
+                overpriced_restore(simulator.platform)
+                assert simulator.run().to_dict() == result.to_dict()
+
     def test_fleet_rejects_empty_fleet(self):
         from repro.fleet import FleetKernel
 
@@ -447,7 +528,7 @@ class TestOffRunPlanDelegation:
     """Regression pin: every dormant-capable platform fast-forwards
     through the one shared loop in system/fastpath.py (the
     deduplicated charge-many fallback), and the fleet kernel drives
-    the same OffRunPlan hooks."""
+    the same OffRunPlan."""
 
     def test_platforms_delegate_to_shared_offrun_loop(self, monkeypatch):
         from repro.system import fastpath
@@ -474,7 +555,6 @@ class TestOffRunPlanDelegation:
             plan = platform.off_plan(1e-4)
             assert isinstance(plan, OffRunPlan)
             assert callable(plan.target_j)
-            assert callable(plan.on_cross)
 
 
 class TestCompiledWorkloadRouting:

@@ -167,6 +167,47 @@ class TestSoAContract:
         arrays.store_row(0, cap)
         assert cap.soa_state() == twin.soa_state()
 
+    def test_charge_tick_discards_the_tick_that_reaches_a_target(self):
+        """A row that would reach its target keeps its bits; the
+        device's own tick() runs that tick."""
+        dt = 1e-4
+        powers = [40e-6, 55e-6]
+        twins = [
+            Capacitor(capacitance_f=150e-9, v_initial_v=v)
+            for v in (0.3, 0.6, 0.9)
+        ]
+        arrays = FleetArrays(3, dt)
+        for row, twin in enumerate(twins):
+            arrays.set_params(row, twin.soa_params(), base=0)
+            arrays.load_row(row, twin, target_j=float("inf"))
+        arrays.charge_tick(np.full(3, powers[0]))
+        # Row 1's target is exactly the energy its next tick reaches.
+        probe = Capacitor(capacitance_f=150e-9, v_initial_v=0.6)
+        probe.charge_many(powers, 0, 2, dt)
+        arrays.target[1] = probe.energy_j
+
+        def row_bits(row):
+            return [
+                getattr(arrays, name)[row].tobytes()
+                for name in ("energy", "total_charged", "total_leaked",
+                             "total_wasted", "pending")
+            ]
+
+        kept = row_bits(1)
+        crossed = arrays.charge_tick(np.full(3, powers[1]))
+        assert crossed.tolist() == [1]
+        assert row_bits(1) == kept
+        assert arrays.pending.tolist() == [2, 1, 2]
+        expect = [(2, False), (1, True), (2, False)]
+        for row, twin in enumerate(twins):
+            target = probe.energy_j if row == 1 else None
+            assert twin.charge_many(powers, 0, 2, dt, target) == expect[row]
+            vector = Capacitor(capacitance_f=150e-9)
+            arrays.store_row(row, vector)
+            assert [np.float64(x).tobytes() for x in vector.soa_state()] == [
+                np.float64(x).tobytes() for x in twin.soa_state()
+            ]
+
 
 class TestRunFleet:
     def test_cache_roundtrip(self, tmp_path):

@@ -172,44 +172,3 @@ class TestEngineSelection:
                 sample_stride=-1,
             )
 
-
-class TestStagingApi:
-    def test_staged_events_replay_with_original_stamps(self):
-        bus = EventBus()
-        log = bus.record(names=(ev.WAKE,))
-        bus.set_clock(25, 1e-4)
-        bus.begin_staging()
-        bus.emit(ev.WAKE, latency_s=1e-6)
-        assert len(log) == 0, "staged emits must not reach subscribers yet"
-        staged = bus.end_staging()
-        assert [(s.name, s.tick, s.t_s) for s in staged] == [
-            (ev.WAKE, 25, 25 * 1e-4)
-        ]
-
-    def test_unsubscribed_emits_are_never_staged(self):
-        bus = EventBus()
-        bus.record(names=(ev.SIM_END,))
-        bus.begin_staging()
-        bus.emit(ev.WAKE, latency_s=1e-6)
-        assert bus.end_staging() == []
-
-    def test_double_begin_raises(self):
-        bus = EventBus()
-        bus.begin_staging()
-        with pytest.raises(RuntimeError):
-            bus.begin_staging()
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            EventBus().end_staging()
-
-    def test_seq_not_consumed_while_staged(self):
-        """Staged emits must not burn sequence numbers until replayed."""
-        bus = EventBus()
-        log = bus.record(names=(ev.WAKE, ev.SIM_END))
-        bus.begin_staging()
-        bus.emit(ev.WAKE, latency_s=1e-6)
-        bus.end_staging()
-        bus.emit(ev.SIM_END, t_s=0.0)
-        # Sequence numbers start at 1; the staged WAKE consumed none.
-        assert [e.seq for e in log] == [1]
