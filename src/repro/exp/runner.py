@@ -59,22 +59,18 @@ def build_trace(config: Dict):
         SOURCE_GENERATORS,
         constant_trace,
         hybrid_trace,
-        standard_profiles,
+        standard_profile,
     )
 
     source = config["source"]
     duration = config["duration_s"]
     seed = config["seed"]
     if source == "profile":
-        profiles = standard_profiles(
-            duration_s=duration, seed=seed, count=config["profile_count"]
-        )
         index = config["profile_index"]
-        if not 0 <= index < len(profiles):
-            raise ValueError(
-                f"profile_index {index} outside 0..{len(profiles) - 1}"
-            )
-        return profiles[index]
+        count = config["profile_count"]
+        if not 0 <= index < count:
+            raise ValueError(f"profile_index {index} outside 0..{count - 1}")
+        return standard_profile(index, duration, seed=seed)
     if source == "constant":
         mean_uw = config["mean_uw"] if config["mean_uw"] is not None else 20.0
         return constant_trace(mean_uw * 1e-6, duration)

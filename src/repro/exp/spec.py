@@ -77,6 +77,12 @@ _NUMERIC_KEYS = {
 #: Lowest value a finite numeric key may take.
 _MINIMUMS = {"mean_uw": 0, "energy_margin": 1}
 
+#: Integer config keys checked at the boundary, with their lowest value.
+_INTEGER_KEYS = {
+    "seed": 0, "platform_seed": 0,
+    "profile_index": 0, "profile_count": 1, "frames": 1,
+}
+
 
 def _nvp_field_names() -> Tuple[str, ...]:
     from repro.core.config import NVPConfig
@@ -194,10 +200,13 @@ def resolve_config(config: Mapping) -> Dict:
     for key, low in _MINIMUMS.items():
         if merged[key] is not None and merged[key] < low:
             raise ValueError(f"{key} must be >= {low}")
-    frames = merged["frames"]
-    if (isinstance(frames, bool) or not isinstance(frames, numbers.Integral)
-            or frames < 1):
-        raise ValueError("frames must be a positive integer")
+    for key, low in _INTEGER_KEYS.items():
+        value = merged[key]
+        # ``True`` is an Integral too, and would run as 1.
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < low):
+            kind = "positive" if low == 1 else "non-negative"
+            raise ValueError(f"{key} must be a {kind} integer")
     if merged["stop_when_finished"] is None:
         merged["stop_when_finished"] = merged["kernel"] is not None
     return merged

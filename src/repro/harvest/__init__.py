@@ -20,6 +20,7 @@ from repro.harvest.sources import (
     thermal_trace,
     wristwatch_trace,
     SOURCE_GENERATORS,
+    standard_profile,
     standard_profiles,
 )
 from repro.harvest.rectifier import Rectifier
@@ -37,6 +38,7 @@ __all__ = [
     "rf_trace",
     "solar_trace",
     "square_trace",
+    "standard_profile",
     "standard_profiles",
     "thermal_trace",
     "wristwatch_trace",

@@ -50,16 +50,23 @@ def _ou_process(
     rng: np.random.Generator,
     x0: float = 0.0,
 ) -> np.ndarray:
-    """Ornstein–Uhlenbeck process with unit mean-reversion target 0."""
+    """Ornstein–Uhlenbeck process with unit mean-reversion target 0.
+
+    The recurrence runs on Python floats (iterating a ``memoryview``
+    yields plain floats, where indexing the array would box a numpy
+    scalar per sample): the same multiply-then-add, bit for bit.
+    """
     alpha = float(np.exp(-dt_s / tau_s))
     noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
     steps = rng.standard_normal(n) * noise_scale
-    x = np.empty(n)
-    value = x0
-    for i in range(n):
-        value = alpha * value + steps[i]
-        x[i] = value
-    return x
+
+    def walk():
+        value = x0
+        for step in memoryview(steps):
+            value = alpha * value + step
+            yield value
+
+    return np.fromiter(walk(), dtype=float, count=n)
 
 
 def constant_trace(
@@ -268,6 +275,36 @@ def hybrid_trace(
     return combine_traces(traces, source="+".join(sources))
 
 
+#: Mean power of the standard profiles; profile ``i`` uses entry
+#: ``i % 5``.
+_PROFILE_MEANS_W = (25e-6, 18e-6, 14e-6, 30e-6, 12e-6)
+
+
+def standard_profile(
+    index: int,
+    duration_s: float = 10.0,
+    dt_s: float = DEFAULT_DT_S,
+    seed: int = 2017,
+) -> PowerTrace:
+    """Standard evaluation profile ``index`` (0-based), on its own.
+
+    A wristwatch trace at the profile's mean power, drawn from the
+    RNG stream ``seed + index`` and labelled ``profile-<index + 1>``:
+    entry ``index`` of :func:`standard_profiles` without building the
+    others.
+    """
+    if index < 0:
+        raise ValueError("profile index must be >= 0")
+    trace = wristwatch_trace(
+        duration_s,
+        dt_s,
+        mean_power_w=_PROFILE_MEANS_W[index % len(_PROFILE_MEANS_W)],
+        seed=seed + index,
+    )
+    trace.source = f"profile-{index + 1}"
+    return trace
+
+
 def standard_profiles(
     duration_s: float = 10.0,
     dt_s: float = DEFAULT_DT_S,
@@ -283,13 +320,7 @@ def standard_profiles(
     """
     if count < 1:
         raise ValueError("need at least one profile")
-    profiles = []
-    means = [25e-6, 18e-6, 14e-6, 30e-6, 12e-6]
-    for index in range(count):
-        mean = means[index % len(means)]
-        trace = wristwatch_trace(
-            duration_s, dt_s, mean_power_w=mean, seed=seed + index
-        )
-        trace.source = f"profile-{index + 1}"
-        profiles.append(trace)
-    return profiles
+    return [
+        standard_profile(index, duration_s, dt_s, seed)
+        for index in range(count)
+    ]

@@ -23,6 +23,11 @@ from repro.nvm.retention import (
 from repro.nvm.sttram import DEFAULT_STT, STTParameters
 from repro.nvm.technology import NVMTechnology, FERAM
 
+#: ``2**b`` for bit ``b`` of a word: a row of an outage's flip matrix,
+#: weighted by these and summed, is that word's XOR mask.
+_BIT_WEIGHTS = np.left_shift(np.uint32(1), np.arange(32, dtype=np.uint32))
+_BIT_WEIGHTS.flags.writeable = False
+
 
 @dataclass
 class ArrayStats:
@@ -187,13 +192,14 @@ class NVMArray:
         relaxed = rng.random((len(valid_idx), self.word_bits)) < p_relax
         # A relaxed cell reads back a random bit: it flips with p=0.5.
         flips = relaxed & (rng.random(relaxed.shape) < 0.5)
-        for bit in range(self.word_bits):
-            self.stats.bit_failures[bit] += int(relaxed[:, bit].sum())
+        failures = self.stats.bit_failures
+        for bit, count in enumerate(relaxed.sum(axis=0).tolist()):
+            failures[bit] += count
         if not flips.any():
             return 0
-        flip_masks = np.zeros(len(valid_idx), dtype=np.uint32)
-        for bit in range(self.word_bits):
-            flip_masks |= flips[:, bit].astype(np.uint32) << bit
+        flip_masks = (flips * _BIT_WEIGHTS[: self.word_bits]).sum(
+            axis=1, dtype=np.uint32
+        )
         self._words[valid_idx] ^= flip_masks
         return int(flips.sum())
 

@@ -263,6 +263,7 @@ class TestMalformedFlags:
         (["compare", "--duration", "0"], "duration_s"),
         (["compare", "--mean-uw", "nan"], "mean_uw"),
         (["outages", "--duration", "-1"], "duration_s"),
+        (["simulate", "--seed", "-1"], "seed"),
     ])
     def test_one_error_line_exit_2(self, capsys, argv, key):
         # A flag check returns 2; a trace/workload flag exits with 2.

@@ -58,6 +58,28 @@ class TestExecuteRun:
         ).run()
         assert via_engine == direct.to_dict()
 
+    @pytest.mark.parametrize("index", [0, 4, 6])
+    def test_profile_point_builds_only_its_profile(self, monkeypatch, index):
+        from repro.exp.runner import build_trace
+        from repro.exp.spec import resolve_config
+        from repro.harvest import sources
+
+        calls = []
+        real = sources.wristwatch_trace
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        config = resolve_config({
+            "source": "profile", "profile_index": index, "profile_count": 7,
+            "seed": 2017, "duration_s": 0.5,
+        })
+        expected = sources.standard_profiles(0.5, seed=2017, count=7)[index]
+        monkeypatch.setattr(sources, "wristwatch_trace", counting)
+        assert build_trace(config) == expected
+        assert calls == [2017 + index]
+
     def test_profile_index_out_of_range(self):
         config = fast_spec().expand()[0] | {
             "source": "profile", "profile_index": 9,

@@ -84,6 +84,18 @@ class TestResolveConfig:
         ("mean_uw", -1.0, ">= 0"),
         ("frames", 2.5, "a positive integer"),
         ("frames", 0, "a positive integer"),
+        ("frames", True, "a positive integer"),
+        ("seed", 1.5, "a non-negative integer"),
+        ("seed", -3, "a non-negative integer"),
+        ("seed", "7", "a non-negative integer"),
+        ("seed", True, "a non-negative integer"),
+        ("platform_seed", 2.5, "a non-negative integer"),
+        ("platform_seed", -1, "a non-negative integer"),
+        ("profile_index", 1.0, "a non-negative integer"),
+        ("profile_index", True, "a non-negative integer"),
+        ("profile_index", -1, "a non-negative integer"),
+        ("profile_count", 0, "a positive integer"),
+        ("profile_count", 2.0, "a positive integer"),
         ("nvp.backup_margin", float("nan"), ">= 1.0 and finite"),
         ("nvp.clock_hz", float("inf"), "positive and finite"),
         ("nvp.run_reserve_ticks", float("nan"), ">= 0 and finite"),
@@ -94,6 +106,11 @@ class TestResolveConfig:
         field = key.split(".")[-1]
         with pytest.raises(ValueError, match=f"^{field} must be {message}$"):
             resolve_config({key: value})
+
+    def test_profile_index_past_count_left_to_the_run(self):
+        # Such a point fails at run time and the rest of the sweep goes on.
+        config = resolve_config({"source": "profile", "profile_index": 9})
+        assert config["profile_index"] == 9
 
 
 class TestConfigHash:

@@ -3,17 +3,88 @@
 import numpy as np
 import pytest
 
+from repro.harvest import sources
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import (
     SOURCE_GENERATORS,
+    _ou_process,
     constant_trace,
+    hybrid_trace,
     rf_trace,
     solar_trace,
     square_trace,
+    standard_profile,
     standard_profiles,
     thermal_trace,
     wristwatch_trace,
 )
+from repro.harvest.traces import DEFAULT_DT_S
+
+
+def reference_ou_process(n, dt_s, tau_s, sigma, rng, x0=0.0):
+    """The numpy-indexed loop ``_ou_process`` replaced, as its reference."""
+    alpha = float(np.exp(-dt_s / tau_s))
+    noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
+    steps = rng.standard_normal(n) * noise_scale
+    x = np.empty(n)
+    value = x0
+    for i in range(n):
+        value = alpha * value + steps[i]
+        x[i] = value
+    return x
+
+
+#: The ``(tau_s, sigma)`` pairs the generators pass to ``_ou_process``.
+OU_PARAMS = [(4e-3, 1.4), (0.5, 0.6), (5.0, 0.5)]
+
+
+def bits(samples):
+    """The float64 samples' bit patterns, so ``-0.0 != 0.0``."""
+    return samples.view(np.uint64)
+
+
+def generated_traces(seed):
+    """One trace per stochastic generator, a hybrid and the profiles."""
+    traces = [(name, gen(1.0, seed=seed))
+              for name, gen in sorted(SOURCE_GENERATORS.items())]
+    traces.append(("hybrid", hybrid_trace(1.0, seed=seed)))
+    traces += [(p.source, p) for p in standard_profiles(0.5, seed=seed)]
+    return traces
+
+
+class TestOUProcess:
+    """``_ou_process`` runs the recurrence on Python floats; the
+    numpy-indexed loop it replaced is the reference, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    @pytest.mark.parametrize("tau_s, sigma", OU_PARAMS)
+    @pytest.mark.parametrize("x0", [0.0, 0.3])
+    def test_matches_indexed_loop(self, n, tau_s, sigma, x0):
+        rng_ref = np.random.default_rng(11)
+        rng = np.random.default_rng(11)
+        want = reference_ou_process(n, DEFAULT_DT_S, tau_s, sigma, rng_ref, x0)
+        got = _ou_process(n, DEFAULT_DT_S, tau_s, sigma, rng, x0)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(bits(got), bits(want))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [5, 2017])
+    def test_generators_unchanged_under_reference_loop(
+        self, monkeypatch, seed
+    ):
+        current = generated_traces(seed)
+        used = set()
+
+        def reference(n, dt_s, tau_s, sigma, rng, x0=0.0):
+            used.add((tau_s, sigma))
+            return reference_ou_process(n, dt_s, tau_s, sigma, rng, x0)
+
+        monkeypatch.setattr(sources, "_ou_process", reference)
+        expected = generated_traces(seed)
+        assert used == set(OU_PARAMS)
+        for (name, got), (_, want) in zip(current, expected):
+            assert got.source == want.source, name
+            assert np.array_equal(bits(got.samples_w), bits(want.samples_w)), name
 
 
 class TestDeterminism:
@@ -131,3 +202,16 @@ class TestStandardProfiles:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             standard_profiles(count=0)
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_standard_profile_is_that_entry(self, index):
+        # Seven profiles cover the means cycling past the fifth.
+        whole = standard_profiles(0.5, seed=2017, count=7)[index]
+        alone = standard_profile(index, 0.5, seed=2017)
+        assert alone.source == whole.source == f"profile-{index + 1}"
+        assert np.array_equal(bits(alone.samples_w), bits(whole.samples_w))
+        assert alone == whole
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="profile index"):
+            standard_profile(-1, 0.5)

@@ -4,8 +4,32 @@ import numpy as np
 import pytest
 
 from repro.nvm.array import NVMArray
+from repro.nvm.ecc import CODEWORD_BITS
 from repro.nvm.retention import LinearPolicy, UniformPolicy
 from repro.nvm.technology import FERAM, STT_MRAM
+
+
+def reference_power_outage(array, duration_s, rng):
+    """The per-bit loops ``NVMArray.power_outage`` replaced, as its
+    reference."""
+    if duration_s < 0:
+        raise ValueError("outage duration cannot be negative")
+    array.stats.outages += 1
+    valid_idx = np.flatnonzero(array._valid)
+    if len(valid_idx) == 0 or duration_s == 0.0:
+        return 0
+    p_relax = 1.0 - np.exp(-duration_s / array._retention_profile)
+    relaxed = rng.random((len(valid_idx), array.word_bits)) < p_relax
+    flips = relaxed & (rng.random(relaxed.shape) < 0.5)
+    for bit in range(array.word_bits):
+        array.stats.bit_failures[bit] += int(relaxed[:, bit].sum())
+    if not flips.any():
+        return 0
+    flip_masks = np.zeros(len(valid_idx), dtype=np.uint32)
+    for bit in range(array.word_bits):
+        flip_masks |= flips[:, bit].astype(np.uint32) << bit
+    array._words[valid_idx] ^= flip_masks
+    return int(flips.sum())
 
 
 class TestBasicOps:
@@ -126,3 +150,36 @@ class TestOutages:
         )
         assert changed_bits == flips
         assert flips > 0
+
+
+class TestOutageMatchesReference:
+    """``power_outage`` ages all bits in one pass; the per-bit loops it
+    replaced are the reference, call for call."""
+
+    @pytest.mark.parametrize("word_bits", [1, 16, CODEWORD_BITS, 32])
+    @pytest.mark.parametrize("policy", [
+        UniformPolicy(STT_MRAM.retention_s), LinearPolicy(1e-4, 1e-2),
+    ], ids=["precise", "relaxed-linear"])
+    @pytest.mark.parametrize("stride", [1, 3], ids=["full", "partly-written"])
+    def test_twin_arrays_agree(self, word_bits, policy, stride):
+        arrays = [
+            NVMArray(24, STT_MRAM, policy=policy, word_bits=word_bits)
+            for _ in range(2)
+        ]
+        values = np.random.default_rng(5).integers(0, 1 << word_bits, 24)
+        for array in arrays:
+            for address in range(0, 24, stride):
+                array.write(address, int(values[address]))
+        new, ref = arrays
+        rng_new, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        retention = policy.retention_s(word_bits // 2, word_bits)
+        durations = [0.0, 1e-6, retention, 1e9]
+        for k in range(200):
+            duration = durations[k % len(durations)]
+            assert new.power_outage(duration, rng_new) == reference_power_outage(
+                ref, duration, rng_ref
+            )
+            assert np.array_equal(new._words, ref._words)
+            assert new.stats.bit_failures == ref.stats.bit_failures
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert new.stats.outages == ref.stats.outages == 200
