@@ -5,9 +5,9 @@ dict chain and one ``StepInfo`` allocation *per instruction* — the last
 scalar-interpreter hot path in the codebase, and the reason real
 kernels (FIR, Sobel, CRC, matmul) crawl while abstract workloads fly
 through the batched exact kernel.  This module compiles a decoded
-program once into basic blocks of specialized register-transfer
-closures and executes straight-line runs as fused loops, bit-for-bit
-identical to a pure ``step()`` loop.
+program once into basic blocks, each both a table of specialized
+per-instruction closures and one generated function for the whole
+block, bit-for-bit identical to a pure ``step()`` loop.
 
 Compilation
     *Block discovery* finds leaders the classic way: instruction 0,
@@ -22,17 +22,23 @@ Compilation
     — evaluated once at compile time instead of once per executed
     instruction.
 
-Closures
-    Every instruction compiles to a tiny exec-generated function
-    ``fn(regs, memory)`` with all constants folded: ``r0`` reads fold
+Generated code
+    :func:`_source` is the one template per opcode: the instruction's
+    statements on ``regs``/``memory`` with all constants folded, plus
+    the next-PC expression of a control transfer.  ``r0`` reads fold
     to literal ``0`` (matching ``_read_reg``, even against adversarial
     restored states where ``regs[0]`` was forced nonzero), masked
     immediates, shift counts and ``LUI``/link constants are baked in,
-    and pure ALU writes to ``r0`` compile to a no-op (``LD r0, ...``
+    and pure ALU writes to ``r0`` compile to nothing (``LD r0, ...``
     still performs the read: MMIO pops and region counters are
-    architectural side effects).  Terminators return the next PC;
-    ``JALR`` reads ``rs1`` before writing the link register, exactly
-    as ``_execute`` reads operands before dispatch.
+    architectural side effects).  ``JALR`` reads ``rs1`` before
+    writing the link register, exactly as ``_execute`` reads operands
+    before dispatch.  Each instruction becomes a closure
+    ``fn(regs, memory)`` returning the next PC of a control transfer
+    (``None`` otherwise), and each block becomes one function
+    ``fused(regs, memory, time_used, energy, cpu_energy) -> (pc,
+    time_used, energy, cpu_energy)`` running the same statements in
+    program order.
 
 Execution
     :meth:`BlockEngine.run` advances a CPU under
@@ -40,15 +46,19 @@ Execution
     budget.  Float accounting (``time_used += cycles * cycle_time_s``,
     ``energy += e``, ``cpu.energy_j += e``) is accumulated strictly
     per instruction in program order — never block-bulk — so every
-    partial sum equals the scalar interpreter's.  A block is executed
-    without per-instruction budget/cap compares only when a
-    conservative guard proves every scalar compare would have passed
-    (the guard over-approximates float accumulation error; blocks that
-    straddle the budget fall back to per-instruction stepping, which
-    is still exact).  Mid-block entry — a restore landing between
-    leaders, a JALR into a block body, or resumption after a budget
-    stop — steps the block tail per instruction and rejoins fused
-    execution at the next leader.
+    partial sum equals the scalar interpreter's: a block function
+    follows each instruction's statements with the same three
+    additions, its seconds and joules written as ``repr`` literals
+    (which parse back to the same double).  Only the integer cycle and
+    instruction counts are added as block totals, which is exact.  A
+    block function runs only when a conservative guard proves every
+    per-instruction budget/cap compare of the scalar loop would have
+    passed (the guard over-approximates float accumulation error;
+    blocks that straddle the budget fall back to per-instruction
+    stepping, which is still exact).  Mid-block entry — a restore
+    landing between leaders, a JALR into a block body, or resumption
+    after a budget stop — steps the block tail per instruction and
+    rejoins fused execution at the next leader.
 
 The engine is process-wide switchable (``--no-block-engine`` /
 ``NVPSIM_NO_BLOCK_ENGINE=1``) and counts fused vs. stepped block
@@ -57,8 +67,9 @@ executions for ``--profile``.
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.cpu import ExecutionError
 from repro.isa.energy import EnergyModel, classify
@@ -155,39 +166,46 @@ class SegmentResult:
 class _Block:
     """One compiled basic block.
 
-    ``ops`` covers the straight-line body (``(fn, time_s, energy_j,
-    cycles)`` per instruction, dense from ``start``); ``term`` is the
-    compiled control-flow tail at ``limit - 1`` — ``(fn, time_s,
-    energy_j, cycles, halts)`` with ``fn(regs, memory) -> next_pc`` —
-    or ``None`` for a pure fallthrough block.
+    ``ops`` holds one ``(fn, time_s, energy_j, cycles)`` per
+    instruction, dense from ``start``; ``fn(regs, memory)`` returns the
+    next PC when the instruction is the control transfer ending the
+    block and ``None`` otherwise.  ``fused`` runs the whole block (see
+    :func:`_fused_fn`); ``cycles`` is its exact integer cycle total and
+    ``halts`` marks a block ending in HALT.
     """
 
     __slots__ = (
         "start",
         "limit",
         "ops",
-        "term",
+        "fused",
+        "halts",
+        "cycles",
         "n_instructions",
         "body_time_s",
         "guard_factor",
     )
 
-    def __init__(self, start: int, limit: int, ops, term) -> None:
+    def __init__(
+        self, start: int, limit: int, ops, fused, halts: bool
+    ) -> None:
         self.start = start
         self.limit = limit
         self.ops = ops
-        self.term = term
-        self.n_instructions = len(ops) + (1 if term is not None else 0)
+        self.fused = fused
+        self.halts = halts
+        self.n_instructions = len(ops)
         # Upper bound for the fused-budget guard: the largest partial
         # sum the scalar loop compares against the budget is the one
         # *before* the final instruction, but bounding the full-block
         # sum is simpler and only costs boundary ticks a per-op pass.
         total = 0.0
-        for _fn, t, _e, _c in ops:
+        cycles = 0
+        for _fn, t, _e, c in ops:
             total += t
-        if term is not None:
-            total += term[1]
+            cycles += c
         self.body_time_s = total
+        self.cycles = cycles
         self.guard_factor = 1.0 + _GUARD_EPS * (self.n_instructions + 4)
 
 
@@ -196,24 +214,32 @@ def _reg_expr(index: int) -> str:
     return "0" if index == 0 else f"regs[{index}]"
 
 
-def _compile_fn(source: str, name: str = "fn"):
-    """Exec a single-function source string and return the function."""
-    namespace: Dict[str, object] = {"ts": to_signed}
+def _compile_fn(lines: List[str], args: str):
+    """Exec ``def fn(<args>):`` over ``lines`` and return the function.
+
+    ``inf``/``nan`` are bound so the ``repr`` of every float is a valid
+    expression.
+    """
+    source = f"def fn({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    namespace: Dict[str, object] = {
+        "ts": to_signed, "inf": math.inf, "nan": math.nan,
+    }
     exec(compile(source, "<blockengine>", "exec"), namespace)
-    return namespace[name]
+    return namespace["fn"]
 
 
 def _nop_fn(regs, memory) -> None:
     return None
 
 
-#: Value-expression templates for the ALU opcodes; ``{a}``/``{b}`` are
-#: register reads, immediates are folded by the caller.  Every write
-#: goes through ``& 0xFFFF`` (``_write_reg``), and signed views go
-#: through the same masked ``to_signed`` helper the interpreter uses —
-#: so even non-canonical restored register values (> 16 bits) produce
-#: identical results.
-_ALU_RR = {
+#: Value-expression templates for the ALU opcodes: ``{a}``/``{b}`` are
+#: register reads, ``{imm}`` the signed immediate, ``{uimm}`` its
+#: 16-bit mask, ``{sh}`` a shift count and ``{lui}`` the ``LUI``
+#: constant.  Every write goes through ``& 0xFFFF`` (``_write_reg``),
+#: and signed views go through the same masked ``to_signed`` helper the
+#: interpreter uses — so even non-canonical restored register values
+#: (> 16 bits) produce identical results.
+_ALU = {
     Opcode.ADD: "({a} + {b})",
     Opcode.SUB: "({a} - {b})",
     Opcode.AND: "({a} & {b})",
@@ -228,6 +254,16 @@ _ALU_RR = {
     Opcode.REMU: "({a} if {b} == 0 else {a} % {b})",
     Opcode.SLT: "(1 if ts({a}) < ts({b}) else 0)",
     Opcode.SLTU: "(1 if {a} < {b} else 0)",
+    Opcode.ADDI: "({a} + {imm})",
+    Opcode.ANDI: "({a} & {uimm})",
+    Opcode.ORI: "({a} | {uimm})",
+    Opcode.XORI: "({a} ^ {uimm})",
+    Opcode.SHLI: "({a} << {sh})",
+    Opcode.SHRI: "({a} >> {sh})",
+    Opcode.SARI: "(ts({a}) >> {sh})",
+    Opcode.SLTI: "(1 if ts({a}) < {imm} else 0)",
+    Opcode.SLTIU: "(1 if {a} < {uimm} else 0)",
+    Opcode.LUI: "{lui}",
 }
 
 _BRANCH_COND = {
@@ -240,144 +276,101 @@ _BRANCH_COND = {
 }
 
 
-def _compile_linear(instr: Instruction):
-    """Compile a non-control instruction to ``fn(regs, memory)``."""
+def _source(pc: int, instr: Instruction) -> Tuple[List[str], Optional[str]]:
+    """Source for one instruction at ``pc``.
+
+    Returns its statements on ``regs``/``memory`` and, for a control
+    transfer, the expression of the next PC (``None`` otherwise).
+    """
     op = instr.opcode
     rd = instr.rd
     a = _reg_expr(instr.rs1)
     b = _reg_expr(instr.rs2)
     imm = instr.imm
-    if op in _ALU_RR:
+    fallthrough = pc + 1
+    if op in _ALU:
         if rd == 0:
             # DIVU/REMU by zero is architecturally defined (no trap),
             # so a discarded ALU result has no observable effect.
-            return _nop_fn
-        value = _ALU_RR[op].format(a=a, b=b)
-    elif op is Opcode.ADDI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} + {imm})"
-    elif op is Opcode.ANDI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} & {imm & 0xFFFF})"
-    elif op is Opcode.ORI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} | {imm & 0xFFFF})"
-    elif op is Opcode.XORI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} ^ {imm & 0xFFFF})"
-    elif op is Opcode.SHLI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} << {imm % 16})"
-    elif op is Opcode.SHRI:
-        if rd == 0:
-            return _nop_fn
-        value = f"({a} >> {imm % 16})"
-    elif op is Opcode.SARI:
-        if rd == 0:
-            return _nop_fn
-        value = f"(ts({a}) >> {imm % 16})"
-    elif op is Opcode.SLTI:
-        if rd == 0:
-            return _nop_fn
-        value = f"(1 if ts({a}) < {imm} else 0)"
-    elif op is Opcode.SLTIU:
-        if rd == 0:
-            return _nop_fn
-        value = f"(1 if {a} < {imm & 0xFFFF} else 0)"
-    elif op is Opcode.LUI:
-        if rd == 0:
-            return _nop_fn
-        value = str((imm & 0xFF) << 8)
-    elif op is Opcode.LD:
-        address = f"({a} + {imm}) & 0xFFFF"
-        if rd == 0:
-            # The read still happens: region counters and the MMIO
-            # input-port pop are architectural side effects.
-            return _compile_fn(
-                f"def fn(regs, memory):\n    memory.read({address})\n"
-            )
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    regs[{rd}] = memory.read({address}) & 0xFFFF\n"
+            return [], None
+        value = _ALU[op].format(
+            a=a, b=b, imm=imm, uimm=imm & 0xFFFF, sh=imm % 16,
+            lui=(imm & 0xFF) << 8,
         )
-    elif op is Opcode.ST:
-        address = f"({a} + {imm}) & 0xFFFF"
-        return _compile_fn(
-            f"def fn(regs, memory):\n    memory.write({address}, {b})\n"
-        )
-    elif op is Opcode.NOP:
-        return _nop_fn
-    else:  # pragma: no cover - control ops never reach here
-        raise ExecutionError(f"unimplemented opcode {op!r}")
-    return _compile_fn(
-        f"def fn(regs, memory):\n    regs[{rd}] = {value} & 0xFFFF\n"
-    )
-
-
-def _compile_terminator(pc: int, instr: Instruction):
-    """Compile a control instruction to ``fn(regs, memory) -> next_pc``."""
-    op = instr.opcode
-    fallthrough = pc + 1
-    a = _reg_expr(instr.rs1)
-    b = _reg_expr(instr.rs2)
-    imm = instr.imm
+        return [f"regs[{rd}] = {value} & 0xFFFF"], None
+    if op is Opcode.LD:
+        read = f"memory.read(({a} + {imm}) & 0xFFFF)"
+        # The read still happens for rd == 0: region counters and the
+        # MMIO input-port pop are architectural side effects.
+        return [f"regs[{rd}] = {read} & 0xFFFF" if rd else read], None
+    if op is Opcode.ST:
+        return [f"memory.write(({a} + {imm}) & 0xFFFF, {b})"], None
+    if op is Opcode.NOP:
+        return [], None
     if op in BRANCH_OPCODES:
         cond = _BRANCH_COND[op].format(a=a, b=b)
-        target = imm & 0xFFFF
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    return {target} if {cond} else {fallthrough}\n"
-        )
+        return [], f"{imm & 0xFFFF} if {cond} else {fallthrough}"
     if op is Opcode.JAL:
-        link = fallthrough & 0xFFFF
-        target = imm & 0xFFFF
-        if instr.rd == 0:
-            return _compile_fn(
-                f"def fn(regs, memory):\n    return {target}\n"
-            )
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    regs[{instr.rd}] = {link}\n"
-            f"    return {target}\n"
-        )
+        link = [f"regs[{rd}] = {fallthrough & 0xFFFF}"] if rd else []
+        return link, str(imm & 0xFFFF)
     if op is Opcode.JALR:
-        link = fallthrough & 0xFFFF
-        if instr.rd == 0:
-            return _compile_fn(
-                f"def fn(regs, memory):\n"
-                f"    return ({a} + {imm}) & 0xFFFF\n"
-            )
+        if rd == 0:
+            return [], f"({a} + {imm}) & 0xFFFF"
         # rs1 is read before the link write, matching ``_execute``'s
         # operand-fetch-then-dispatch order when rd == rs1.
-        return _compile_fn(
-            f"def fn(regs, memory):\n"
-            f"    target = ({a} + {imm}) & 0xFFFF\n"
-            f"    regs[{instr.rd}] = {link}\n"
-            f"    return target\n"
-        )
+        return [
+            f"target = ({a} + {imm}) & 0xFFFF",
+            f"regs[{rd}] = {fallthrough & 0xFFFF}",
+        ], "target"
     if op is Opcode.HALT:
-        # Handled structurally: the run loop sets ``halted`` and falls
-        # through to pc + 1, exactly as ``_execute`` does.
-        return None
+        # The run loops set ``halted``; the PC falls through to pc + 1,
+        # exactly as ``_execute`` does.
+        return [], str(fallthrough)
     raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
 
 
+def _op_fn(statements: List[str], next_pc: Optional[str]):
+    """One instruction as ``fn(regs, memory) -> next_pc or None``."""
+    if next_pc is not None:
+        return _compile_fn(statements + [f"return {next_pc}"], "regs, memory")
+    if not statements:
+        return _nop_fn
+    return _compile_fn(statements, "regs, memory")
+
+
+def _fused_fn(sources, ops, limit: int):
+    """A whole block as one function ``fused(regs, memory, time_used,
+    energy, cpu_energy) -> (pc, time_used, energy, cpu_energy)``.
+
+    Each instruction's statements are followed by the float additions
+    the scalar loop performs for it, in the same order and with the same
+    operands: ``repr`` of a float parses back to the same double.
+    """
+    lines: List[str] = []
+    for (statements, _next_pc), (_fn, t, e, _c) in zip(sources, ops):
+        lines += statements
+        lines += [
+            f"time_used += {t!r}", f"energy += {e!r}", f"cpu_energy += {e!r}",
+        ]
+    next_pc = sources[-1][1]
+    lines.append(
+        f"return ({limit if next_pc is None else next_pc}), "
+        "time_used, energy, cpu_energy"
+    )
+    return _compile_fn(lines, "regs, memory, time_used, energy, cpu_energy")
+
+
 class BlockEngine:
-    """A program compiled to basic blocks of specialized closures.
+    """A program compiled to basic blocks of generated functions.
 
     One engine serves every CPU instance a
     :class:`~repro.workloads.base.FunctionalWorkload` creates (the
-    per-unit fresh CPUs share the same program and energy model);
-    closures capture only compile-time constants and act on the
-    ``(regs, memory)`` passed per call.
+    per-unit fresh CPUs share the same program and energy model); the
+    generated functions capture only compile-time constants and act on
+    the ``(regs, memory)`` passed per call.
 
     Attributes:
-        fused_blocks: blocks executed wholesale by the fused loop
+        fused_blocks: blocks executed wholesale by their block function
             (the profile "hit" count).
         stepped_blocks: block executions that fell back to
             per-instruction stepping — mid-block entries and
@@ -432,31 +425,21 @@ class BlockEngine:
                 start += MAX_BLOCK_LEN
             bounds.append((start, limit))
         for start, limit in bounds:
-            last = program[limit - 1]
-            has_term = last.opcode in _CONTROL_OPCODES
+            sources = [_source(pc, program[pc]) for pc in range(start, limit)]
             ops = []
-            for pc in range(start, limit - 1 if has_term else limit):
-                instr = program[pc]
-                cls = classify(instr)
+            for pc, (statements, next_pc) in enumerate(sources, start):
+                cls = classify(program[pc])
                 cycles = model.instruction_cycles(cls)
                 ops.append((
-                    _compile_linear(instr),
+                    _op_fn(statements, next_pc),
                     cycles * cycle_time,
                     model.instruction_energy(cls),
                     cycles,
                 ))
-            term = None
-            if has_term:
-                cls = classify(last)
-                cycles = model.instruction_cycles(cls)
-                term = (
-                    _compile_terminator(limit - 1, last),
-                    cycles * cycle_time,
-                    model.instruction_energy(cls),
-                    cycles,
-                    last.opcode is Opcode.HALT,
-                )
-            block = _Block(start, limit, ops, term)
+            block = _Block(
+                start, limit, ops, _fused_fn(sources, ops, limit),
+                program[limit - 1].opcode is Opcode.HALT,
+            )
             self._blocks.append(block)
             self._block_at.extend([block] * (limit - start))
 
@@ -540,8 +523,6 @@ class BlockEngine:
                 )
                 break
             blk = block_at[pc]
-            ops = blk.ops
-            term = blk.term
             if (
                 pc == blk.start
                 and executed + blk.n_instructions <= cap_remaining
@@ -553,43 +534,25 @@ class BlockEngine:
                 # the architectural work and the (order-preserving)
                 # per-instruction accounting remain.
                 fused += 1
-                for fn, t, e, c in ops:
-                    fn(regs, memory)
-                    time_used += t
-                    energy += e
-                    cpu_energy += e
-                    cycles += c
-                executed += len(ops)
-                if term is None:
-                    pc = blk.limit
-                    continue
-                tfn, t, e, c, halts = term
-                if halts:
-                    pc = blk.limit
+                pc, time_used, energy, cpu_energy = blk.fused(
+                    regs, memory, time_used, energy, cpu_energy
+                )
+                cycles += blk.cycles
+                executed += blk.n_instructions
+                if blk.halts:
                     halted = True
-                else:
-                    pc = tfn(regs, memory)
-                time_used += t
-                energy += e
-                cpu_energy += e
-                cycles += c
-                executed += 1
-                if halted:
                     break
                 continue
             # Per-instruction tail: mid-block entry or a block that
             # straddles the budget/cap boundary.
             stepped += 1
+            ops = blk.ops
+            n_ops = len(ops)
             i = pc - blk.start
-            n_lin = len(ops)
-            stop = False
-            while i < n_lin:
-                if time_used >= budget:
-                    pc = blk.start + i
-                    stop = True
-                    break
+            next_pc = None
+            while i < n_ops and time_used < budget:
                 fn, t, e, c = ops[i]
-                fn(regs, memory)
+                next_pc = fn(regs, memory)
                 time_used += t
                 energy += e
                 cpu_energy += e
@@ -597,33 +560,12 @@ class BlockEngine:
                 executed += 1
                 i += 1
                 if executed > cap_remaining:
-                    pc = blk.start + i
                     capped = True
-                    stop = True
                     break
-            if stop:
-                break
-            if term is None:
-                pc = blk.limit
-                continue
-            if time_used >= budget:
-                pc = blk.limit - 1
-                break
-            tfn, t, e, c, halts = term
-            if halts:
-                pc = blk.limit
-                halted = True
-            else:
-                pc = tfn(regs, memory)
-            time_used += t
-            energy += e
-            cpu_energy += e
-            cycles += c
-            executed += 1
-            if executed > cap_remaining:
-                capped = True
-                break
-            if halted:
+            # Only the block's last instruction returns a next PC.
+            pc = blk.start + i if next_pc is None else next_pc
+            halted = i == n_ops and blk.halts
+            if capped or halted or i < n_ops:
                 break
 
         state.pc = pc
@@ -672,19 +614,13 @@ class BlockEngine:
                 )
                 break
             blk = block_at[pc]
-            ops = blk.ops
-            i = pc - blk.start
-            if i < len(ops):
-                fn, _t, e, c = ops[i]
-                fn(regs, memory)
+            fn, _t, e, c = blk.ops[pc - blk.start]
+            next_pc = fn(regs, memory)
+            if next_pc is None:
                 pc += 1
             else:
-                tfn, _t, e, c, halts = blk.term
-                if halts:
-                    pc = blk.limit
-                    halted = True
-                else:
-                    pc = tfn(regs, memory)
+                pc = next_pc
+                halted = blk.halts
             cpu_energy += e
             cycles += c
             executed += 1

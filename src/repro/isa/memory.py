@@ -17,7 +17,8 @@ mirroring the memory organisation of NVP prototypes:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping
+import functools
+from typing import Iterable, List, Mapping, Tuple
 
 from repro.isa.instructions import WORD_MASK
 
@@ -31,6 +32,13 @@ OUTPUT_PORT = 0xF000
 #: Reads from this MMIO word pop from :attr:`MemoryMap.input_queue`
 #: (0 when the queue is empty).
 INPUT_PORT = 0xF001
+
+
+@functools.cache
+def _ram_zeros() -> Tuple[int, ...]:
+    """The wiped RAM segment: one shared immutable tuple, built on the
+    first power failure so processes that never wipe do not hold it."""
+    return (0,) * (NVM_BASE - RAM_BASE)
 
 
 class MemoryMap:
@@ -62,32 +70,40 @@ class MemoryMap:
 
     def read(self, address: int) -> int:
         """Read one 16-bit word."""
-        region = self.region(address)
-        if region == "mmio":
+        # The region bounds are compared inline, not through region():
+        # every LD and ST of a compiled kernel lands here.
+        if address < NVM_BASE:
+            if address >= RAM_BASE:
+                self.ram_reads += 1
+                return self._words[address]
+        elif address < MMIO_BASE:
+            self.nvm_reads += 1
+            return self._words[address]
+        elif address < ADDRESS_SPACE:
             if address == INPUT_PORT:
                 return self.input_queue.pop(0) if self.input_queue else 0
             return self._words[address]
-        if region == "nvm":
-            self.nvm_reads += 1
-        else:
-            self.ram_reads += 1
-        return self._words[address]
+        raise ValueError(f"address {address:#x} outside 16-bit space")
 
     def write(self, address: int, value: int) -> None:
         """Write one 16-bit word (value truncated to 16 bits)."""
         value &= WORD_MASK
-        region = self.region(address)
-        if region == "mmio":
+        if address < NVM_BASE:
+            if address >= RAM_BASE:
+                self.ram_writes += 1
+                self._words[address] = value
+                return
+        elif address < MMIO_BASE:
+            self.nvm_writes += 1
+            self._words[address] = value
+            return
+        elif address < ADDRESS_SPACE:
             if address == OUTPUT_PORT:
                 self.output.append(value)
             else:
                 self._words[address] = value
             return
-        if region == "nvm":
-            self.nvm_writes += 1
-        else:
-            self.ram_writes += 1
-        self._words[address] = value
+        raise ValueError(f"address {address:#x} outside 16-bit space")
 
     # -- bulk access used by the workload harness (not charged) ---------
 
@@ -114,8 +130,7 @@ class MemoryMap:
 
     def clear_volatile(self) -> None:
         """Model a power failure: zero all RAM words, keep NVM and MMIO."""
-        for address in range(RAM_BASE, NVM_BASE):
-            self._words[address] = 0
+        self._words[RAM_BASE:NVM_BASE] = _ram_zeros()
 
     def snapshot_ram(self) -> List[int]:
         """Copy of the volatile RAM segment (for checkpointing models)."""

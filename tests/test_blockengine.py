@@ -16,7 +16,8 @@ import pytest
 from repro.isa import blockengine
 from repro.isa.blockengine import MAX_BLOCK_LEN, BlockEngine
 from repro.isa.cpu import CPU, ExecutionError
-from repro.isa.energy import EnergyModel
+from repro.isa.energy import EnergyModel, InstrClass
+from repro.isa.memory import MMIO_BASE
 from repro.workloads.asmkit import assemble_kernel
 from repro.workloads.base import FunctionalWorkload
 from repro.workloads.compiled import NVC_KERNELS
@@ -40,11 +41,23 @@ def scalar_engine_off():
         blockengine.set_enabled(True)
 
 
-def make_pair(build, frames=2):
+def make_pair(build, frames=2, energy_model=None):
     """Two identical workloads: one engine-driven, one scalar."""
+    return tuple(
+        FunctionalWorkload(
+            build.program, total_units=frames, energy_model=energy_model
+        )
+        for _ in range(2)
+    )
+
+
+def memory_counters(memory):
+    """The region access counters a memory map charges."""
     return (
-        FunctionalWorkload(build.program, total_units=frames),
-        FunctionalWorkload(build.program, total_units=frames),
+        memory.ram_reads,
+        memory.ram_writes,
+        memory.nvm_reads,
+        memory.nvm_writes,
     )
 
 
@@ -59,6 +72,7 @@ def workload_state(wl):
         cpu.cycles,
         cpu.energy_j,
         list(cpu.memory.output),
+        memory_counters(cpu.memory),
         wl._retired,
         wl._unit_retired,
         wl._units_done,
@@ -86,6 +100,9 @@ def advance_both(engine_wl, scalar_wl, budgets):
         assert workload_state(engine_wl) == workload_state(scalar_wl)
         assert i < 500_000, "workload did not finish"
     assert scalar_wl.finished
+    assert engine_wl.cpu.memory.dump_words(0, MMIO_BASE) == (
+        scalar_wl.cpu.memory.dump_words(0, MMIO_BASE)
+    )
 
 
 class TestAdvanceBitExactness:
@@ -99,6 +116,53 @@ class TestAdvanceBitExactness:
         reference = expected_stream(build, 2)
         produced = np.array(engine_wl.outputs, dtype=np.uint16)
         assert np.array_equal(produced, reference)
+
+    @pytest.mark.parametrize("name", ["fir", "crc", "matmul", "dft"])
+    def test_full_run_identical_at_odd_operating_point(self, name):
+        """Per-instruction seconds and joules that need all 17
+        significant digits: a compiled constant that did not round-trip
+        would change the accumulated floats."""
+        model = EnergyModel(frequency_hz=7e5, vdd=0.9)
+        for value in (
+            model.instruction_cycles(InstrClass.ALU) * model.cycle_time_s,
+            model.instruction_energy(InstrClass.ALU),
+        ):
+            assert float(f"{value:.16g}") != value
+        build = ALL_BUILDERS[name]()
+        engine_wl, scalar_wl = make_pair(build, energy_model=model)
+        advance_both(engine_wl, scalar_wl, BUDGETS)
+
+    @pytest.mark.parametrize(
+        "model",
+        [EnergyModel(frequency_hz=7e5, vdd=0.9), EnergyModel(vdd=float("inf"))],
+        ids=["17-digits", "infinite-joules"],
+    )
+    def test_fused_accounting_from_zero(self, model):
+        """Every instruction class, fused from zero accumulators: a
+        compiled constant one ulp off cannot round away in a long sum,
+        and an infinite joule (the model accepts it) compiles too."""
+        build = assemble_kernel(
+            "classes",
+            "    addi r1, r0, 7\n    mul r2, r1, r1\n    divu r3, r2, r1\n"
+            "    li r5, 0x8000\n    st r3, 0(r5)\n    ld r4, 0(r5)\n"
+            "    nop\n    beq r4, r3, next\nnext:\n    jal r0, done\n"
+            "done:\n    halt\n",
+        )
+        program = build.program.instructions
+        engine = BlockEngine(program, model)
+        cpu = CPU(program, energy_model=model)
+        segment = engine.run(cpu, 1.0, 0.0, 0.0, len(program))
+        assert engine.profile_counts()["stepped"] == 0
+        scalar = CPU(program, energy_model=model)
+        time_used = energy = 0.0
+        while not scalar.state.halted:
+            info = scalar.step()
+            time_used += info.cycles * model.cycle_time_s
+            energy += info.energy_j
+        assert (segment.time_used_s, segment.energy_j, cpu.energy_j) == (
+            time_used, energy, scalar.energy_j
+        )
+        assert cpu.cycles == scalar.cycles
 
     def test_zero_and_subcycle_budgets(self):
         build = KERNELS["fir"]()
@@ -145,6 +209,7 @@ class TestMidBlockPreemption:
             assert ec.cycles == sc.cycles
             assert ec.energy_j == sc.energy_j, steps
             assert ec.memory.output == sc.memory.output
+            assert memory_counters(ec.memory) == memory_counters(sc.memory)
         # Long kernels (median) stay bounded by the step cap; every
         # compared boundary still matched bit for bit.
         assert scalar_wl.cpu.state.halted or steps == 60_000
