@@ -30,7 +30,7 @@ import math
 import os
 import re
 import tempfile
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.events import Event, EventLog
@@ -82,27 +82,40 @@ def chrome_trace(
         counter_decimation: keep every N-th stored-energy counter
             sample (per-tick counters dominate file size otherwise).
     """
+    return list(_trace_events(log, process_name, pid, counter_decimation))
+
+
+def _trace_events(
+    log: Iterable[Event], process_name: str, pid: int, counter_decimation: int
+) -> Iterator[Dict]:
+    """:func:`chrome_trace`'s events, made one at a time.
+
+    ``counter_decimation`` is checked here, before the stream starts,
+    so :func:`write_chrome_trace` raises before it opens the file.
+    """
     if counter_decimation < 1:
         raise ValueError("counter_decimation must be >= 1")
-    out: List[Dict] = [
-        {
-            "name": "process_name",
+    return _trace_stream(log, process_name, pid, counter_decimation)
+
+
+def _trace_stream(
+    log: Iterable[Event], process_name: str, pid: int, counter_decimation: int
+) -> Iterator[Dict]:
+    yield {
+        "name": "process_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0,
+        "args": {"name": process_name},
+    }
+    for tid, name in _THREAD_NAMES.items():
+        yield {
+            "name": "thread_name",
             "ph": "M",
             "pid": pid,
-            "tid": 0,
-            "args": {"name": process_name},
+            "tid": tid,
+            "args": {"name": name},
         }
-    ]
-    for tid, name in _THREAD_NAMES.items():
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": name},
-            }
-        )
 
     state_open: Optional[Event] = None
     op_open: Dict[str, Event] = {}
@@ -110,29 +123,24 @@ def chrome_trace(
     last_t = 0.0
     tick_index = 0
 
-    def close_state(until_s: float) -> None:
-        nonlocal state_open
-        if state_open is None:
-            return
-        out.append(
-            {
-                "name": state_open.data.get("state", "?"),
-                "cat": "state",
-                "ph": "X",
-                "ts": _us(state_open.t_s),
-                "dur": max(0.0, _us(until_s) - _us(state_open.t_s)),
-                "pid": pid,
-                "tid": TID_STATE,
-                "args": {},
-            }
-        )
-        state_open = None
+    def state_span(until_s: float) -> Dict:
+        return {
+            "name": state_open.data.get("state", "?"),
+            "cat": "state",
+            "ph": "X",
+            "ts": _us(state_open.t_s),
+            "dur": max(0.0, _us(until_s) - _us(state_open.t_s)),
+            "pid": pid,
+            "tid": TID_STATE,
+            "args": {},
+        }
 
     for event in log:
         last_t = max(last_t, event.t_s)
         name = event.name
         if name == ev.STATE_TRANSITION:
-            close_state(event.t_s)
+            if state_open is not None:
+                yield state_span(event.t_s)
             state_open = event
         elif name in (ev.BACKUP_START, ev.RESTORE_START):
             op_open[name.split(".", 1)[0]] = event
@@ -140,80 +148,70 @@ def chrome_trace(
                       ev.RESTORE_COMMIT, ev.RESTORE_FAIL):
             kind = name.split(".", 1)[0]
             start = op_open.pop(kind, event)
-            out.append(
-                {
-                    "name": kind,
-                    "cat": "ops",
-                    "ph": "X",
-                    "ts": _us(start.t_s),
-                    "dur": max(_us(event.t_s) - _us(start.t_s),
-                               _us(event.data.get("time_s", 0.0))),
-                    "pid": pid,
-                    "tid": TID_OPS,
-                    "args": {**event.data, "outcome": name.split(".", 1)[1]},
-                }
-            )
+            yield {
+                "name": kind,
+                "cat": "ops",
+                "ph": "X",
+                "ts": _us(start.t_s),
+                "dur": max(_us(event.t_s) - _us(start.t_s),
+                           _us(event.data.get("time_s", 0.0))),
+                "pid": pid,
+                "tid": TID_OPS,
+                "args": {**event.data, "outcome": name.split(".", 1)[1]},
+            }
         elif name == ev.OUTAGE_BEGIN:
             outage_open = event
         elif name == ev.OUTAGE_END:
             start_s = outage_open.t_s if outage_open is not None else event.t_s
             outage_open = None
-            out.append(
-                {
-                    "name": "outage",
-                    "cat": "supply",
-                    "ph": "X",
-                    "ts": _us(start_s),
-                    "dur": max(0.0, _us(event.t_s) - _us(start_s)),
-                    "pid": pid,
-                    "tid": TID_OUTAGE,
-                    "args": event.data,
-                }
-            )
-        elif name == ev.TICK:
-            if "energy_j" in event.data and tick_index % counter_decimation == 0:
-                out.append(
-                    {
-                        "name": "stored energy",
-                        "cat": "energy",
-                        "ph": "C",
-                        "ts": _us(event.t_s),
-                        "pid": pid,
-                        "tid": TID_STATE,
-                        "args": {"energy_j": event.data["energy_j"]},
-                    }
-                )
-            tick_index += 1
-        if name in _INSTANT_EVENTS:
-            out.append(
-                {
-                    "name": name,
-                    "cat": "event",
-                    "ph": "i",
-                    "ts": _us(event.t_s),
-                    "pid": pid,
-                    "tid": TID_POLICY,
-                    "s": "t",
-                    "args": event.data,
-                }
-            )
-
-    # Close any span still open at the end of the recording.
-    close_state(last_t)
-    if outage_open is not None:
-        out.append(
-            {
+            yield {
                 "name": "outage",
                 "cat": "supply",
                 "ph": "X",
-                "ts": _us(outage_open.t_s),
-                "dur": max(0.0, _us(last_t) - _us(outage_open.t_s)),
+                "ts": _us(start_s),
+                "dur": max(0.0, _us(event.t_s) - _us(start_s)),
                 "pid": pid,
                 "tid": TID_OUTAGE,
-                "args": {},
+                "args": event.data,
             }
-        )
-    return out
+        elif name == ev.TICK:
+            if "energy_j" in event.data and tick_index % counter_decimation == 0:
+                yield {
+                    "name": "stored energy",
+                    "cat": "energy",
+                    "ph": "C",
+                    "ts": _us(event.t_s),
+                    "pid": pid,
+                    "tid": TID_STATE,
+                    "args": {"energy_j": event.data["energy_j"]},
+                }
+            tick_index += 1
+        if name in _INSTANT_EVENTS:
+            yield {
+                "name": name,
+                "cat": "event",
+                "ph": "i",
+                "ts": _us(event.t_s),
+                "pid": pid,
+                "tid": TID_POLICY,
+                "s": "t",
+                "args": event.data,
+            }
+
+    # Close any span still open at the end of the recording.
+    if state_open is not None:
+        yield state_span(last_t)
+    if outage_open is not None:
+        yield {
+            "name": "outage",
+            "cat": "supply",
+            "ph": "X",
+            "ts": _us(outage_open.t_s),
+            "dur": max(0.0, _us(last_t) - _us(outage_open.t_s)),
+            "pid": pid,
+            "tid": TID_OUTAGE,
+            "args": {},
+        }
 
 
 def write_chrome_trace(
@@ -222,13 +220,35 @@ def write_chrome_trace(
     process_name: str = "nvpsim",
     counter_decimation: int = 10,
 ) -> int:
-    """Write a Chrome trace JSON file; returns the trace-event count."""
-    trace = chrome_trace(
-        log, process_name=process_name, counter_decimation=counter_decimation
-    )
+    """Write a Chrome trace JSON file; returns the trace-event count.
+
+    The events stream from the log to the file one at a time, so the
+    whole trace is never held in memory.
+    """
+    events = _trace_events(log, process_name, 0, counter_decimation)
+    return _write_trace(events, path)
+
+
+def _write_trace(events: Iterable[Dict], path: str) -> int:
+    """Write ``{"traceEvents": [...], "displayTimeUnit": "ms"}``.
+
+    The bytes are those of ``json.dump`` of that object, but each event
+    is encoded on its own by ``json.dumps``, so only one is held at a
+    time.  With default settings ``json.dumps`` runs the C encoder
+    (``json.dump`` never does), which writes every value as the
+    pure-Python encoder does, and a list's text is its items' texts
+    joined by ``", "``.  Returns the event count.
+    """
+    count = 0
     with open(path, "w") as handle:
-        json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, handle)
-    return len(trace)
+        handle.write('{"traceEvents": [')
+        for event in events:
+            if count:
+                handle.write(", ")
+            handle.write(json.dumps(event))
+            count += 1
+        handle.write('], "displayTimeUnit": "ms"}')
+    return count
 
 
 #: Keys every Chrome trace event must carry.

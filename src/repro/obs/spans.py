@@ -19,10 +19,11 @@ every clock in the trace is the machine's Unix clock.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List
+
+from repro.obs.export import _write_trace
 
 #: The default logical thread: the sweep-coordinating process.
 TID_RUNNER = "runner"
@@ -174,7 +175,4 @@ class SpanTracer:
         self, path: str, process_name: str = "repro sweep"
     ) -> int:
         """Write a Chrome trace JSON file; returns the event count."""
-        trace = self.to_chrome(process_name=process_name)
-        with open(path, "w") as handle:
-            json.dump({"traceEvents": trace, "displayTimeUnit": "ms"}, handle)
-        return len(trace)
+        return _write_trace(self.to_chrome(process_name=process_name), path)

@@ -1,12 +1,19 @@
 """Tests for the exporters (Chrome trace, JSONL, CSV) and run manifest."""
 
 import csv
+import io
 import json
+import math
+import os
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import events as ev
-from repro.obs.events import EventBus
+from repro.obs import export
+from repro.obs.events import Event, EventBus, EventLog
 from repro.obs.export import (
     REQUIRED_TRACE_KEYS,
     chrome_trace,
@@ -134,6 +141,113 @@ class TestJsonl:
         for line in path.read_text().splitlines():
             record = json.loads(line)
             assert "name" in record and "t_s" in record and "seq" in record
+
+
+# -- streaming trace writer: byte identity with json.dump -----------------
+
+
+def reference_trace_text(log, **kwargs):
+    """The trace file as ``json.dump`` of the whole object writes it."""
+    handle = io.StringIO()
+    json.dump(
+        {"traceEvents": chrome_trace(log, **kwargs), "displayTimeUnit": "ms"},
+        handle,
+    )
+    return handle.getvalue()
+
+
+def check_written(writer, log, path, count, reference, **kwargs):
+    """``writer`` returns ``count`` and writes exactly ``reference``."""
+    assert writer(log, str(path), **kwargs) == count
+    with open(path) as handle:
+        assert handle.read() == reference
+
+
+_TRICKY_TEXT = st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t\x7f", "é ✓\U0001f600"]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80),
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]
+    ),
+    st.text(max_size=8),
+    _TRICKY_TEXT,
+)
+_KEYS = st.one_of(st.text(max_size=6), _TRICKY_TEXT)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=10,
+)
+_EVENTS = st.builds(
+    lambda name, t_s, data, time_s: (name, t_s, {**data, **time_s}),
+    st.one_of(st.sampled_from(ev.EVENT_NAMES), st.text(max_size=6)),
+    st.floats(),
+    # chrome_trace does arithmetic on ``time_s``, so it is always a float.
+    st.dictionaries(_KEYS.filter(lambda key: key != "time_s"), _JSON,
+                    max_size=4),
+    st.one_of(st.just({}), st.builds(lambda t: {"time_s": t}, st.floats())),
+)
+
+
+class TestStreamingTraceWriter:
+    """The Chrome writers stream events through ``json.dumps``; bytes unchanged."""
+
+    @given(events=st.lists(_EVENTS, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_logs_match_reference(self, events):
+        log = EventLog(
+            [Event(name, t_s, seq, data)
+             for seq, (name, t_s, data) in enumerate(events, start=1)]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            check_written(write_chrome_trace, log, os.path.join(tmp, "out"),
+                          len(chrome_trace(log, counter_decimation=2)),
+                          reference_trace_text(log, counter_decimation=2),
+                          counter_decimation=2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_writer_separators(self, tmp_path, n):
+        trace = [{"name": "x", "ph": "i", "ts": float(i), "pid": 0, "tid": 0}
+                 for i in range(n)]
+        check_written(export._write_trace, trace, tmp_path / "out", n,
+                      json.dumps({"traceEvents": trace, "displayTimeUnit": "ms"}))
+
+    def test_invalid_decimation_creates_no_file(self, tmp_path):
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError):
+            write_chrome_trace(make_log(), str(path), counter_decimation=0)
+        assert not path.exists()
+
+    def test_memory_is_bounded(self, tmp_path):
+        """Writing twice the events must not need twice the memory."""
+
+        def peak(n_cycles):
+            bus = EventBus()
+            log = bus.record()
+            for cycle in range(n_cycles):
+                t = cycle * 1e-3
+                bus.emit(ev.STATE_TRANSITION, t, state="run", prev="off")
+                bus.emit(ev.BACKUP_START, t, energy_j=2e-9, bits=168)
+                bus.emit(ev.BACKUP_COMMIT, t, energy_j=2e-9, time_s=3e-6)
+                bus.emit(ev.OUTAGE_BEGIN, t, threshold_w=33e-6)
+                bus.emit(ev.OUTAGE_END, t + 5e-4, duration_s=5e-4)
+            tracemalloc.start()
+            try:
+                write_chrome_trace(log, str(tmp_path / "out"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8_000) < 1.25 * peak(4_000)   # 40,000 vs 20,000 events
 
 
 class TestMetricsCsv:

@@ -1,5 +1,6 @@
 """Span tracing: the sweep wall-clock timeline (repro sweep --trace)."""
 
+import io
 import json
 
 import pytest
@@ -80,6 +81,21 @@ class TestSpanTracer:
         assert len(events) == count
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
+
+    def test_write_chrome_is_json_dump_of_to_chrome(self, tmp_path):
+        tracer = SpanTracer()
+        for index in range(50):
+            start = 100.0 + index * 1e-3
+            tracer.add(f"run:{index}", start, start + 5e-4,
+                       tid="worker-7" if index % 3 else TID_RUNNER,
+                       hit=index % 2 == 0, note='"\\é', size=2**70 + index)
+        path = tmp_path / "trace.json"
+        count = tracer.write_chrome(str(path), process_name="spans")
+        reference = io.StringIO()
+        json.dump({"traceEvents": tracer.to_chrome(process_name="spans"),
+                   "displayTimeUnit": "ms"}, reference)
+        assert count == 50 + 3  # one process and two thread names
+        assert path.read_text() == reference.getvalue()
 
 
 class TestRunnerIntegration:
