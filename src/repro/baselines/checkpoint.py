@@ -24,7 +24,7 @@ from typing import Dict, Optional
 from repro.core.progress import ForwardProgressLedger
 from repro.nvm.technology import FERAM, NVMTechnology
 from repro.system import exactkernel
-from repro.system.fastpath import OffRunFastForward, OffRunPlan
+from repro.system.fastpath import DormantCharging
 from repro.system.simulator import TickReport
 from repro.system.thresholds import ThresholdPlan, plan_thresholds
 from repro.workloads.base import Workload
@@ -73,7 +73,7 @@ class CheckpointConfig:
             raise ValueError("checkpoints need a nonvolatile technology")
 
 
-class CheckpointPlatform(OffRunFastForward):
+class CheckpointPlatform(DormantCharging):
     """Volatile MCU + software checkpointing to on-chip NVM.
 
     Args:
@@ -160,20 +160,20 @@ class CheckpointPlatform(OffRunFastForward):
         return self.workload.finished
 
     # -- state machine -------------------------------------------------------
+    # ``tick`` and ``fast_forward`` come from DormantCharging; both
+    # trigger variants sleep the same way, toward the start threshold.
 
-    def tick(self, p_in_w: float, dt_s: float) -> TickReport:
-        """Advance one tick."""
-        if self.workload.finished:
-            self.storage.step(p_in_w, 0.0, dt_s)
-            return TickReport("done")
+    def off_state(self) -> Optional[str]:
+        """``"off"`` while asleep, ``None`` while powered on."""
+        return "off" if self._state == "off" else None
+
+    def wake_target_j(self, dt_s: float) -> float:
+        """The start threshold: stored energy that triggers a resume."""
+        return self.thresholds(dt_s).start_threshold_j
+
+    def _run_tick(self, p_in_w: float, dt_s: float) -> TickReport:
+        """One powered-on tick: checkpoint at the threshold, else execute."""
         plan = self.thresholds(dt_s)
-
-        if self._state == "off":
-            self.storage.step(p_in_w, 0.0, dt_s)
-            if self.storage.energy_j >= plan.start_threshold_j:
-                return self._resume()
-            return TickReport("off")
-
         if (
             self.config.trigger == "voltage"
             and self.storage.energy_j <= plan.backup_threshold_j
@@ -202,21 +202,6 @@ class CheckpointPlatform(OffRunFastForward):
             self._state = "off"
             return TickReport("run", advance.instructions)
         return TickReport("run", advance.instructions)
-
-    def off_plan(self, dt_s: float) -> Optional[OffRunPlan]:
-        """Dormant-charging plan: sleep toward the start threshold.
-
-        Both trigger variants sleep the same way; :meth:`tick` runs
-        the crossing tick and its :meth:`_resume`.  ``None`` while
-        powered on.
-        """
-        if self._state != "off":
-            return None
-        return OffRunPlan(
-            state="off",
-            target_j=lambda: self.thresholds(dt_s).start_threshold_j,
-            on_charged=None,
-        )
 
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Batch powered-on ``"run"`` ticks (exact-kernel engine).
@@ -284,7 +269,7 @@ class CheckpointPlatform(OffRunFastForward):
         self.storage.step(p_in_w, 0.0, dt_s)
         return TickReport("backup")
 
-    def _resume(self) -> TickReport:
+    def _wake(self) -> TickReport:
         """Wake up: software restore from the last checkpoint."""
         energy = self.restore_energy_j() if self._has_checkpoint else 0.0
         if energy > 0.0:

@@ -18,12 +18,12 @@ from typing import Dict, Optional
 
 from repro.core.progress import ForwardProgressLedger
 from repro.system import exactkernel
-from repro.system.fastpath import OffRunFastForward, OffRunPlan
+from repro.system.fastpath import DormantCharging
 from repro.system.simulator import TickReport
 from repro.workloads.base import Workload
 
 
-class WaitComputePlatform(OffRunFastForward):
+class WaitComputePlatform(DormantCharging):
     """Charge-then-run volatile MCU.
 
     Args:
@@ -77,19 +77,20 @@ class WaitComputePlatform(OffRunFastForward):
         )
         return self.energy_margin * unit_energy + self.boot_energy_j
 
-    def tick(self, p_in_w: float, dt_s: float) -> TickReport:
-        """Advance one tick."""
-        if self.workload.finished:
-            self.storage.step(p_in_w, 0.0, dt_s)
-            return TickReport("done")
+    # -- state machine -------------------------------------------------------
+    # ``tick`` and ``fast_forward`` come from DormantCharging.
 
-        if self._state == "off":
-            self.storage.step(p_in_w, 0.0, dt_s)
-            if self.storage.energy_j >= self.unit_energy_target_j():
-                return self._boot()
-            return TickReport("charge")
+    def off_state(self) -> Optional[str]:
+        """``"charge"`` while asleep, ``None`` while running a unit."""
+        return "charge" if self._state == "off" else None
 
-        # -- running a unit on stored energy ------------------------------
+    def wake_target_j(self, dt_s: float) -> float:
+        """The unit-energy target; it moves as units complete."""
+        del dt_s
+        return self.unit_energy_target_j()
+
+    def _run_tick(self, p_in_w: float, dt_s: float) -> TickReport:
+        """One tick of running a unit on stored energy."""
         exec_budget = max(0.0, dt_s - self._stall_s)
         self._stall_s = max(0.0, self._stall_s - dt_s)
         units_before = self.workload.units_completed
@@ -119,7 +120,7 @@ class WaitComputePlatform(OffRunFastForward):
                 self._state = "off"
         return TickReport("run", advance.instructions)
 
-    def _boot(self) -> TickReport:
+    def _wake(self) -> TickReport:
         """Attempt to boot off stored energy once the target is met."""
         drawn = self.storage.draw(self.boot_energy_j)
         self.consumed_j += drawn
@@ -130,22 +131,6 @@ class WaitComputePlatform(OffRunFastForward):
         self._stall_s = self.boot_time_s
         self._state = "on"
         return TickReport("restore")
-
-    def off_plan(self, dt_s: float) -> Optional[OffRunPlan]:
-        """Dormant-charging plan: trickle toward the unit target.
-
-        The target is re-evaluated per charge run (it moves as units
-        complete); :meth:`tick` runs the crossing tick and its
-        :meth:`_boot`.  ``None`` while powered on.
-        """
-        del dt_s
-        if self._state != "off":
-            return None
-        return OffRunPlan(
-            state="charge",
-            target_j=self.unit_energy_target_j,
-            on_charged=None,
-        )
 
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Batch on-unit ``"run"`` ticks (exact-kernel engine).

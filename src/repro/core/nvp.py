@@ -28,7 +28,7 @@ from repro.core.progress import ForwardProgressLedger
 from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.system import exactkernel
-from repro.system.fastpath import OffRunFastForward, OffRunPlan
+from repro.system.fastpath import DormantCharging
 from repro.system.simulator import TickReport
 from repro.system.thresholds import ThresholdPlan, plan_thresholds
 from repro.workloads.base import Workload
@@ -38,7 +38,7 @@ from repro.workloads.base import Workload
 Governor = Callable[[float, ThresholdPlan, float], float]
 
 
-class NVPPlatform(OffRunFastForward):
+class NVPPlatform(DormantCharging):
     """A nonvolatile processor attached to a storage element.
 
     Args:
@@ -193,23 +193,25 @@ class NVPPlatform(OffRunFastForward):
         return self.workload.finished
 
     # -- the state machine -----------------------------------------------
+    # ``tick`` and ``fast_forward`` come from DormantCharging; the NVP
+    # names its off state, its wake target and its powered-on tick.
 
-    def tick(self, p_in_w: float, dt_s: float) -> TickReport:
-        """Advance one tick; returns what the platform did."""
-        if self.workload.finished:
-            self.storage.step(p_in_w, 0.0, dt_s)
-            return TickReport("done")
+    def off_state(self) -> Optional[str]:
+        """``"off"`` while powered off, ``None`` while powered on."""
+        return "off" if self._state == "off" else None
+
+    def wake_target_j(self, dt_s: float) -> float:
+        """The start threshold: stored energy that triggers a wake."""
+        return self.thresholds(dt_s).start_threshold_j
+
+    def count_dormant_ticks(self, ticks: int, dt_s: float) -> None:
+        """Advance the retention-age clock by ``ticks`` off ticks."""
+        self._off_ticks += ticks
+        self._off_elapsed_s = self._off_ticks * dt_s
+
+    def _run_tick(self, p_in_w: float, dt_s: float) -> TickReport:
+        """One powered-on tick: back up at the threshold, else execute."""
         plan = self.thresholds(dt_s)
-
-        if self._state == "off":
-            self.storage.step(p_in_w, 0.0, dt_s)
-            self._off_ticks += 1
-            self._off_elapsed_s = self._off_ticks * dt_s
-            if self.storage.energy_j >= plan.start_threshold_j:
-                return self._wake()
-            return TickReport("off")
-
-        # -- powered on -------------------------------------------------
         if self.storage.energy_j <= plan.backup_threshold_j:
             return self._power_down_with_backup(p_in_w, dt_s)
 
@@ -242,28 +244,7 @@ class NVPPlatform(OffRunFastForward):
             return TickReport("run", advance.instructions)
         return TickReport("run", advance.instructions)
 
-    # -- fast-forward ------------------------------------------------------
-
-    def off_plan(self, dt_s: float) -> Optional[OffRunPlan]:
-        """The dormant-charging plan while powered off.
-
-        Charges toward the start threshold with no load and keeps the
-        retention-age clock (``_off_ticks``) in sync with the consumed
-        ticks; :meth:`tick` runs the crossing tick and its
-        :meth:`_wake`.  ``None`` while powered on.
-        """
-        if self._state != "off":
-            return None
-
-        def on_charged(ticks: int) -> None:
-            self._off_ticks += ticks
-            self._off_elapsed_s = self._off_ticks * dt_s
-
-        return OffRunPlan(
-            state="off",
-            target_j=lambda: self.thresholds(dt_s).start_threshold_j,
-            on_charged=on_charged,
-        )
+    # -- bulk advance --------------------------------------------------------
 
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Advance through predictable powered-on ``"run"`` ticks in bulk.

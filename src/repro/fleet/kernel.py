@@ -5,12 +5,15 @@ tick by tick.  Dormant devices (off/charge/done) live in the
 struct-of-arrays state (:class:`repro.fleet.soa.FleetArrays`) and
 bulk-advance through one vectorized charge step per tick; devices that
 are powered on tick exactly through their own platform state machine,
-just like the single-device engine.  A dormant device charges toward
-its :class:`~repro.system.fastpath.OffRunPlan` target — the plan the
-single-device fast path drives — and the vectorized step stops before
-the tick that reaches it; the device then joins the exact path in
-that same lockstep tick, so its own ``tick()`` runs the wake attempt
-and every transition executes the same Python code in both engines.
+just like the single-device engine.  A device is parked from the
+platform's :meth:`~repro.system.fastpath.DormantCharging.dormant_state`
+and charges toward its
+:meth:`~repro.system.fastpath.DormantCharging.wake_target_j` — the
+state and target the single-device fast path reads — and the
+vectorized step stops before the tick that reaches it; the device then
+joins the exact path in that same lockstep tick, so its own ``tick()``
+runs the wake attempt and every transition executes the same Python
+code in both engines.
 
 The per-device :class:`~repro.system.result.SimulationResult` is
 therefore **bit-for-bit identical** to running
@@ -34,9 +37,9 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * results are materialised through the shared
   :func:`repro.system.simulator.assemble_result`.
 
-Devices whose storage does not implement the SoA contract (or whose
-platform has no ``off_plan``) simply stay on the exact per-tick path —
-correctness never depends on the vectorization being available.
+Devices whose storage does not implement the SoA contract (the oracle
+has none) simply stay on the exact per-tick path — correctness never
+depends on the vectorization being available.
 """
 
 from __future__ import annotations
@@ -157,11 +160,11 @@ class _FleetDevice:
     """Book-keeping for one device row."""
 
     __slots__ = (
-        "index", "config", "platform", "storage", "off_plan_fn", "soa",
+        "index", "config", "platform", "storage", "soa",
         "exact_batch_fn", "skip_until", "batch_armed",
         "row", "base", "n_ticks", "stop_when_finished",
         "tally",
-        "mode", "dormant_state", "plan", "result",
+        "mode", "dormant_state", "result",
     )
 
     def __init__(self, index: int, config: Dict, dt_s: float) -> None:
@@ -170,7 +173,6 @@ class _FleetDevice:
         self.tally = RunTally(dt_s)
         self.mode = MODE_ACTIVE
         self.dormant_state: Optional[str] = None
-        self.plan = None
         self.result = None
         # The tick a bulk run hands the device back at (none yet).
         self.skip_until = -1
@@ -233,7 +235,6 @@ class FleetKernel:
             workload = build_workload(config)
             dev.platform = build_platform(config, workload)
             dev.storage = getattr(dev.platform, "storage", None)
-            dev.off_plan_fn = getattr(dev.platform, "off_plan", None)
             dev.exact_batch_fn = getattr(dev.platform, "exact_batch", None)
             dev.soa = storage_soa_params(dev.storage)
             if dev.soa is not None:
@@ -253,24 +254,19 @@ class FleetKernel:
         """Park the device on the vectorized path if it is dormant.
 
         Returns whether it was parked; a device that was not stays on
-        the exact path.
+        the exact path.  A finished device charges toward an
+        unreachable target: a pure ``"done"`` run.
         """
         if dev.soa is None:
             return False
-        if dev.platform.finished:
-            # Finished but still integrating the trace: a pure
-            # "done" charge run with an unreachable target.
-            dev.dormant_state = "done"
-            dev.plan = None
-            target = math.inf
-        else:
-            plan = dev.off_plan_fn(self.dt) if dev.off_plan_fn else None
-            if plan is None:
-                return False
-            dev.dormant_state = plan.state
-            dev.plan = plan
-            target = plan.target_j()
+        state = dev.platform.dormant_state()
+        if state is None:
+            return False
+        dev.dormant_state = state
         dev.mode = MODE_PASSIVE
+        target = (
+            math.inf if state == "done" else dev.platform.wake_target_j(self.dt)
+        )
         self.arrays.load_row(dev.row, dev.storage, target)
         self.n_passive += 1
         return True
@@ -279,8 +275,8 @@ class FleetKernel:
         """Account pending dormant ticks and sync the storage object."""
         pend = int(self.arrays.pending[dev.row])
         if pend:
-            if dev.plan is not None and dev.plan.on_charged is not None:
-                dev.plan.on_charged(pend)
+            if dev.dormant_state != "done":
+                dev.platform.count_dormant_ticks(pend, self.dt)
             dev.tally.add(dev.dormant_state, pend)
             self.arrays.pending[dev.row] = 0
         self.arrays.store_row(dev.row, dev.storage)
@@ -298,7 +294,6 @@ class FleetKernel:
             self.arrays.retire_row(row)
             self.n_passive -= 1
             dev.mode = MODE_ACTIVE
-            dev.plan = None
             dev.dormant_state = None
             dev.skip_until = i
             self._active.append(dev)

@@ -1,67 +1,79 @@
-"""The shared charge-loop behind every platform's ``fast_forward``.
+"""The dormant half of every energy-buffered platform, written once.
 
-Every energy-buffered platform fast-forwards the same way: while
-dormant it charges toward an energy target through the storage
-element's ``charge_many`` primitive, stops before the tick that would
-reach the target, and reports the consumed ticks as one
-``(state, ticks)`` run.  The wake attempt on that tick is an event
-tick like any other: the platform's own ``tick()`` runs it, in every
-engine.  Each of :mod:`repro.core.nvp`,
-:mod:`repro.baselines.checkpoint` and
-:mod:`repro.baselines.waitcompute` only describes *its* dormant
-behaviour as an :class:`OffRunPlan` and inherits ``fast_forward`` from
-:class:`OffRunFastForward`, which runs the loop in
-:func:`fast_forward_offruns`.
+Every energy-buffered platform runs the same dormant/wake cycle: while
+powered off it charges at zero load and, on the tick whose charge
+reaches its wake target, attempts to wake; once its workload is
+finished it only keeps integrating the trace (``"done"``).  The NVP
+(:mod:`repro.core.nvp`) and the checkpointing baseline
+(:mod:`repro.baselines.checkpoint`) wake at their start threshold,
+wait-and-compute (:mod:`repro.baselines.waitcompute`) boots at its
+unit-energy target.  :class:`DormantCharging` runs that cycle, both
+tick by tick and in bulk; a platform only names its off state, wake
+target, wake and powered-on tick.
 
-The plan is also the contract the fleet kernel
-(:mod:`repro.fleet.kernel`) drives: a dormant device advances through
-the vectorized struct-of-arrays charge step, which stops before the
-same tick, and then joins the exact path for it.
+The fleet kernel (:mod:`repro.fleet.kernel`) parks a dormant device
+from the same ``dormant_state()`` and ``wake_target_j()``: its
+vectorized charge step stops before the tick that reaches the target,
+and the device's own ``tick()`` then runs that tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from repro.system.simulator import TickReport
 
 
-@dataclass
-class OffRunPlan:
-    """How a dormant platform charges.
+class DormantCharging:
+    """``tick`` and ``fast_forward`` of an energy-buffered platform.
 
-    Attributes:
-        state: run-length state name while dormant (``"off"`` or
-            ``"charge"``).
-        target_j: stored-energy target that triggers a wake attempt;
-            called once per charge run so plans whose target moves
-            between wake attempts (wait-and-compute) stay exact.
-        on_charged: optional bookkeeping for consumed dormant ticks
-            (the NVP's retention-age clock); called after every charge
-            run with the number of ticks consumed.
+    "Dormant" is powered off and charging, or finished and idling:
+    either way the storage integrates the trace at zero load.  The
+    host class provides ``workload`` and ``storage`` and implements:
+
+    * ``off_state()``: the state name while powered off (``"off"`` or
+      ``"charge"``), ``None`` while powered on;
+    * ``wake_target_j(dt_s)``: the stored energy that triggers a wake
+      attempt (never read once the workload is finished);
+    * ``_wake()``: the wake attempt, returning its :class:`TickReport`;
+    * ``_run_tick(p_in_w, dt_s)``: one powered-on tick;
+    * optionally ``count_dormant_ticks(ticks, dt_s)``, called for
+      every consumed off tick (the NVP's retention-age clock).
     """
 
-    state: str
-    target_j: Callable[[], float]
-    on_charged: Optional[Callable[[int], None]]
+    def dormant_state(self) -> Optional[str]:
+        """``"done"`` once the workload is finished, else the off state."""
+        if self.workload.finished:
+            return "done"
+        return self.off_state()
 
+    def count_dormant_ticks(self, ticks: int, dt_s: float) -> None:
+        """Account ``ticks`` consumed off ticks (nothing by default)."""
 
-class OffRunFastForward:
-    """The ``fast_forward`` capability of a platform with an ``off_plan``.
+    def tick(self, p_in_w: float, dt_s: float) -> TickReport:
+        """Advance one tick; returns what the platform did."""
+        state = self.dormant_state()
+        if state is None:
+            return self._run_tick(p_in_w, dt_s)
+        self.storage.step(p_in_w, 0.0, dt_s)
+        if state == "done":
+            return TickReport("done")
+        self.count_dormant_ticks(1, dt_s)
+        if self.storage.energy_j >= self.wake_target_j(dt_s):
+            return self._wake()
+        return TickReport(state)
 
-    Mixed into every energy-buffered platform: each one describes its
-    dormant behaviour through ``off_plan(dt_s)`` and inherits this one
-    definition.
-    """
+    def fast_forward(
+        self, p_in_w, start: int, stop: int, dt_s: float
+    ) -> Optional[List[Tuple[str, int]]]:
+        """Advance through dormant ticks in bulk.
 
-    def fast_forward(self, p_in_w, start, stop, dt_s):
-        """Advance through analytically predictable ticks in bulk.
-
-        Covers the steady states the per-tick loop wastes most of its
-        time in: dormant charging toward the platform's wake target
-        (``"off"`` or ``"charge"``, stopping before the tick that
-        reaches it) and ``"done"`` (workload finished, storage still
-        integrating the trace).  Every float operation matches the
-        exact path bit-for-bit.
+        The storage element's ``charge_many`` repeats :meth:`tick`'s
+        zero-load step bit for bit and stops before the tick that
+        reaches the wake target, so the wake attempt runs in
+        :meth:`tick` in every engine.  The target is read once, at
+        ``start``: a platform emits from inside this call only at
+        that tick.
 
         Args:
             p_in_w: per-tick DC input power, indexable (the simulator
@@ -71,53 +83,19 @@ class OffRunFastForward:
             dt_s: tick duration.
 
         Returns:
-            A list of ``(state, ticks)`` runs covering every consumed
-            tick, in order — or ``None`` when this platform state
-            cannot be fast-forwarded (the simulator then falls back to
-            exact ticking).
+            ``[(state, ticks)]`` covering the consumed ticks — or
+            ``None`` when powered on, when the storage has no
+            ``charge_many``, or when the first tick already reaches
+            the target (the simulator then ticks exactly).
         """
-        return fast_forward_offruns(self, p_in_w, start, stop, dt_s)
-
-
-def fast_forward_offruns(
-    platform, p_in_w, start: int, stop: int, dt_s: float
-) -> Optional[List[Tuple[str, int]]]:
-    """Bulk-advance ``platform`` through dormant/done ticks.
-
-    Implements the :meth:`OffRunFastForward.fast_forward` contract for
-    any platform that exposes ``off_plan(dt_s)``: delegates the
-    arithmetic to the storage element's ``charge_many`` so every float
-    operation matches the exact path bit-for-bit, and leaves the tick
-    that reaches the wake target to the platform's own ``tick()``.
-    The plan's target is read once, at ``start``, so a platform emits
-    from inside this call only at that tick.
-
-    Args:
-        platform: the platform being advanced; must expose
-            ``storage``, ``workload`` and ``off_plan``.
-        p_in_w: per-tick DC input power, indexable.
-        start: index of the current tick.
-        stop: one past the last tick that may be consumed.
-        dt_s: tick duration.
-
-    Returns:
-        ``[(state, ticks)]`` covering the consumed ticks — or ``None``
-        when the platform state cannot be fast-forwarded or its first
-        tick already reaches the target (the simulator then falls back
-        to exact ticking).
-    """
-    charge_many = getattr(platform.storage, "charge_many", None)
-    if charge_many is None:
-        return None
-    if platform.workload.finished:
-        consumed, _ = charge_many(p_in_w, start, stop, dt_s, None)
-        return [("done", consumed)] if consumed else None
-    plan = platform.off_plan(dt_s)
-    if plan is None:
-        return None
-    consumed, _ = charge_many(p_in_w, start, stop, dt_s, plan.target_j())
-    if not consumed:
-        return None
-    if plan.on_charged is not None:
-        plan.on_charged(consumed)
-    return [(plan.state, consumed)]
+        state = self.dormant_state()
+        charge_many = getattr(self.storage, "charge_many", None)
+        if state is None or charge_many is None:
+            return None
+        target = None if state == "done" else self.wake_target_j(dt_s)
+        consumed, _ = charge_many(p_in_w, start, stop, dt_s, target)
+        if not consumed:
+            return None
+        if state != "done":
+            self.count_dormant_ticks(consumed, dt_s)
+        return [(state, consumed)]

@@ -52,6 +52,7 @@ one the fleet kernel keeps per device.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol, runtime_checkable
 
@@ -88,7 +89,7 @@ class Platform(Protocol):
     Platforms may additionally implement the optional fast-path
     capability ``fast_forward(p_in_w, start, stop, dt_s)`` returning a
     list of ``(state, ticks)`` runs (or ``None``); see
-    :meth:`repro.system.fastpath.OffRunFastForward.fast_forward` for
+    :meth:`repro.system.fastpath.DormantCharging.fast_forward` for
     the contract.
     The analogous active-path capability
     ``exact_batch(p_in_w, start, stop, dt_s)`` bulk-executes
@@ -252,9 +253,10 @@ class SystemSimulator:
         outage_threshold_w: operating threshold for live outage events
             (only used when a bus is attached).
         sample_stride: emit a coarse ``sim.sample`` event every this
-            many ticks (0, the default, disables sampling).  Unlike
-            ``sim.tick`` the coarse sample is synthesized on the fast
-            path, so it is the observable heartbeat to use in sweeps.
+            many ticks, an integer (0, the default, disables sampling).
+            Unlike ``sim.tick`` the coarse sample is synthesized on the
+            fast path, so it is the observable heartbeat to use in
+            sweeps.
         use_fast_forward: fast-path policy.  ``None`` (default) uses
             the platform's ``fast_forward`` capability unless a
             subscriber asked for the per-tick ``sim.tick`` event —
@@ -287,6 +289,13 @@ class SystemSimulator:
         use_fast_forward: Optional[bool] = None,
         use_exact_batch: Optional[bool] = None,
     ) -> None:
+        # ``True`` is an Integral too, and a fractional stride would
+        # sample different ticks on the scalar path and in synthesis.
+        if (isinstance(sample_stride, bool)
+                or not isinstance(sample_stride, numbers.Integral)):
+            raise ValueError(
+                f"sample_stride must be an integer, got {sample_stride!r}"
+            )
         if sample_stride < 0:
             raise ValueError("sample_stride cannot be negative")
         self.trace = trace

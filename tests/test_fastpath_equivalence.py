@@ -247,7 +247,7 @@ class TestSynthesizedEventStreams:
         self, trace_kind, recomputes
     ):
         """Margin changes make the NVP re-plan its thresholds inside
-        ``fast_forward``'s ``target_j()``: the one emit a platform
+        ``fast_forward``'s ``wake_target_j()``: the one emit a platform
         makes from inside a bulk call, at the call's first tick."""
         from repro.core.config import NVPConfig
         from repro.core.nvp import NVPPlatform
@@ -524,37 +524,168 @@ class TestFleetEquivalence:
             FleetKernel([])
 
 
-class TestOffRunPlanDelegation:
-    """Regression pin: every dormant-capable platform fast-forwards
-    through the one shared loop in system/fastpath.py (the
-    deduplicated charge-many fallback), and the fleet kernel drives
-    the same OffRunPlan."""
+class TestDormantCharging:
+    """Every energy-buffered platform runs its dormant/wake cycle
+    through the one :class:`~repro.system.fastpath.DormantCharging`:
+    the scalar tick and the bulk fast-forward over the same dormant
+    ticks leave the same bits."""
 
-    def test_platforms_delegate_to_shared_offrun_loop(self, monkeypatch):
-        from repro.system import fastpath
+    DORMANT_PLATFORMS = ("nvp", "checkpoint", "wait")
 
-        calls = []
-        original = fastpath.fast_forward_offruns
+    def test_platforms_inherit_the_dormant_cycle(self):
+        import inspect
 
-        def spy(platform, p_in_w, start, stop, dt_s):
-            calls.append(type(platform).__name__)
-            return original(platform, p_in_w, start, stop, dt_s)
+        from repro.system.fastpath import DormantCharging
 
-        monkeypatch.setattr(fastpath, "fast_forward_offruns", spy)
-        trace = TRACE_MAKERS["square_outage"](0)
-        for name in ("nvp", "wait", "checkpoint"):
-            run_sim(PLATFORM_BUILDERS[name], trace, use_fast_forward=None)
-        assert {"NVPPlatform", "WaitComputePlatform",
-                "CheckpointPlatform"} <= set(calls)
+        for name in self.DORMANT_PLATFORMS:
+            cls = type(PLATFORM_BUILDERS[name](AbstractWorkload()))
+            for method in ("tick", "fast_forward", "dormant_state"):
+                assert method not in vars(cls), (cls, method)
+                assert getattr(cls, method) is getattr(
+                    DormantCharging, method
+                )
+            # No dormant-plan hook survives next to the mixin.
+            assert not [attr for attr in dir(cls) if attr.endswith("_plan")]
+            # The dormant branch (finished -> "done", charge, wake
+            # test) is the mixin's alone.
+            source = inspect.getsource(inspect.getmodule(cls))
+            assert '"done"' not in source
+            assert "self._wake()" not in source
 
-    def test_off_plan_exposed_by_all_dormant_platforms(self):
-        from repro.system.fastpath import OffRunPlan
-
-        for name in ("nvp", "wait", "checkpoint"):
+    @staticmethod
+    def dormant_platform(name, state, dt):
+        """A fresh ``name`` platform brought into dormant ``state``."""
+        if state == "done":
+            platform = PLATFORM_BUILDERS[name](
+                AbstractWorkload(total_units=1, instructions_per_unit=100)
+            )
+            for _ in range(10_000):
+                if platform.finished:
+                    break
+                platform.tick(1e-3, dt)
+        else:
             platform = PLATFORM_BUILDERS[name](AbstractWorkload())
-            plan = platform.off_plan(1e-4)
-            assert isinstance(plan, OffRunPlan)
-            assert callable(plan.target_j)
+            for _ in range(3):
+                platform.tick(0.0, dt)
+        assert platform.dormant_state() == state
+        return platform
+
+    @staticmethod
+    def bits(platform):
+        """The storage's float state, bit for bit, and the NVP's
+        retention-age clock."""
+        storage = {
+            key: value.hex() for key, value in vars(platform.storage).items()
+            if isinstance(value, float)
+        }
+        clock = (
+            getattr(platform, "_off_ticks", None),
+            getattr(platform, "_off_elapsed_s", None),
+        )
+        return storage, clock, platform.dormant_state()
+
+    @pytest.mark.parametrize("name, state", [
+        ("nvp", "off"), ("checkpoint", "off"), ("wait", "charge"),
+        ("nvp", "done"), ("checkpoint", "done"), ("wait", "done"),
+    ])
+    def test_scalar_ticks_equal_one_fast_forward(self, name, state):
+        dt = 1e-4
+        trace = wristwatch_trace(3.0, seed=11)
+        p_in = standard_rectifier().output_power_array(trace.samples_w)
+        p_in = p_in.tolist()
+        scalar = self.dormant_platform(name, state, dt)
+        if state == "done":
+            def no_target(dt_s):
+                raise AssertionError("a finished platform read its target")
+
+            scalar.wake_target_j = no_target
+            ticks = 500
+        else:
+            # Count the dormant ticks before the one that wakes.
+            probe = copy.deepcopy(scalar)
+            ticks = 0
+            while probe.tick(p_in[ticks], dt).state == state:
+                ticks += 1
+            assert ticks > 1
+        bulk = copy.deepcopy(scalar)
+
+        for index in range(ticks):
+            assert scalar.tick(p_in[index], dt).state == state
+        stop = ticks if state == "done" else len(p_in)
+        assert bulk.fast_forward(p_in, 0, stop, dt) == [(state, ticks)]
+        assert self.bits(bulk) == self.bits(scalar)
+        if name == "nvp" and state == "off":
+            assert scalar._off_ticks > ticks
+
+        expected = "done" if state == "done" else "restore"
+        assert scalar.tick(p_in[ticks], dt).state == expected
+        assert bulk.tick(p_in[ticks], dt).state == expected
+        assert self.bits(bulk) == self.bits(scalar)
+        assert bulk.stats() == scalar.stats()
+
+    def test_fleet_flush_keeps_the_retention_age_clock(self):
+        """Off ticks a parked fleet row charged count toward the NVP's
+        outage age: every restore ages the backup image by the same
+        off time as in the scalar engine."""
+        from repro.exp.runner import build_simulator, build_trace
+        from repro.fleet import FleetKernel
+
+        def record_ages(platform):
+            ages = []
+            age = platform.controller.age
+
+            def recording(outage_s, rng):
+                ages.append(outage_s)
+                return age(outage_s, rng)
+
+            platform.controller.age = recording
+            return ages
+
+        configs = [
+            fleet_config("nvp", {"source": "wristwatch"}, mean_uw=30.0,
+                         trace_offset_s=offset)
+            for offset in (0.0, 0.3)
+        ]
+        kernel = FleetKernel(configs)
+        fleet_ages = [record_ages(dev.platform) for dev in kernel.devices]
+        kernel.run()
+        for config, ages in zip(configs, fleet_ages):
+            trace = build_trace(config)
+            if config["trace_offset_s"]:
+                trace = trace.tail(config["trace_offset_s"])
+            simulator = build_simulator(
+                config, trace, use_fast_forward=False, use_exact_batch=False
+            )
+            scalar_ages = record_ages(simulator.platform)
+            simulator.run()
+            assert len(scalar_ages) > 1
+            assert ages == scalar_ages
+
+    def test_finished_fleet_device_never_reads_its_target(self):
+        """A finished device parks as a ``"done"`` row with an
+        unreachable target, without asking its platform for one."""
+        from repro.fleet import FleetKernel
+
+        def guard(platform):
+            target = platform.wake_target_j
+
+            def checked(dt_s):
+                assert not platform.finished, "finished device read target"
+                return target(dt_s)
+
+            platform.wake_target_j = checked
+
+        configs = [
+            fleet_config(name, {"source": "wristwatch"}, mean_uw=30.0,
+                         kernel="crc", frames=1, stop_when_finished=False)
+            for name in self.DORMANT_PLATFORMS
+        ]
+        kernel = FleetKernel(configs)
+        for dev in kernel.devices:
+            guard(dev.platform)
+        for config, result in zip(configs, kernel.run()):
+            assert result.completed and result.state_time_s["done"] > 0
+            assert_fleet_identical(result, config)
 
 
 class TestCompiledWorkloadRouting:

@@ -10,6 +10,7 @@ pin down the subscription-sensitive engine selection rule: only a
 ``sim.tick`` subscriber forces exact ticking.
 """
 
+import numpy as np
 import pytest
 
 from repro.harvest.sources import (
@@ -171,4 +172,24 @@ class TestEngineSelection:
                 build_nvp(AbstractWorkload()),
                 sample_stride=-1,
             )
+
+    @pytest.mark.parametrize("stride", [2.5, 2.0, True, "3"])
+    def test_non_integer_sample_stride_rejected(self, stride):
+        """A fractional stride sampled every ``int(stride)`` ticks in
+        synthesis but tested ``tick % stride`` on the scalar path."""
+        trace = wristwatch_trace(1.0, seed=7)
+        with pytest.raises(ValueError, match="sample_stride"):
+            SystemSimulator(
+                trace,
+                build_nvp(AbstractWorkload()),
+                bus=EventBus(),
+                sample_stride=stride,
+            )
+
+    def test_numpy_integer_sample_stride_accepted(self):
+        trace = wristwatch_trace(1.0, seed=7)
+        _, log, _ = observed_run(build_nvp, trace, None,
+                                 sample_stride=np.int64(250))
+        ticks = [e.data["tick"] for e in log if e.name == ev.SAMPLE]
+        assert ticks == list(range(0, len(trace), 250))
 
