@@ -17,6 +17,7 @@ thing crossing the process boundary is JSON-able data.
 
 from __future__ import annotations
 
+import math
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
@@ -382,8 +383,8 @@ class SweepRunner:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError("timeout must be positive and finite")
         self.jobs = jobs
         self.cache = cache
         self.timeout_s = timeout_s

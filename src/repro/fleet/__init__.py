@@ -24,7 +24,7 @@ from repro.fleet.report import (
     render_fleet_summary,
     write_fleet_results,
 )
-from repro.fleet.soa import FleetArrays, storage_soa_params
+from repro.fleet.soa import FleetArrays
 from repro.fleet.spec import (
     DEVICE_OFFSET_KEY,
     FleetSpec,
@@ -54,6 +54,5 @@ __all__ = [
     "replay_device",
     "resolve_device_config",
     "run_fleet",
-    "storage_soa_params",
     "write_fleet_results",
 ]

@@ -37,9 +37,11 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * results are materialised through the shared
   :func:`repro.system.simulator.assemble_result`.
 
-Devices whose storage does not implement the SoA contract (the oracle
-has none) simply stay on the exact per-tick path — correctness never
-depends on the vectorization being available.
+Only a device whose storage is a
+:class:`~repro.storage.capacitor.Capacitor` is ever parked in the
+arrays; the rest (the oracle has no storage, a tiered store or a front
+end is not a single capacitor) simply stay on the exact per-tick path —
+correctness never depends on the vectorization being available.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from repro.exp.runner import (
     build_workload,
     preflight,
 )
-from repro.fleet.soa import FleetArrays, storage_soa_params
+from repro.fleet.soa import FleetArrays
 from repro.fleet.spec import (
     DEVICE_OFFSET_KEY,
     device_config_hash,
@@ -69,6 +71,7 @@ from repro.fleet.spec import (
 )
 from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
+from repro.storage.capacitor import Capacitor
 from repro.system.presets import standard_rectifier
 from repro.system.simulator import RunTally, assemble_result, harvested_j
 
@@ -236,9 +239,9 @@ class FleetKernel:
             dev.platform = build_platform(config, workload)
             dev.storage = getattr(dev.platform, "storage", None)
             dev.exact_batch_fn = getattr(dev.platform, "exact_batch", None)
-            dev.soa = storage_soa_params(dev.storage)
-            if dev.soa is not None:
-                self.arrays.set_params(row, dev.soa, dev.base)
+            dev.soa = isinstance(dev.storage, Capacitor)
+            if dev.soa:
+                self.arrays.set_params(row, dev.storage, dev.base)
             else:
                 self.arrays.base[row] = dev.base
             self.devices.append(dev)
@@ -257,7 +260,7 @@ class FleetKernel:
         the exact path.  A finished device charges toward an
         unreachable target: a pure ``"done"`` run.
         """
-        if dev.soa is None:
+        if not dev.soa:
             return False
         state = dev.platform.dormant_state()
         if state is None:

@@ -7,7 +7,11 @@ one vectorized zero-load charge tick that evaluates, elementwise, the
 exact per-tick float chain of
 :meth:`repro.storage.capacitor.Capacitor.charge_many` — so a dormant
 device advanced through the arrays ends up with bit-for-bit the same
-stored energy and cumulative ledger as the scalar loop.
+stored energy and cumulative ledger as the scalar loop.  A row's
+constants are its capacitor's
+:meth:`~repro.storage.capacitor.Capacitor.chain`, the tuple
+:meth:`charge_many` itself unpacks, so only a device on a
+``Capacitor`` (or an ``IdealStorage``) is ever parked on its row.
 
 Why this is exact and not merely close:
 
@@ -41,38 +45,6 @@ from typing import Optional
 
 import numpy as np
 
-#: Parameter keys every ``soa_params()`` implementation must supply.
-PARAM_KEYS = (
-    "capacitance_f",
-    "capacity_j",
-    "leak_ohm",
-    "min_current_a",
-    "eta_peak",
-    "eta_floor",
-    "v_opt_v",
-    "v_span_v",
-)
-
-
-def storage_soa_params(storage) -> Optional[dict]:
-    """The storage element's SoA parameters, or ``None`` if unsupported.
-
-    A storage class opts into batched advancement by exposing
-    ``soa_params`` / ``soa_state`` / ``soa_restore`` (see
-    :class:`repro.storage.capacitor.Capacitor`); anything else falls
-    back to exact per-tick execution in the kernel.
-    """
-    if storage is None:
-        return None
-    getter = getattr(storage, "soa_params", None)
-    if getter is None or not hasattr(storage, "soa_restore"):
-        return None
-    params = getter()
-    missing = [key for key in PARAM_KEYS if key not in params]
-    if missing:
-        raise ValueError(f"soa_params missing keys: {missing}")
-    return params
-
 
 class FleetArrays:
     """Master struct-of-arrays state for ``n`` device rows.
@@ -94,8 +66,8 @@ class FleetArrays:
         self.n = n
         self.dt_s = dt_s
         # Benign defaults (C=1, flat eta=1, no leak, no min current,
-        # infinite capacity/target) keep dead and non-SoA rows NaN-free
-        # through the vector chain.
+        # infinite capacity/target) keep dead and non-capacitor rows
+        # NaN-free through the vector chain.
         self.energy = np.zeros(n)
         self.capacitance = np.ones(n)
         self.capacity = np.full(n, np.inf)
@@ -115,16 +87,11 @@ class FleetArrays:
 
     # -- per-row maintenance ----------------------------------------------
 
-    def set_params(self, row: int, params: dict, base: int) -> None:
-        """Install a device's storage parameters and trace base."""
-        self.capacitance[row] = params["capacitance_f"]
-        self.capacity[row] = params["capacity_j"]
-        self.leak_ohm[row] = params["leak_ohm"]
-        self.min_current[row] = params["min_current_a"]
-        self.eta_peak[row] = params["eta_peak"]
-        self.eta_floor[row] = params["eta_floor"]
-        self.v_opt[row] = params["v_opt_v"]
-        self.v_span[row] = params["v_span_v"]
+    def set_params(self, row: int, storage, base: int) -> None:
+        """Install a capacitor's ``chain()`` constants and trace base."""
+        (self.capacitance[row], self.capacity[row], self.leak_ohm[row],
+         self.min_current[row], self.eta_peak[row], self.eta_floor[row],
+         self.v_opt[row], self.v_span[row]) = storage.chain()
         self.base[row] = base
 
     def load_row(self, row: int, storage, target_j: float) -> None:

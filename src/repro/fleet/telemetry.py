@@ -336,13 +336,17 @@ def correlation_report(
         storm_fraction: minimum in-outage device fraction for a window
             to count as part of a storm.
     """
+    if window_s is not None and not 0 < window_s < math.inf:
+        raise ValueError("window_s must be positive and finite")
+    if not 0 <= threshold_w < math.inf:
+        raise ValueError("threshold_w must be finite and non-negative")
+    if not 0 <= storm_fraction <= 1:
+        raise ValueError("storm_fraction must be in [0, 1]")
     segments = build_power_segments(configs)
     dt = segments.dt_s
     longest_s = float(segments.n_ticks.max()) * dt
     if window_s is None:
         window_s = max(longest_s / 100.0, dt)
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
     window_ticks = max(1, int(round(window_s / dt)))
     mask = segments.P < threshold_w
     windows = windowed_outages(

@@ -3,8 +3,10 @@
 Implements exactly the NV16 semantics the code generator targets:
 16-bit wrap-around arithmetic, unsigned ``/``, ``%`` and ``>>``,
 signed comparisons, division by zero yielding ``0xFFFF`` (and ``x % 0
-== x``), shift counts modulo 16.  The test suite cross-checks compiled
-programs against this interpreter.
+== x``), shift counts modulo 16.  Each operator's semantics lives once,
+in :func:`unary` and :func:`binary`, which the constant folder
+(:mod:`repro.lang.optimize`) calls too.  The test suite cross-checks
+compiled programs against this interpreter.
 """
 
 from __future__ import annotations
@@ -45,6 +47,52 @@ class _Continue(Exception):
 def _signed(value: int) -> int:
     value &= MASK
     return value - 0x10000 if value & 0x8000 else value
+
+
+def unary(op: str, value: int) -> int:
+    """``op value`` on a 16-bit value, with NV16 semantics."""
+    if op == "-":
+        return (-value) & MASK
+    if op == "~":
+        return value ^ MASK
+    return 1 if value == 0 else 0  # "!"
+
+
+def binary(op: str, a: int, b: int) -> int:
+    """``a op b`` on two 16-bit values, with NV16 semantics."""
+    if op == "+":
+        return (a + b) & MASK
+    if op == "-":
+        return (a - b) & MASK
+    if op == "*":
+        return (a * b) & MASK
+    if op == "/":
+        return MASK if b == 0 else a // b
+    if op == "%":
+        return a if b == 0 else a % b
+    if op == "&":
+        return a & b
+    if op == "|":
+        return a | b
+    if op == "^":
+        return a ^ b
+    if op == "<<":
+        return (a << (b % 16)) & MASK
+    if op == ">>":
+        return a >> (b % 16)
+    if op == "==":
+        return 1 if a == b else 0
+    if op == "!=":
+        return 1 if a != b else 0
+    if op == "<":
+        return 1 if _signed(a) < _signed(b) else 0
+    if op == "<=":
+        return 1 if _signed(a) <= _signed(b) else 0
+    if op == ">":
+        return 1 if _signed(a) > _signed(b) else 0
+    if op == ">=":
+        return 1 if _signed(a) >= _signed(b) else 0
+    raise InterpError(f"unknown operator {op!r}")
 
 
 @dataclass
@@ -110,14 +158,10 @@ class _Interp:
                 )
             return array[index]
         if isinstance(node, ast.Unary):
-            value = self.eval(node.operand, env)
-            if node.op == "-":
-                return (-value) & MASK
-            if node.op == "~":
-                return value ^ MASK
-            return 1 if value == 0 else 0  # "!"
+            return unary(node.op, self.eval(node.operand, env))
         if isinstance(node, ast.Binary):
-            return self._binary(node, env)
+            left = self.eval(node.left, env)
+            return binary(node.op, left, self.eval(node.right, env))
         if isinstance(node, ast.Logical):
             left = self.eval(node.left, env)
             if node.op == "&&":
@@ -130,44 +174,6 @@ class _Interp:
         if isinstance(node, ast.Call):
             return self._call(node, env)
         raise InterpError(f"cannot evaluate {type(node).__name__}")
-
-    def _binary(self, node: ast.Binary, env) -> int:
-        a = self.eval(node.left, env)
-        b = self.eval(node.right, env)
-        op = node.op
-        if op == "+":
-            return (a + b) & MASK
-        if op == "-":
-            return (a - b) & MASK
-        if op == "*":
-            return (a * b) & MASK
-        if op == "/":
-            return MASK if b == 0 else a // b
-        if op == "%":
-            return a if b == 0 else a % b
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "<<":
-            return (a << (b % 16)) & MASK
-        if op == ">>":
-            return a >> (b % 16)
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if _signed(a) < _signed(b) else 0
-        if op == "<=":
-            return 1 if _signed(a) <= _signed(b) else 0
-        if op == ">":
-            return 1 if _signed(a) > _signed(b) else 0
-        if op == ">=":
-            return 1 if _signed(a) >= _signed(b) else 0
-        raise InterpError(f"unknown operator {op!r}")
 
     def _call(self, node: ast.Call, env) -> int:
         if node.name == "in":

@@ -2,8 +2,9 @@
 
 On an energy-budgeted core, every folded instruction is harvested
 energy returned to the application.  The folder evaluates constant
-subexpressions with exactly the target's 16-bit semantics (by reusing
-the interpreter's operator tables), collapses constant conditions, and
+subexpressions with exactly the target's 16-bit semantics (it calls
+the interpreter's own :func:`~repro.lang.interp.unary` and
+:func:`~repro.lang.interp.binary`), collapses constant conditions, and
 prunes unreachable branches — all before code generation, so the
 generated NV16 stays simple.
 
@@ -17,42 +18,7 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 from repro.lang import ast
-from repro.lang.interp import MASK, _signed
-
-
-def _fold_binary(op: str, a: int, b: int) -> int:
-    """Evaluate ``a op b`` with NV16 semantics (both 16-bit values)."""
-    if op == "+":
-        return (a + b) & MASK
-    if op == "-":
-        return (a - b) & MASK
-    if op == "*":
-        return (a * b) & MASK
-    if op == "/":
-        return MASK if b == 0 else a // b
-    if op == "%":
-        return a if b == 0 else a % b
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return (a << (b % 16)) & MASK
-    if op == ">>":
-        return a >> (b % 16)
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(_signed(a) < _signed(b))
-    if op == "<=":
-        return int(_signed(a) <= _signed(b))
-    if op == ">":
-        return int(_signed(a) > _signed(b))
-    return int(_signed(a) >= _signed(b))  # ">="
+from repro.lang.interp import MASK, binary, unary
 
 
 def fold_expr(node):
@@ -66,18 +32,14 @@ def fold_expr(node):
     if isinstance(node, ast.Unary):
         operand = fold_expr(node.operand)
         if isinstance(operand, ast.Num):
-            if node.op == "-":
-                return ast.Num(value=(-operand.value) & MASK, line=node.line)
-            if node.op == "~":
-                return ast.Num(value=operand.value ^ MASK, line=node.line)
-            return ast.Num(value=int(operand.value == 0), line=node.line)
+            return ast.Num(value=unary(node.op, operand.value), line=node.line)
         return ast.Unary(op=node.op, operand=operand, line=node.line)
     if isinstance(node, ast.Binary):
         left = fold_expr(node.left)
         right = fold_expr(node.right)
         if isinstance(left, ast.Num) and isinstance(right, ast.Num):
             return ast.Num(
-                value=_fold_binary(node.op, left.value, right.value),
+                value=binary(node.op, left.value, right.value),
                 line=node.line,
             )
         return ast.Binary(op=node.op, left=left, right=right, line=node.line)

@@ -120,7 +120,8 @@ class Capacitor:
         self.efficiency = efficiency
         self.min_charge_current_a = min_charge_current_a
         #: Capacity at rated voltage, joules: the bound every op chain
-        #: (``step``, ``charge_many``, ``soa_params``) clips against.
+        #: (``step``, ``charge_many`` and the loops that read
+        #: :meth:`chain`) clips against.
         self.capacity_j = 0.5 * capacitance_f * v_max_v * v_max_v
         self._energy_j = 0.5 * capacitance_f * v_initial_v * v_initial_v
         # Cumulative accounting.
@@ -253,16 +254,9 @@ class Capacitor:
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
+        (capacitance, capacity, leak_ohm, min_current,
+         eta_peak, eta_floor, v_opt, v_span) = self.chain()
         energy = self._energy_j
-        capacity = self.capacity_j
-        capacitance = self.capacitance_f
-        min_current = self.min_charge_current_a
-        leak_ohm = self.leak_resistance_ohm
-        curve = self.efficiency
-        eta_peak = curve.eta_peak
-        eta_floor = curve.eta_floor
-        v_opt = curve.v_opt_v
-        v_span = curve.v_span_v
         # A flat curve (eta_floor == eta_peak) is voltage-independent:
         # max(eta, eta_peak * (1 - x**2)) == eta exactly, so hoisting
         # it out of the loop cannot change a single bit.
@@ -322,31 +316,31 @@ class Capacitor:
         self.total_wasted_j = total_wasted
         return index - start, crossed
 
-    # -- fleet struct-of-arrays contract -------------------------------------
+    # -- bulk-engine access -------------------------------------------------
 
-    def soa_params(self) -> dict:
-        """Scalar parameters for the fleet SoA charge kernel.
+    def chain(self) -> tuple:
+        """The op chain's eight constants, in the order the loops hoist them.
 
-        The vectorized kernel (:mod:`repro.fleet.soa`) evaluates the
-        same per-tick float chain as :meth:`charge_many` — sqrt, the
-        efficiency parabola, headroom clip, leak — elementwise across
-        many devices, so these must be exactly the values the scalar
-        loop hoists.
+        ``(capacitance_f, capacity_j, leak_ohm, min_current_a, eta_peak,
+        eta_floor, v_opt_v, v_span_v)``: the values :meth:`step` reads.
+        :meth:`charge_many`, the batched storage loops of
+        :mod:`repro.system.exactkernel` and the fleet's vectorized
+        charge step (:mod:`repro.fleet.soa`) each unpack this one tuple.
         """
         curve = self.efficiency
-        return {
-            "capacitance_f": self.capacitance_f,
-            "capacity_j": self.capacity_j,
-            "leak_ohm": self.leak_resistance_ohm,
-            "min_current_a": self.min_charge_current_a,
-            "eta_peak": curve.eta_peak,
-            "eta_floor": curve.eta_floor,
-            "v_opt_v": curve.v_opt_v,
-            "v_span_v": curve.v_span_v,
-        }
+        return (
+            self.capacitance_f,
+            self.capacity_j,
+            self.leak_resistance_ohm,
+            self.min_charge_current_a,
+            curve.eta_peak,
+            curve.eta_floor,
+            curve.v_opt_v,
+            curve.v_span_v,
+        )
 
     def soa_state(self):
-        """``(energy, charged, leaked, wasted)`` for the fleet kernel."""
+        """``(energy, charged, leaked, wasted)`` for the bulk engines."""
         return (
             self._energy_j,
             self.total_charged_j,
@@ -361,11 +355,11 @@ class Capacitor:
         leaked_j: float,
         wasted_j: float,
     ) -> None:
-        """Adopt state evolved by the fleet SoA kernel.
+        """Adopt state evolved by a bulk engine.
 
-        The kernel's arithmetic is bit-identical to
-        :meth:`charge_many`, so this is a plain assignment — no
-        clamping, which would break the bit-for-bit guarantee.
+        The batched loops and the fleet's vectorized step are
+        bit-identical to :meth:`step`, so this is a plain assignment —
+        no clamping, which would break the bit-for-bit guarantee.
         """
         self._energy_j = energy_j
         self.total_charged_j = charged_j

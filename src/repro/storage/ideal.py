@@ -9,9 +9,10 @@ parameters turn every loss into an exact float identity: ``C = 1``, a
 flat unit-efficiency curve (``x * 1.0 == x``, ``x - x == 0.0``),
 infinite leak resistance (the leak is ``0.0``) and no minimum charge
 current.  So the capacitor's one op chain — ``step``, ``draw``,
-``charge_many`` and the ``soa_*`` contract the fleet and batch kernels
-use — performs the loss-free arithmetic (charge ``p * dt``, clip at
-capacity, draw the load) bit for bit on finite inputs.
+``charge_many`` and the ``chain()`` constants the fleet and batch
+kernels read — performs the loss-free arithmetic (charge ``p * dt``,
+clip at capacity, draw the load) bit for bit on finite inputs.  Being
+a ``Capacitor``, it takes every bulk path.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ order):
   float evaluation order.  Their batched path is a fused scalar loop
   replicating ``Capacitor.step``'s exact op chain (charge with
   voltage-dependent efficiency, headroom clip, leak, load draw), with
-  the storage parameterized through the same ``soa_params()`` contract
-  the fleet kernel uses.
+  the constants read from the same ``Capacitor.chain()`` tuple the
+  fleet kernel reads.
 
 Event ticks are detected on *candidate* values: the loop computes the
 tick's deltas into locals, and on a deficit (or a pre-tick threshold
@@ -63,6 +63,8 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.storage.capacitor import Capacitor
 
 __all__ = [
     "run_batch",
@@ -91,9 +93,10 @@ def run_batch(
     The body of every platform's ``exact_batch`` once the platform has
     checked its own preconditions (powered on, no governor, ...).  It
     declines when the workload is finished or advertises no
-    ``supports_exact_batch`` mode, or when a storage element does not
-    implement the ``soa_params()`` contract.  Otherwise it dispatches
-    on the workload's mode:
+    ``supports_exact_batch`` mode, or when the storage element is not
+    a :class:`~repro.storage.capacitor.Capacitor` (a tiered store or a
+    front end ticks exactly).  Otherwise it dispatches on the
+    workload's mode:
 
     * ``"recurrence"`` — ``advance`` is the closed-form
       :class:`~repro.workloads.base.AbstractWorkload` time-credit
@@ -123,9 +126,9 @@ def run_batch(
     if storage is None:
         run = oracle_run if mode == "recurrence" else isa_oracle_run
         ticks = run(platform, start, stop, dt_s)
+    elif not isinstance(storage, Capacitor):
+        return None
     else:
-        if getattr(storage, "soa_params", None) is None:
-            return None
         rules = stops() if stops is not None else {}
         if mode == "recurrence":
             ticks = storage_run(platform, p_in_w, start, stop, dt_s, **rules)
@@ -230,15 +233,8 @@ def storage_run(
     """
     workload = platform.workload
     storage = platform.storage
-    params = storage.soa_params()
-    capacitance = params["capacitance_f"]
-    capacity = params["capacity_j"]
-    leak_ohm = params["leak_ohm"]
-    min_current = params["min_current_a"]
-    eta_peak = params["eta_peak"]
-    eta_floor = params["eta_floor"]
-    v_opt = params["v_opt_v"]
-    v_span = params["v_span_v"]
+    (capacitance, capacity, leak_ohm, min_current,
+     eta_peak, eta_floor, v_opt, v_span) = storage.chain()
     # A flat curve is voltage-independent: max(eta, eta_peak *
     # (1 - x**2)) == eta exactly (same hoist charge_many makes).
     flat_eta = eta_peak if eta_floor == eta_peak else None
@@ -441,15 +437,8 @@ def isa_storage_run(
     """
     workload = platform.workload
     storage = platform.storage
-    params = storage.soa_params()
-    capacitance = params["capacitance_f"]
-    capacity = params["capacity_j"]
-    leak_ohm = params["leak_ohm"]
-    min_current = params["min_current_a"]
-    eta_peak = params["eta_peak"]
-    eta_floor = params["eta_floor"]
-    v_opt = params["v_opt_v"]
-    v_span = params["v_span_v"]
+    (capacitance, capacity, leak_ohm, min_current,
+     eta_peak, eta_floor, v_opt, v_span) = storage.chain()
     flat_eta = eta_peak if eta_floor == eta_peak else None
     energy, total_charged, total_leaked, total_wasted = storage.soa_state()
     total_delivered = storage.total_delivered_j

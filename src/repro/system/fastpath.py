@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.storage.capacitor import Capacitor
 from repro.system.simulator import TickReport
 
 
@@ -84,16 +85,17 @@ class DormantCharging:
 
         Returns:
             ``[(state, ticks)]`` covering the consumed ticks — or
-            ``None`` when powered on, when the storage has no
-            ``charge_many``, or when the first tick already reaches
-            the target (the simulator then ticks exactly).
+            ``None`` when powered on, when the storage is not a
+            :class:`~repro.storage.capacitor.Capacitor` (a tiered
+            store or a front end), or when the first tick already
+            reaches the target (the simulator then ticks exactly).
         """
         state = self.dormant_state()
-        charge_many = getattr(self.storage, "charge_many", None)
-        if state is None or charge_many is None:
+        storage = self.storage
+        if state is None or not isinstance(storage, Capacitor):
             return None
         target = None if state == "done" else self.wake_target_j(dt_s)
-        consumed, _ = charge_many(p_in_w, start, stop, dt_s, target)
+        consumed, _ = storage.charge_many(p_in_w, start, stop, dt_s, target)
         if not consumed:
             return None
         if state != "done":

@@ -114,6 +114,15 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match=f"^error: .*{key}"):
             main(["sweep", str(path)])
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_timeout_is_clean_error(self, spec_file, cache_dir,
+                                              timeout, jobs):
+        # NaN and infinity once failed every point on a pool (``jobs``
+        # 2) and were silently ignored in-process (``jobs`` 1).
+        with pytest.raises(SystemExit, match="^error: .*timeout"):
+            main(["sweep", spec_file, "--jobs", jobs, "--timeout", timeout])
+
     def test_failed_points_set_exit_code(self, tmp_path, cache_dir, capsys):
         path = tmp_path / "fail.json"
         path.write_text(json.dumps({

@@ -211,8 +211,9 @@ class TestRunnerApi:
     def test_rejects_bad_jobs_and_timeout(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
-        with pytest.raises(ValueError):
-            SweepRunner(timeout_s=0)
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout"):
+                SweepRunner(timeout_s=timeout)
 
     def test_outcome_iteration_and_summary(self):
         outcome = SweepRunner().run(fast_spec(seed=[1, 2]).expand())

@@ -24,12 +24,15 @@ from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.capacitor import Capacitor, ChargeEfficiency
+from repro.storage.frontend import DualChannelFrontEnd, SingleChannelFrontEnd
 from repro.storage.ideal import IdealStorage
+from repro.storage.tiered import TieredStorage
 from repro.system.presets import (
     build_checkpoint,
     build_nvp,
     build_oracle,
     build_wait_compute,
+    nvp_capacitor,
     standard_rectifier,
     supercap,
 )
@@ -41,6 +44,15 @@ PLATFORM_BUILDERS = {
     "wait": build_wait_compute,
     "checkpoint": build_checkpoint,
     "oracle": build_oracle,
+}
+
+#: An NVP's storage element: only a Capacitor (here an IdealStorage)
+#: may take a bulk path; the others tick exactly in every engine.
+STORES = {
+    "ideal": lambda: IdealStorage(5e-7),
+    "tiered": lambda: TieredStorage(nvp_capacitor(), Capacitor(10e-6)),
+    "single_channel": lambda: SingleChannelFrontEnd(nvp_capacitor()),
+    "dual_channel": lambda: DualChannelFrontEnd(nvp_capacitor()),
 }
 
 TRACE_MAKERS = {
@@ -128,17 +140,25 @@ class TestFastSlowEquivalence:
         slow, _ = run_sim(build_nvp, trace, False, rectifier=None)
         assert_identical(fast, slow)
 
-    def test_nvp_on_ideal_storage(self):
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_nvp_on_each_store(self, store):
+        """Only a Capacitor takes the bulk paths, and every store's
+        default run equals its scalar run."""
         from repro.core.nvp import NVPPlatform
 
         trace = wristwatch_trace(2.0, seed=9)
 
-        def ideal_nvp(workload):
-            return NVPPlatform(workload, IdealStorage(5e-7), seed=0)
+        def nvp(workload):
+            return NVPPlatform(workload, STORES[store](), seed=0)
 
-        fast, sim = run_sim(ideal_nvp, trace, None)
-        slow, _ = run_sim(ideal_nvp, trace, False)
-        assert sim.ticks_fast_forwarded > 0
+        fast, sim = run_sim(nvp, trace, None)
+        slow, _ = run_sim(nvp, trace, False, use_exact_batch=False)
+        # Both bulk paths would have had ticks to take.
+        assert slow.state_time_s["off"] > 0 and slow.state_time_s["run"] > 0
+        if store == "ideal":
+            assert sim.ticks_fast_forwarded > 0 and sim.ticks_batched > 0
+        else:
+            assert sim.ticks_fast_forwarded == sim.ticks_batched == 0
         assert_identical(fast, slow)
 
     def test_tick_counters_partition_the_run(self):
@@ -516,6 +536,26 @@ class TestFleetEquivalence:
                 )
                 overpriced_restore(simulator.platform)
                 assert simulator.run().to_dict() == result.to_dict()
+
+    @pytest.mark.parametrize("store", sorted(STORES))
+    def test_only_a_capacitor_is_parked(self, store, monkeypatch):
+        from repro.core.nvp import NVPPlatform
+        from repro.exp import runner
+        from repro.fleet import FleetKernel, kernel
+
+        def build_platform(config, workload):
+            return NVPPlatform(workload, STORES[store](), seed=0)
+
+        monkeypatch.setattr(runner, "build_platform", build_platform)
+        monkeypatch.setattr(kernel, "build_platform", build_platform)
+        config = fleet_config("nvp", {"source": "wristwatch"})
+        fleet = FleetKernel([config])
+        assert fleet.devices[0].soa is (store == "ideal")
+        result = fleet.run()[0]
+        scalar = runner.build_simulator(
+            config, use_fast_forward=False, use_exact_batch=False
+        ).run()
+        assert result.to_dict() == scalar.to_dict()
 
     def test_fleet_rejects_empty_fleet(self):
         from repro.fleet import FleetKernel

@@ -18,7 +18,7 @@ from repro.fleet import (
     resolve_device_config,
     run_fleet,
 )
-from repro.storage.capacitor import Capacitor
+from repro.storage.capacitor import Capacitor, ChargeEfficiency
 from repro.storage.ideal import IdealStorage
 
 
@@ -136,27 +136,31 @@ class TestFleetSpec:
 
 class TestSoAContract:
     def test_capacitor_roundtrip(self):
-        cap = Capacitor(capacitance_f=47e-6, v_max_v=5.0)
+        cap = Capacitor(
+            capacitance_f=47e-6, v_max_v=5.0, leak_resistance_ohm=2e6,
+            efficiency=ChargeEfficiency(0.8, 0.3, 1.5, 2.5),
+            min_charge_current_a=20e-6,
+        )
         cap.step(5e-3, 0.0, 1e-4)
         state = cap.soa_state()
-        params = cap.soa_params()
-        assert params["capacitance_f"] == 47e-6
+        # The order the bulk loops unpack.
+        assert cap.chain() == (
+            47e-6, cap.capacity_j, 2e6, 20e-6, 0.8, 0.3, 1.5, 2.5,
+        )
         cap.soa_restore(*state)
         assert cap.soa_state() == state
 
     def test_ideal_storage_params_are_identity_chain(self):
         ideal = IdealStorage(capacity_j=1e-3)
-        params = ideal.soa_params()
-        assert params["capacitance_f"] == 1.0
-        assert params["eta_peak"] == params["eta_floor"] == 1.0
-        assert params["leak_ohm"] == float("inf")
+        inf = float("inf")
+        assert ideal.chain() == (1.0, 1e-3, inf, 0.0, 1.0, 1.0, 0.0, 1.0)
 
     def test_charge_tick_matches_charge_many(self):
         """The vectorized step IS charge_many, elementwise."""
         cap = Capacitor(capacitance_f=150e-9, v_max_v=3.3)
         twin = Capacitor(capacitance_f=150e-9, v_max_v=3.3)
         arrays = FleetArrays(1, 1e-4)
-        arrays.set_params(0, cap.soa_params(), base=0)
+        arrays.set_params(0, cap, base=0)
         arrays.load_row(0, cap, target_j=float("inf"))
         rng = np.random.default_rng(5)
         powers = rng.uniform(0.0, 100e-6, size=200)
@@ -178,7 +182,7 @@ class TestSoAContract:
         ]
         arrays = FleetArrays(3, dt)
         for row, twin in enumerate(twins):
-            arrays.set_params(row, twin.soa_params(), base=0)
+            arrays.set_params(row, twin, base=0)
             arrays.load_row(row, twin, target_j=float("inf"))
         arrays.charge_tick(np.full(3, powers[0]))
         # Row 1's target is exactly the energy its next tick reaches.

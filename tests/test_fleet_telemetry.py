@@ -197,8 +197,16 @@ class TestCorrelationReport:
         assert "timeline [" in text
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            correlation_report(fleet_configs(n=2), window_s=-1.0)
+        configs = fleet_configs(n=2)
+        nan, inf = float("nan"), float("inf")
+        for name, values in (
+            ("window_s", (-1.0, 0.0, nan, inf)),
+            ("threshold_w", (nan, inf, -1.0)),
+            ("storm_fraction", (nan, 2.0, -1.0)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    correlation_report(configs, **{name: value})
 
 
 class TestSpecCadence:
@@ -318,6 +326,20 @@ class TestWatchCli:
         matrix = np.array(report["co_outage"])
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 1.0)
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--window", "inf", "window_s"), ("--window", "nan", "window_s"),
+        ("--threshold", "nan", "threshold_w"),
+        ("--threshold", "-1", "threshold_w"),
+        ("--storm-fraction", "2", "storm_fraction"),
+    ])
+    def test_correlate_rejects_malformed_flags(
+        self, spec_file, flag, value, name
+    ):
+        # --window inf was an OverflowError traceback once, and a NaN
+        # threshold reported a fleet with no outages.
+        with pytest.raises(SystemExit, match=f"^error: {name}"):
+            main(["fleet", "correlate", spec_file, flag, value])
 
     def test_correlate_renders_and_writes(
         self, spec_file, tmp_path, capsys

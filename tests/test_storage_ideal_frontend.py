@@ -119,7 +119,7 @@ class TestIdealStorage:
         assert isinstance(store, Capacitor)
         assert store.capacity_j == store.energy_max_j == 3e-7
         assert store.voltage_v == 1.0
-        for name in ("step", "draw", "charge_many", "soa_params",
+        for name in ("step", "draw", "charge_many", "chain",
                      "soa_state", "soa_restore"):
             assert name not in vars(IdealStorage), name
 
@@ -206,7 +206,7 @@ class TestIdealStorage:
         bulk.charge_many(powers, 0, len(powers), 1e-4)
         rows = FleetArrays(1, 1e-4)
         vector = IdealStorage(capacity, initial_j=initial)
-        rows.set_params(0, vector.soa_params(), 0)
+        rows.set_params(0, vector, 0)
         rows.load_row(0, vector, np.inf)
         for p in powers:
             rows.charge_tick(np.array([p]))
