@@ -16,7 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"]},
+    # kernels.c is compiled on first use (repro.native), not at install.
+    package_data={"repro": ["py.typed"], "repro.native": ["kernels.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.23"],
 )

@@ -150,9 +150,10 @@ def _write_observability(args, log, metrics, manifest) -> None:
 def _profiled_run(simulator, profile_out: Optional[str]):
     """Run one simulation under cProfile (the ``--profile`` flags).
 
-    Prints the top-20 cumulative-time entries to stderr (so ``--json``
-    stdout stays clean) and optionally dumps the full stats to
-    ``profile_out`` for pstats/snakeviz.
+    Prints the engine tick split, the kernels' backend and the top-20
+    cumulative-time entries to stderr (so ``--json`` stdout stays
+    clean) and optionally dumps the full stats to ``profile_out`` for
+    pstats/snakeviz.
     """
     import cProfile
     import pstats
@@ -168,6 +169,7 @@ def _profiled_run(simulator, profile_out: Optional[str]):
         f"exact {simulator.ticks_exact})",
         file=sys.stderr,
     )
+    print(f"backend : {_backend_line()}", file=sys.stderr)
     engine = getattr(
         getattr(simulator.platform, "workload", None), "_block_engine", None
     )
@@ -187,6 +189,17 @@ def _profiled_run(simulator, profile_out: Optional[str]):
             raise SystemExit(f"error: cannot write profile: {exc}")
         print(f"pstats  : {profile_out}", file=sys.stderr)
     return result
+
+
+def _backend_line() -> str:
+    """The kernels' backend this process ran on, and why if it fell back."""
+    from repro import native
+
+    name = native.backend()
+    if name is None:
+        return "none (no sequential kernel ran)"
+    reason = native.reason()
+    return f"{name} ({reason})" if reason else name
 
 
 def _ledger_append(record) -> Optional[str]:
@@ -224,6 +237,7 @@ def _open_cache(args):
 
 
 def cmd_simulate(args) -> int:
+    from repro import native
     from repro.exp.spec import config_hash
     from repro.obs import RunManifest
     from repro.obs.ledger import OUTCOME_INTERRUPTED, OUTCOME_OK, make_record
@@ -256,6 +270,7 @@ def cmd_simulate(args) -> int:
             spec_hash=fingerprint,
             resources=usage_between(usage_before, sample_resources()),
             n_devices=1,
+            backend=native.backend(),
         ))
 
     if getattr(args, "no_block_engine", False):

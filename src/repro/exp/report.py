@@ -64,6 +64,7 @@ def spec_manifest(
         },
     )
     manifest.duration_s = outcome.wall_s
+    manifest.backend = outcome.backend
     return manifest
 
 

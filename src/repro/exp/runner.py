@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeou
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro import native
 from repro.exp.cache import ResultCache
 from repro.exp.spec import build_nvp_config, config_hash, resolve_config
 from repro.obs import events as ev
@@ -166,15 +167,16 @@ def execute_run(config: Dict) -> Dict:
     """Worker entry point: run one resolved config to completion.
 
     Returns ``{"result": <SimulationResult dict>, "wall_s": float,
-    "resources": {...}, "spans": [...], "pid": int}``.  The spans are
-    plain dicts with absolute Unix timestamps — the only tracer form
-    that can cross the process boundary — which the runner merges into
-    its :class:`~repro.obs.spans.SpanTracer` under a ``worker-<pid>``
-    thread.  ``resources`` is the run's ``getrusage`` delta (CPU
+    "resources": {...}, "spans": [...], "pid": int, "backend": str}``.
+    The spans are plain dicts with absolute Unix timestamps — the only
+    tracer form that can cross the process boundary — which the runner
+    merges into its :class:`~repro.obs.spans.SpanTracer` under a
+    ``worker-<pid>`` thread.  ``resources`` is the run's ``getrusage`` delta (CPU
     seconds) plus the worker's lifetime peak RSS (see
     :mod:`repro.obs.resources`), shipped through the same
-    result-collection path.  Exceptions propagate to the caller (the
-    runner records them).
+    result-collection path, as is ``backend``, the kernels' backend
+    (:func:`repro.native.backend`).  Exceptions propagate to the
+    caller (the runner records them).
     """
     import os
 
@@ -193,6 +195,7 @@ def execute_run(config: Dict) -> Dict:
         "wall_s": time.perf_counter() - started,
         "resources": usage_between(usage_before, sample_resources()),
         "pid": os.getpid(),
+        "backend": native.backend(),
         "spans": [
             {
                 "name": "build",
@@ -233,6 +236,8 @@ class RunRecord:
             completion, KB (0 for cache hits).
         pid: executing worker process id (``None`` for cache hits and
             failures that never reached a worker).
+        backend: the kernels' backend the run used (``"native"`` or
+            ``"python"``; ``None`` for cache hits and failures).
     """
 
     index: int
@@ -245,6 +250,7 @@ class RunRecord:
     cpu_s: float = 0.0
     peak_rss_kb: float = 0.0
     pid: Optional[int] = None
+    backend: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -296,6 +302,17 @@ class SweepOutcome:
                 f"failed ({lines})"
             )
         return self
+
+    @property
+    def backend(self) -> Optional[str]:
+        """The kernels' backend the executed points ran on.
+
+        Comma-joined if they differ; for points that ran in this
+        process without a payload (a fleet), the backend loaded here;
+        ``None`` when no kernel ran (an all-cached sweep).
+        """
+        names = sorted({r.backend for r in self.records if r.backend})
+        return ",".join(names) if names else native.backend()
 
     def resource_usage(self) -> Dict:
         """Aggregated worker resource usage (see
@@ -355,7 +372,9 @@ class SweepRunner:
             is also the fallback when only one config needs executing.
         cache: result cache; ``None`` disables caching entirely.
         timeout_s: per-run wall-clock budget.  A run that exceeds it
-            is recorded as failed; already-queued runs keep going.
+            is recorded as failed and not cached; already-queued runs
+            keep going.  In process (``jobs=1``, or one point left to
+            run) the run finishes first and fails if it took longer.
         bus: optional event bus for live progress
             (:data:`~repro.obs.events.SWEEP_BEGIN` /
             :data:`~repro.obs.events.SWEEP_POINT` /
@@ -410,6 +429,7 @@ class SweepRunner:
         record.cpu_s = float(resources.get("cpu_s", 0.0) or 0.0)
         record.peak_rss_kb = float(resources.get("peak_rss_kb", 0.0) or 0.0)
         record.pid = payload.get("pid")
+        record.backend = payload.get("backend")
         if self.tracer is not None and payload.get("spans"):
             self.tracer.import_worker(payload["spans"], payload.get("pid", 0))
         if self.cache is not None:
@@ -568,12 +588,24 @@ class SweepRunner:
 
     def _run_serial_inner(self, record: RunRecord) -> RunRecord:
         try:
-            return self._finish(record, execute_run(record.config))
+            payload = execute_run(record.config)
         except Exception:
             return self._fail(record, traceback.format_exc(limit=3).strip())
+        # In process a run cannot be cut short, so one past its budget
+        # fails (uncached) once it returns, as the pool would fail it.
+        if self.timeout_s is not None and payload["wall_s"] > self.timeout_s:
+            return self._fail(record, self._timed_out())
+        return self._finish(record, payload)
+
+    def _timed_out(self) -> str:
+        return f"timed out after {self.timeout_s:.1f}s"
 
     def _run_pool(self, pending: List[RunRecord], total: int) -> None:
         workers = min(self.jobs, len(pending))
+        # Load (or build) the kernels once, before the workers fork:
+        # linking the module in each worker would cost it about 0.5 MB
+        # of peak RSS, and two workers could build it at once.
+        native.kernels()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 (record, pool.submit(execute_run, record.config))
@@ -591,10 +623,7 @@ class SweepRunner:
                         )
                     except FutureTimeout:
                         future.cancel()
-                        self._fail(
-                            record,
-                            f"timed out after {self.timeout_s:.1f}s",
-                        )
+                        self._fail(record, self._timed_out())
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:

@@ -5,25 +5,26 @@ the fleet as parallel float64 numpy arrays, master-indexed by device
 row.  The heart of the subsystem is :meth:`FleetArrays.charge_tick`:
 one vectorized zero-load charge tick that evaluates, elementwise, the
 exact per-tick float chain of
-:meth:`repro.storage.capacitor.Capacitor.charge_many` — so a dormant
-device advanced through the arrays ends up with bit-for-bit the same
-stored energy and cumulative ledger as the scalar loop.  A row's
-constants are its capacitor's
-:meth:`~repro.storage.capacitor.Capacitor.chain`, the tuple
-:meth:`charge_many` itself unpacks, so only a device on a
-``Capacitor`` (or an ``IdealStorage``) is ever parked on its row.
+:func:`repro.native.reference.chain_step`, the storage op chain
+:meth:`repro.storage.capacitor.Capacitor.charge_many` runs — so a
+dormant device advanced through the arrays ends up with bit-for-bit
+the same stored energy and cumulative ledger as the scalar loop.  A
+row's constants are its capacitor's
+:meth:`~repro.storage.capacitor.Capacitor.chain`, the tuple the chain
+reads, so only a device on a ``Capacitor`` (or an ``IdealStorage``)
+is ever parked on its row.
 
 Why this is exact and not merely close:
 
 * numpy float64 elementwise ops are the same IEEE-754 operations the
   scalar interpreter performs, and the chain is written op for op in
-  :meth:`charge_many`'s order (``(2.0 * e) / C`` before the sqrt, the
+  ``chain_step``'s order (``(2.0 * e) / C`` before the sqrt, the
   headroom clip before the leak, ``((v * v) / R) * dt``);
 * scalar branches become masks applied in branch order: the
   blocked/zero-input override comes *after* the overflow adjustment,
   exactly as the scalar ``if``/``else`` structure skips the overflow
   math for blocked ticks;
-* :meth:`charge_many`'s flat-efficiency hoist (``eta = eta_peak`` when
+* ``chain_step``'s flat-efficiency hoist (``eta = eta_peak`` when
   the curve is flat) equals ``np.maximum(eta_floor, eta_peak *
   (1 - offset²))`` because correctly-rounded multiplication is
   monotone, so the parabola never exceeds its peak;
@@ -139,8 +140,8 @@ class FleetArrays:
     def charge_tick(self, p: np.ndarray) -> Optional[np.ndarray]:
         """One zero-load charge tick across every row.
 
-        Evaluates :meth:`Capacitor.charge_many`'s per-tick float chain
-        elementwise (see the module docstring for the bit-exactness
+        Evaluates the per-tick float chain :meth:`Capacitor.charge_many`
+        runs elementwise (see the module docstring for the bit-exactness
         argument) and returns the rows whose stored energy would reach
         their target on this tick, or ``None`` when no row would.
         Like :meth:`Capacitor.charge_many`, those rows discard the

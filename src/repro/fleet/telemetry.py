@@ -331,7 +331,8 @@ def correlation_report(
     Args:
         configs: resolved device configs (fleet order).
         window_s: correlation window; defaults to 1% of the longest
-            device trace (≥ one tick).
+            device trace (≥ one tick), and may not exceed that trace
+            (each device's outage mask is padded to whole windows).
         threshold_w: outage power threshold.
         storm_fraction: minimum in-outage device fraction for a window
             to count as part of a storm.
@@ -344,9 +345,16 @@ def correlation_report(
         raise ValueError("storm_fraction must be in [0, 1]")
     segments = build_power_segments(configs)
     dt = segments.dt_s
-    longest_s = float(segments.n_ticks.max()) * dt
+    longest_ticks = int(segments.n_ticks.max())
+    longest_s = float(longest_ticks) * dt
     if window_s is None:
         window_s = max(longest_s / 100.0, dt)
+    elif window_s / dt > longest_ticks + 0.5:
+        # Longer than the longest trace once rounded to whole ticks.
+        raise ValueError(
+            f"window_s must not exceed the longest device trace "
+            f"({longest_s:g} s), got {window_s:g}"
+        )
     window_ticks = max(1, int(round(window_s / dt)))
     mask = segments.P < threshold_w
     windows = windowed_outages(

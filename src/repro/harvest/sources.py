@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import native
 from repro.harvest.traces import DEFAULT_DT_S, PowerTrace
 
 RngLike = Union[int, np.random.Generator, None]
@@ -52,21 +53,15 @@ def _ou_process(
 ) -> np.ndarray:
     """Ornstein–Uhlenbeck process with unit mean-reversion target 0.
 
-    The recurrence runs on Python floats (iterating a ``memoryview``
-    yields plain floats, where indexing the array would box a numpy
-    scalar per sample): the same multiply-then-add, bit for bit.
+    The recurrence runs in place on the scaled normal steps, in the
+    native ``ou_walk`` kernel (:func:`repro.native.kernels`): the same
+    multiply-then-add, bit for bit, on either backend.
     """
     alpha = float(np.exp(-dt_s / tau_s))
     noise_scale = sigma * float(np.sqrt(1.0 - alpha * alpha))
     steps = rng.standard_normal(n) * noise_scale
-
-    def walk():
-        value = x0
-        for step in memoryview(steps):
-            value = alpha * value + step
-            yield value
-
-    return np.fromiter(walk(), dtype=float, count=n)
+    native.kernels().ou_walk(steps, alpha, x0)
+    return steps
 
 
 def constant_trace(

@@ -123,6 +123,7 @@ def make_record(
     error: Optional[str] = None,
     n_devices: Optional[int] = None,
     telemetry: Optional[Dict] = None,
+    backend: Optional[str] = None,
 ) -> Dict:
     """A schema-stamped ledger record (not yet appended).
 
@@ -131,6 +132,8 @@ def make_record(
     ``diff``; single-device commands stamp ``1``.  ``telemetry`` is a
     fleet-telemetry summary (snapshot path, cadence, sample count) so
     ``repro runs show`` can point at a run's dashboard data.
+    ``backend`` names the backend the simulator's sequential kernels
+    ran on (:mod:`repro.native`); it is left out when no kernel ran.
 
     Raises:
         ValueError: for an unknown ``outcome``.
@@ -170,6 +173,8 @@ def make_record(
         record["n_devices"] = int(n_devices)
     if telemetry is not None:
         record["telemetry"] = dict(telemetry)
+    if backend is not None:
+        record["backend"] = backend
     return record
 
 
@@ -250,6 +255,7 @@ def sweep_record(
         error=failures[0].error if failures else None,
         n_devices=n_devices,
         telemetry=telemetry,
+        backend=outcome.backend,
     )
     if not cache_attached:
         record["uncached"] = True

@@ -52,6 +52,9 @@ class RunManifest:
         resources: process resource usage (CPU seconds, peak RSS KB),
             filled by :meth:`finish`; empty on manifests written before
             it existed.
+        backend: the backend the simulator's sequential kernels ran
+            on (``"native"`` or ``"python"``, see :mod:`repro.native`),
+            filled by :meth:`finish`; ``None`` when no kernel ran.
         extra: anything else worth pinning.
     """
 
@@ -64,6 +67,7 @@ class RunManifest:
     started_unix: float = 0.0
     duration_s: Optional[float] = None
     resources: Dict = field(default_factory=dict)
+    backend: Optional[str] = None
     extra: Dict = field(default_factory=dict)
 
     @classmethod
@@ -87,11 +91,14 @@ class RunManifest:
         )
 
     def finish(self) -> "RunManifest":
-        """Stamp wall-clock duration and resource usage; returns self."""
+        """Stamp wall-clock duration, resource usage and the kernels'
+        backend; returns self."""
+        from repro import native
         from repro.obs.resources import sample_resources
 
         self.duration_s = time.time() - self.started_unix
         self.resources = sample_resources().to_dict()
+        self.backend = native.backend()
         return self
 
     def to_dict(self) -> Dict:
@@ -106,6 +113,7 @@ class RunManifest:
             "started_unix": self.started_unix,
             "duration_s": self.duration_s,
             "resources": self.resources,
+            "backend": self.backend,
             "extra": self.extra,
         }
 

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import native
+from repro.native.reference import chain_step
+
 
 @dataclass(frozen=True)
 class ChargeEfficiency:
@@ -119,9 +122,8 @@ class Capacitor:
         self.leak_resistance_ohm = leak_resistance_ohm
         self.efficiency = efficiency
         self.min_charge_current_a = min_charge_current_a
-        #: Capacity at rated voltage, joules: the bound every op chain
-        #: (``step``, ``charge_many`` and the loops that read
-        #: :meth:`chain`) clips against.
+        #: Capacity at rated voltage, joules: the bound the op chain
+        #: clips against.
         self.capacity_j = 0.5 * capacitance_f * v_max_v * v_max_v
         self._energy_j = 0.5 * capacitance_f * v_initial_v * v_initial_v
         # Cumulative accounting.
@@ -163,7 +165,8 @@ class Capacitor:
     def step(self, p_in_w: float, p_load_w: float, dt_s: float) -> StorageStep:
         """Advance one tick: charge from the harvester, leak, feed the load.
 
-        Ordering within a tick: input charging first, then leakage,
+        Ordering within a tick: input charging first, then leakage
+        (the shared op chain, :func:`repro.native.reference.chain_step`),
         then load draw.  If the load cannot be fully supplied the step
         reports ``deficit=True`` and delivers what was available.
         """
@@ -172,40 +175,12 @@ class Capacitor:
         if dt_s <= 0:
             raise ValueError("dt must be positive")
 
-        wasted = 0.0
-
-        # -- charge ------------------------------------------------------
-        voltage = self.voltage_v
-        input_energy = p_in_w * dt_s
-        blocked = (
-            self.min_charge_current_a > 0.0
-            and voltage > 0.0
-            and p_in_w < self.min_charge_current_a * voltage
+        energy, charged, leaked, wasted = chain_step(
+            self.chain(), self._energy_j, p_in_w, dt_s
         )
-        if blocked or input_energy == 0.0:
-            charged = 0.0
-            wasted += input_energy
-        else:
-            eta = self.efficiency(voltage)
-            charged = input_energy * eta
-            wasted += input_energy - charged
-            headroom = self.energy_max_j - self._energy_j
-            if charged > headroom:
-                wasted += charged - headroom
-                charged = headroom
-            self._energy_j += charged
-
-        # -- leak ---------------------------------------------------------
-        voltage = self.voltage_v
-        leaked = min(
-            self._energy_j, voltage * voltage / self.leak_resistance_ohm * dt_s
-        )
-        self._energy_j -= leaked
-
-        # -- load -----------------------------------------------------------
         demand = p_load_w * dt_s
-        delivered = min(demand, self._energy_j)
-        self._energy_j -= delivered
+        delivered = min(demand, energy)
+        self._energy_j = energy - delivered
         deficit = delivered < demand - 1e-18
 
         self.total_charged_j += charged
@@ -240,11 +215,10 @@ class Capacitor:
         """Bulk zero-load charging: the fast-forward primitive.
 
         Steps through ``p_in_w[start:stop]`` exactly as repeated
-        ``step(p, 0.0, dt_s)`` calls would — the same IEEE-754
-        operations in the same order, so the stored energy and the
-        cumulative ledger stay bit-identical to the per-tick path —
-        but in one tight loop with no :class:`StorageStep` allocation
-        or attribute traffic.
+        ``step(p, 0.0, dt_s)`` calls would, in one call of the native
+        kernel (:func:`repro.native.kernels`): the same op chain, so
+        the stored energy and the cumulative ledger stay bit-identical
+        to the per-tick path.
 
         Stops *before* the first tick on which the stored energy
         would reach ``stop_energy_j``: that tick's candidate values are
@@ -254,67 +228,12 @@ class Capacitor:
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        (capacitance, capacity, leak_ohm, min_current,
-         eta_peak, eta_floor, v_opt, v_span) = self.chain()
-        energy = self._energy_j
-        # A flat curve (eta_floor == eta_peak) is voltage-independent:
-        # max(eta, eta_peak * (1 - x**2)) == eta exactly, so hoisting
-        # it out of the loop cannot change a single bit.
-        flat_eta = eta_peak if eta_floor == eta_peak else None
-        total_charged = self.total_charged_j
-        total_leaked = self.total_leaked_j
-        total_wasted = self.total_wasted_j
         target = math.inf if stop_energy_j is None else stop_energy_j
-        sqrt = math.sqrt
-        index = start
-        crossed = False
-        while index < stop:
-            p_in = p_in_w[index]
-            wasted = 0.0
-            voltage = sqrt(2.0 * energy / capacitance)
-            input_energy = p_in * dt_s
-            blocked = (
-                min_current > 0.0
-                and voltage > 0.0
-                and p_in < min_current * voltage
-            )
-            if blocked or input_energy == 0.0:
-                charged = 0.0
-                wasted += input_energy
-                new_energy = energy
-            else:
-                if flat_eta is not None:
-                    eta = flat_eta
-                else:
-                    offset = (voltage - v_opt) / v_span
-                    eta = eta_peak * (1.0 - offset * offset)
-                    if eta < eta_floor:
-                        eta = eta_floor
-                charged = input_energy * eta
-                wasted += input_energy - charged
-                headroom = capacity - energy
-                if charged > headroom:
-                    wasted += charged - headroom
-                    charged = headroom
-                new_energy = energy + charged
-            voltage = sqrt(2.0 * new_energy / capacitance)
-            leaked = voltage * voltage / leak_ohm * dt_s
-            if leaked > new_energy:
-                leaked = new_energy
-            new_energy -= leaked
-            if new_energy >= target:
-                crossed = True
-                break
-            energy = new_energy
-            total_charged += charged
-            total_leaked += leaked
-            total_wasted += wasted
-            index += 1
-        self._energy_j = energy
-        self.total_charged_j = total_charged
-        self.total_leaked_j = total_leaked
-        self.total_wasted_j = total_wasted
-        return index - start, crossed
+        ticks, crossed, state = native.kernels().charge_many(
+            p_in_w, start, stop, dt_s, self.chain(), target, self.soa_state()
+        )
+        self.soa_restore(*state)
+        return ticks, crossed
 
     # -- bulk-engine access -------------------------------------------------
 
@@ -322,10 +241,11 @@ class Capacitor:
         """The op chain's eight constants, in the order the loops hoist them.
 
         ``(capacitance_f, capacity_j, leak_ohm, min_current_a, eta_peak,
-        eta_floor, v_opt_v, v_span_v)``: the values :meth:`step` reads.
-        :meth:`charge_many`, the batched storage loops of
-        :mod:`repro.system.exactkernel` and the fleet's vectorized
-        charge step (:mod:`repro.fleet.soa`) each unpack this one tuple.
+        eta_floor, v_opt_v, v_span_v)``: the parameter block of the op
+        chain (:func:`repro.native.reference.chain_step` and its C
+        twin), which :meth:`step`, :meth:`charge_many`, the batched
+        storage loops of :mod:`repro.system.exactkernel` and the
+        fleet's vectorized charge step (:mod:`repro.fleet.soa`) read.
         """
         curve = self.efficiency
         return (

@@ -44,11 +44,12 @@ order):
   have state-dependent per-tick dynamics — conversion efficiency and
   leakage are functions of the evolving capacitor voltage — so their
   stored-energy series cannot be time-vectorized without changing the
-  float evaluation order.  Their batched path is a fused scalar loop
-  replicating ``Capacitor.step``'s exact op chain (charge with
-  voltage-dependent efficiency, headroom clip, leak, load draw), with
-  the constants read from the same ``Capacitor.chain()`` tuple the
-  fleet kernel reads.
+  float evaluation order.  Their batched path is one call of the
+  sequential ``storage_run`` kernel (:func:`repro.native.kernels`: C
+  when it builds, else its Python twin), which runs the storage op
+  chain ``Capacitor.step`` runs (charge with voltage-dependent
+  efficiency, headroom clip, leak, load draw) on the constants of
+  ``Capacitor.chain()``.
 
 Event ticks are detected on *candidate* values: the loop computes the
 tick's deltas into locals, and on a deficit (or a pre-tick threshold
@@ -64,6 +65,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
+from repro.native.reference import chain_step
 from repro.storage.capacitor import Capacitor
 
 __all__ = [
@@ -229,133 +232,44 @@ def storage_run(
 
     ``period_count`` is the platform's instructions-since-checkpoint
     counter at batch start; every batched instruction also lands in
-    ``ledger.volatile``.  Returns the ticks consumed.
+    ``ledger.volatile``.  The loop is the native kernel's
+    (:func:`repro.native.reference.storage_run` and its C twin).
+    Returns the ticks consumed.
     """
     workload = platform.workload
     storage = platform.storage
-    (capacitance, capacity, leak_ohm, min_current,
-     eta_peak, eta_floor, v_opt, v_span) = storage.chain()
-    # A flat curve is voltage-independent: max(eta, eta_peak *
-    # (1 - x**2)) == eta exactly (same hoist charge_many makes).
-    flat_eta = eta_peak if eta_floor == eta_peak else None
-    energy, total_charged, total_leaked, total_wasted = storage.soa_state()
-    total_delivered = storage.total_delivered_j
-
-    tpi = workload._time_per_instr
-    epi = workload._energy_per_instr
-    credit = workload._time_credit_s
-    retired = workload._retired
-    total_units = workload.total_units
-    ipu = workload.instructions_per_unit
-    limit = total_units * ipu if total_units is not None else None
-    stall = platform._stall_s
-    consumed = platform.consumed_j
     ledger = platform.ledger
-    volatile = ledger.volatile
-    threshold = -math.inf if stop_energy_j is None else stop_energy_j
-
-    dt = dt_s
-    sqrt = math.sqrt
-    index = start
-    ticks = 0
-    while index < stop:
-        # Pre-tick trigger check, exactly where the platform state
-        # machine tests it (before the workload advances).
-        if energy <= threshold:
-            break
-        # -- workload candidate (AbstractWorkload.advance) --------
-        exec_budget = dt - stall
-        if exec_budget < 0.0:
-            exec_budget = 0.0
-        new_stall = stall - dt
-        if new_stall < 0.0:
-            new_stall = 0.0
-        budget = exec_budget + credit
-        count = int(budget / tpi)
-        if limit is not None and retired + count >= limit:
-            break  # finishing tick stays scalar
-        if (
-            period_limit is not None
-            and period_count + count >= period_limit
-        ):
-            break  # periodic-checkpoint tick stays scalar
-        if (
-            stop_at_unit_boundary
-            and count
-            and (retired + count) // ipu > retired // ipu
-        ):
-            break  # unit-commit tick stays scalar
-        time_used = count * tpi
-        rem = budget - time_used
-        new_credit = rem if rem < tpi else tpi
-        load_w = (count * epi) / dt
-
-        # -- storage candidate (Capacitor.step's exact op chain) --
-        p_in = p_in_w[index]
-        wasted = 0.0
-        voltage = sqrt(2.0 * energy / capacitance)
-        input_energy = p_in * dt
-        if (
-            min_current > 0.0
-            and voltage > 0.0
-            and p_in < min_current * voltage
-        ) or input_energy == 0.0:
-            charged = 0.0
-            wasted += input_energy
-            new_energy = energy
-        else:
-            if flat_eta is not None:
-                eta = flat_eta
-            else:
-                offset = (voltage - v_opt) / v_span
-                eta = eta_peak * (1.0 - offset * offset)
-                if eta < eta_floor:
-                    eta = eta_floor
-            charged = input_energy * eta
-            wasted += input_energy - charged
-            headroom = capacity - energy
-            if charged > headroom:
-                wasted += charged - headroom
-                charged = headroom
-            new_energy = energy + charged
-        voltage = sqrt(2.0 * new_energy / capacitance)
-        leaked = voltage * voltage / leak_ohm * dt
-        if leaked > new_energy:
-            leaked = new_energy
-        new_energy -= leaked
-        demand = load_w * dt
-        delivered = demand if demand < new_energy else new_energy
-        if delivered < demand - 1e-18:
-            # Deficit (power collapse): discard the candidate and
-            # stop — the scalar path re-executes this tick from
-            # the identical state and runs the collapse handling.
-            break
-        new_energy -= delivered
-
-        # -- commit the tick --------------------------------------
-        energy = new_energy
-        stall = new_stall
-        credit = new_credit
-        retired += count
-        volatile += count
-        period_count += count
-        consumed += delivered
-        total_charged += charged
-        total_leaked += leaked
-        total_wasted += wasted
-        total_delivered += delivered
-        index += 1
-        ticks += 1
+    ipu = workload.instructions_per_unit
+    total_units = workload.total_units
+    ticks, state = native.kernels().storage_run(
+        p_in_w, start, stop, dt_s, storage.chain(),
+        (
+            workload._time_per_instr,
+            workload._energy_per_instr,
+            None if total_units is None else total_units * ipu,
+            ipu,
+        ),
+        (
+            -math.inf if stop_energy_j is None else stop_energy_j,
+            period_limit,
+            period_count,
+            stop_at_unit_boundary,
+        ),
+        (
+            *storage.soa_state(),
+            storage.total_delivered_j,
+            platform.consumed_j,
+            platform._stall_s,
+            workload._time_credit_s,
+            workload._retired,
+            ledger.volatile,
+        ),
+    )
     if ticks:
-        storage.soa_restore(
-            energy, total_charged, total_leaked, total_wasted
-        )
-        storage.total_delivered_j = total_delivered
-        workload._retired = retired
-        workload._time_credit_s = credit
-        platform._stall_s = stall
-        platform.consumed_j = consumed
-        ledger.volatile = volatile
+        (energy, charged, leaked, wasted, storage.total_delivered_j,
+         platform.consumed_j, platform._stall_s, workload._time_credit_s,
+         workload._retired, ledger.volatile) = state
+        storage.soa_restore(energy, charged, leaked, wasted)
     return ticks
 
 
@@ -437,9 +351,7 @@ def isa_storage_run(
     """
     workload = platform.workload
     storage = platform.storage
-    (capacitance, capacity, leak_ohm, min_current,
-     eta_peak, eta_floor, v_opt, v_span) = storage.chain()
-    flat_eta = eta_peak if eta_floor == eta_peak else None
+    chain = storage.chain()
     energy, total_charged, total_leaked, total_wasted = storage.soa_state()
     total_delivered = storage.total_delivered_j
 
@@ -453,7 +365,6 @@ def isa_storage_run(
 
     dt = dt_s
     margin = 1.0 + _ISA_MARGIN
-    sqrt = math.sqrt
     index = start
     ticks = 0
     try:
@@ -475,41 +386,11 @@ def isa_storage_run(
                 and period_count + worst_count >= period_limit
             ):
                 break  # might trip the periodic checkpoint: go scalar
-            # -- storage candidate (Capacitor.step's exact op chain;
-            #    charge and leak do not depend on the load, so they
-            #    can be computed before the workload advances) -----
-            p_in = p_in_w[index]
-            wasted = 0.0
-            voltage = sqrt(2.0 * energy / capacitance)
-            input_energy = p_in * dt
-            if (
-                min_current > 0.0
-                and voltage > 0.0
-                and p_in < min_current * voltage
-            ) or input_energy == 0.0:
-                charged = 0.0
-                wasted += input_energy
-                new_energy = energy
-            else:
-                if flat_eta is not None:
-                    eta = flat_eta
-                else:
-                    offset = (voltage - v_opt) / v_span
-                    eta = eta_peak * (1.0 - offset * offset)
-                    if eta < eta_floor:
-                        eta = eta_floor
-                charged = input_energy * eta
-                wasted += input_energy - charged
-                headroom = capacity - energy
-                if charged > headroom:
-                    wasted += charged - headroom
-                    charged = headroom
-                new_energy = energy + charged
-            voltage = sqrt(2.0 * new_energy / capacitance)
-            leaked = voltage * voltage / leak_ohm * dt
-            if leaked > new_energy:
-                leaked = new_energy
-            new_energy -= leaked
+            # -- storage candidate: charge and leak do not depend on
+            #    the load, so they run before the workload advances --
+            new_energy, charged, leaked, wasted = chain_step(
+                chain, energy, p_in_w[index], dt
+            )
             # Conservative deficit pre-check: worst-case demand
             # (time-budget times the worst energy-per-second, the
             # last instruction overshooting by at most max_time,

@@ -123,6 +123,14 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="^error: .*timeout"):
             main(["sweep", spec_file, "--jobs", jobs, "--timeout", timeout])
 
+    def test_jobs_1_fails_points_past_the_timeout(self, spec_file, cache_dir,
+                                                  capsys):
+        assert main(["sweep", spec_file, "--jobs", "1", "--timeout", "0.001",
+                     "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "0 executed, 0 cached, 2 failed" in out
+        assert out.count("timed out after 0.0s") >= 1
+
     def test_failed_points_set_exit_code(self, tmp_path, cache_dir, capsys):
         path = tmp_path / "fail.json"
         path.write_text(json.dumps({

@@ -215,6 +215,19 @@ class TestRunnerApi:
             with pytest.raises(ValueError, match="timeout"):
                 SweepRunner(timeout_s=timeout)
 
+    def test_in_process_run_past_its_timeout_fails_uncached(self, tmp_path):
+        # jobs=1 runs each point in process, as does any sweep with one
+        # point left to run; both once ignored timeout_s.
+        cache = ResultCache(str(tmp_path / "cache"))
+        outcome = SweepRunner(jobs=1, cache=cache, timeout_s=1e-6).run(
+            fast_spec(seed=[1, 2]).expand()
+        )
+        assert [r.status for r in outcome] == ["failed", "failed"]
+        assert all(r.error == "timed out after 0.0s" for r in outcome)
+        assert all(r.result is None for r in outcome)
+        assert outcome.failed == 2 and outcome.executed == 0
+        assert len(cache) == 0
+
     def test_outcome_iteration_and_summary(self):
         outcome = SweepRunner().run(fast_spec(seed=[1, 2]).expand())
         assert len(outcome) == 2

@@ -199,14 +199,22 @@ class TestCorrelationReport:
     def test_rejects_bad_window(self):
         configs = fleet_configs(n=2)
         nan, inf = float("nan"), float("inf")
+        # A window past the longest trace (0.2 s here) once padded
+        # every mask to it: memory followed the window, and 1e305 was
+        # an OverflowError.
         for name, values in (
-            ("window_s", (-1.0, 0.0, nan, inf)),
+            ("window_s", (-1.0, 0.0, nan, inf, 0.21, 1000.0, 1e305)),
             ("threshold_w", (nan, inf, -1.0)),
             ("storm_fraction", (nan, 2.0, -1.0)),
         ):
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     correlation_report(configs, **{name: value})
+
+    def test_window_of_the_whole_trace_is_one_window(self):
+        report = correlation_report(fleet_configs(n=2), window_s=0.2)
+        assert report["n_windows"] == 1
+        assert report["window_ticks"] == 2000
 
 
 class TestSpecCadence:
@@ -329,6 +337,7 @@ class TestWatchCli:
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--window", "inf", "window_s"), ("--window", "nan", "window_s"),
+        ("--window", "1000", "window_s"), ("--window", "1e305", "window_s"),
         ("--threshold", "nan", "threshold_w"),
         ("--threshold", "-1", "threshold_w"),
         ("--storm-fraction", "2", "storm_fraction"),
@@ -336,7 +345,8 @@ class TestWatchCli:
     def test_correlate_rejects_malformed_flags(
         self, spec_file, flag, value, name
     ):
-        # --window inf was an OverflowError traceback once, and a NaN
+        # --window inf and 1e305 were OverflowError tracebacks once, a
+        # window past the trace sized memory by the window, and a NaN
         # threshold reported a fleet with no outages.
         with pytest.raises(SystemExit, match=f"^error: {name}"):
             main(["fleet", "correlate", spec_file, flag, value])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.harvest import sources
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import (
@@ -53,8 +54,9 @@ def generated_traces(seed):
 
 
 class TestOUProcess:
-    """``_ou_process`` runs the recurrence on Python floats; the
-    numpy-indexed loop it replaced is the reference, bit for bit."""
+    """``_ou_process`` runs the recurrence in the ``ou_walk`` kernel
+    (C, or its Python twin); the numpy-indexed loop it replaced is the
+    reference, bit for bit, on either backend."""
 
     @pytest.mark.parametrize("n", [1, 7, 100_000])
     @pytest.mark.parametrize("tau_s, sigma", OU_PARAMS)
@@ -67,6 +69,19 @@ class TestOUProcess:
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(bits(got), bits(want))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("tau_s, sigma", OU_PARAMS)
+    def test_reference_backend_matches_indexed_loop(
+        self, monkeypatch, tau_s, sigma
+    ):
+        monkeypatch.setattr(native, "kernels", lambda: native.reference)
+        want = reference_ou_process(
+            10_000, DEFAULT_DT_S, tau_s, sigma, np.random.default_rng(11), 0.3
+        )
+        got = _ou_process(
+            10_000, DEFAULT_DT_S, tau_s, sigma, np.random.default_rng(11), 0.3
+        )
+        assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("seed", [5, 2017])
     def test_generators_unchanged_under_reference_loop(
