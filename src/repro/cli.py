@@ -237,6 +237,21 @@ def _open_cache(args):
 
 
 def cmd_simulate(args) -> int:
+    if not args.no_block_engine:
+        return _simulate(args)
+    from repro.isa import blockengine
+
+    # The switch is process-wide and mirrored into os.environ for
+    # child processes: put it back however the run ends.
+    enabled = blockengine.enabled()
+    blockengine.set_enabled(False)
+    try:
+        return _simulate(args)
+    finally:
+        blockengine.set_enabled(enabled)
+
+
+def _simulate(args) -> int:
     from repro import native
     from repro.exp.spec import config_hash
     from repro.obs import RunManifest
@@ -273,10 +288,6 @@ def cmd_simulate(args) -> int:
             backend=native.backend(),
         ))
 
-    if getattr(args, "no_block_engine", False):
-        from repro.isa import blockengine
-
-        blockengine.set_enabled(False)
     workload, build = _make_workload(args)
     platform = PLATFORM_BUILDERS[args.platform](workload)
     bus, log, metrics = _make_observability(args)

@@ -598,7 +598,7 @@ class SweepRunner:
         return self._finish(record, payload)
 
     def _timed_out(self) -> str:
-        return f"timed out after {self.timeout_s:.1f}s"
+        return f"timed out after {self.timeout_s:g}s"
 
     def _run_pool(self, pending: List[RunRecord], total: int) -> None:
         workers = min(self.jobs, len(pending))

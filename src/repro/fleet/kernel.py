@@ -4,8 +4,8 @@ One :class:`FleetKernel` walks a whole fleet through simulated time
 tick by tick.  Dormant devices (off/charge/done) live in the
 struct-of-arrays state (:class:`repro.fleet.soa.FleetArrays`) and
 bulk-advance through one vectorized charge step per tick; devices that
-are powered on tick exactly through their own platform state machine,
-just like the single-device engine.  A device is parked from the
+are powered on step, one lockstep tick at a time, through the same
+walk the single-device engine drives.  A device is parked from the
 platform's :meth:`~repro.system.fastpath.DormantCharging.dormant_state`
 and charges toward its
 :meth:`~repro.system.fastpath.DormantCharging.wake_target_j` — the
@@ -23,17 +23,14 @@ sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 * the vectorized charge step reproduces ``charge_many`` — and hence
   repeated ``storage.step(p, 0.0, dt)`` — exactly (see
   :mod:`repro.fleet.soa`);
-* each device keeps its books in the engine's own
-  :class:`~repro.system.simulator.RunTally` (dormant runs merge as
-  integer tick counts before the single ``count * dt`` product), and
-  harvested energy is the engine's
+* each device steps through the engine's own
+  :class:`~repro.system.simulator.RunWalk`, which batches predictable
+  ``"run"`` ticks through the platform's ``exact_batch`` (running
+  ahead of the lockstep and rejoining at the first event tick), ticks
+  the rest and keeps the books; a parked row's dormant ticks join the
+  walk as one integer run when it leaves the arrays;
+* harvested energy is the engine's
   :func:`~repro.system.simulator.harvested_j` over the device's slice;
-* powered-on devices route their predictable ``"run"`` ticks through
-  the platform's ``exact_batch`` capability (the batched exact kernel,
-  :mod:`repro.system.exactkernel`) when available — the same bulk
-  advance the single engine performs, bit-for-bit identical to scalar
-  ticking — running ahead of the lockstep and rejoining at the first
-  event tick;
 * results are materialised through the shared
   :func:`repro.system.simulator.assemble_result`.
 
@@ -73,7 +70,12 @@ from repro.obs import events as ev
 from repro.obs.resources import sample_resources, usage_between
 from repro.storage.capacitor import Capacitor
 from repro.system.presets import standard_rectifier
-from repro.system.simulator import RunTally, assemble_result, harvested_j
+from repro.system.simulator import (
+    RunWalk,
+    TickReport,
+    assemble_result,
+    harvested_j,
+)
 
 #: Device lifecycle modes inside the kernel.
 MODE_ACTIVE = "active"
@@ -164,22 +166,17 @@ class _FleetDevice:
 
     __slots__ = (
         "index", "config", "platform", "storage", "soa",
-        "exact_batch_fn", "skip_until", "batch_armed",
         "row", "base", "n_ticks", "stop_when_finished",
-        "tally",
+        "walk",
         "mode", "dormant_state", "result",
     )
 
-    def __init__(self, index: int, config: Dict, dt_s: float) -> None:
+    def __init__(self, index: int, config: Dict) -> None:
         self.index = index
         self.config = config
-        self.tally = RunTally(dt_s)
         self.mode = MODE_ACTIVE
         self.dormant_state: Optional[str] = None
         self.result = None
-        # The tick a bulk run hands the device back at (none yet).
-        self.skip_until = -1
-        self.batch_armed = True
 
     @property
     def label(self) -> str:
@@ -216,21 +213,19 @@ class FleetKernel:
         self._ends_by_tick: Dict[int, List[_FleetDevice]] = {}
         self.n_passive = 0
         self.ticks_advanced = 0
-        self.ticks_batched = 0
 
         segments = build_power_segments(configs)
         self.segments = segments
         self.dt = segments.dt_s
         self.P = segments.P
-        # Materialised lazily on the first exact-batch attempt: the
-        # batched kernel indexes power per tick, and Python-float list
-        # access beats numpy scalar extraction in its fused loop.
-        self._p_list: Optional[List[float]] = None
+        # The walks index power per tick, as the single engine does:
+        # Python floats index faster than numpy scalars.
+        p_in_w = segments.P.tolist()
 
         # -- device rows ----------------------------------------------
         self.arrays = FleetArrays(len(configs), self.dt)
         for row, config in enumerate(configs):
-            dev = _FleetDevice(row, config, self.dt)
+            dev = _FleetDevice(row, config)
             dev.row = row
             dev.base = int(segments.bases[row])
             dev.n_ticks = int(segments.n_ticks[row])
@@ -238,7 +233,12 @@ class FleetKernel:
             workload = build_workload(config)
             dev.platform = build_platform(config, workload)
             dev.storage = getattr(dev.platform, "storage", None)
-            dev.exact_batch_fn = getattr(dev.platform, "exact_batch", None)
+            # Dormant devices are parked rather than fast-forwarded,
+            # so a walk's one bulk path is the batched exact kernel.
+            dev.walk = RunWalk(
+                dev.platform, p_in_w, dev.base, dev.base + dev.n_ticks,
+                self.dt, ["exact_batch"],
+            )
             dev.soa = isinstance(dev.storage, Capacitor)
             if dev.soa:
                 self.arrays.set_params(row, dev.storage, dev.base)
@@ -250,6 +250,13 @@ class FleetKernel:
         for dev in self.devices:
             if not self._route(dev):
                 self._active.append(dev)
+
+    @property
+    def ticks_batched(self) -> int:
+        """Ticks the devices have run through ``exact_batch`` so far."""
+        return sum(
+            dev.walk.bulk_ticks.get("exact_batch", 0) for dev in self.devices
+        )
 
     # -- passive-row management ----------------------------------------
 
@@ -274,83 +281,53 @@ class FleetKernel:
         self.n_passive += 1
         return True
 
-    def _flush_row(self, dev: _FleetDevice) -> None:
-        """Account pending dormant ticks and sync the storage object."""
+    def _unpark(self, dev: _FleetDevice) -> None:
+        """Take a parked row off the vectorized path: book its dormant
+        ticks into the device's walk, whose next step then runs
+        exactly, and sync the storage object."""
         pend = int(self.arrays.pending[dev.row])
-        if pend:
-            if dev.dormant_state != "done":
-                dev.platform.count_dormant_ticks(pend, self.dt)
-            dev.tally.add(dev.dormant_state, pend)
-            self.arrays.pending[dev.row] = 0
+        if pend and dev.dormant_state != "done":
+            dev.platform.count_dormant_ticks(pend, self.dt)
+        dev.walk.account([(dev.dormant_state, pend)] if pend else [])
+        self.arrays.pending[dev.row] = 0
         self.arrays.store_row(dev.row, dev.storage)
+        self.arrays.retire_row(dev.row)
+        self.n_passive -= 1
 
-    def _rejoin(self, rows: np.ndarray, i: int) -> None:
+    def _rejoin(self, rows: np.ndarray) -> None:
         """Hand rows that reach their target to the exact path.
 
-        :meth:`FleetArrays.charge_tick` left tick ``i`` to them, so
-        each device's own ``tick()`` runs it (charge, threshold test,
-        wake) in this lockstep tick; a failed wake parks it again.
+        :meth:`FleetArrays.charge_tick` left this lockstep tick to them,
+        so each device's own ``tick()`` runs it (charge, threshold test,
+        wake); a failed wake parks it again.
         """
         for row in rows:
             dev = self.devices[row]
-            self._flush_row(dev)
-            self.arrays.retire_row(row)
-            self.n_passive -= 1
+            self._unpark(dev)
             dev.mode = MODE_ACTIVE
             dev.dormant_state = None
-            dev.skip_until = i
             self._active.append(dev)
 
     # -- exact path ----------------------------------------------------
 
     def _tick_active(self, i: int) -> None:
-        dt = self.dt
-        power = self.P
         still: List[_FleetDevice] = []
         for dev in self._active:
             if dev.mode is not MODE_ACTIVE:
                 continue
-            if i < dev.skip_until:
-                # A previous exact-batch run already executed this
-                # tick; the device rejoins the lockstep at skip_until.
+            walk = dev.walk
+            if walk.index > i:
+                # A bulk run already ran this tick; the device rejoins
+                # the lockstep at the tick its walk stopped before.
                 still.append(dev)
                 continue
-            # A bulk run stops before an event tick, where a probe
-            # would miss: the rejoin tick runs exactly, then re-arms.
-            rejoin = i == dev.skip_until
-            if (not rejoin and dev.batch_armed
-                    and dev.exact_batch_fn is not None):
-                p_list = self._p_list
-                if p_list is None:
-                    p_list = self._p_list = power.tolist()
-                runs = dev.exact_batch_fn(
-                    p_list, dev.base + i, dev.base + dev.n_ticks, dt
-                )
-                if runs:
-                    batched = 0
-                    for state, n in runs:
-                        dev.tally.add(state, n)
-                        batched += n
-                    dev.skip_until = i + batched
-                    self.ticks_batched += batched
-                    # Passive routing waits for the rejoin tick at
-                    # skip_until.
-                    if (dev.tally.finish(dev.platform, i + batched)
-                            and dev.stop_when_finished):
-                        self._finalize(dev, i + batched)
-                        continue
-                    still.append(dev)
-                    continue
-                # Probe missed: the next tick is an event tick — run
-                # it exactly, and re-arm on the next state transition
-                # (same disarm-after-miss the single engine uses).
-                dev.batch_armed = False
-            report = dev.platform.tick(float(power[dev.base + i]), dt)
-            if dev.tally.add(report.state, 1) or rejoin:
-                dev.batch_armed = True
-            if (dev.tally.finish(dev.platform, i + 1)
-                    and dev.stop_when_finished):
-                self._finalize(dev, i + 1)
+            out = walk.step()
+            if walk.finished() and dev.stop_when_finished:
+                self._finalize(dev)
+                continue
+            # Parking and the done rule wait for a scalar tick.
+            if not isinstance(out, TickReport):
+                still.append(dev)
                 continue
             if self._route(dev):
                 continue
@@ -358,24 +335,22 @@ class FleetKernel:
                 # No storage to keep integrating (the oracle): the
                 # remaining ticks are pure "done" no-ops, account them
                 # in bulk and finish the device now.
-                remaining = dev.n_ticks - (i + 1)
-                if remaining:
-                    dev.tally.add("done", remaining)
-                self._finalize(dev, dev.n_ticks)
+                walk.account([("done", dev.n_ticks - walk.index)])
+                self._finalize(dev)
                 continue
             still.append(dev)
         self._active = still
 
     # -- completion ----------------------------------------------------
 
-    def _finalize(self, dev: _FleetDevice, ticks_run: int) -> None:
+    def _finalize(self, dev: _FleetDevice) -> None:
         if dev.mode == MODE_PASSIVE:
-            self._flush_row(dev)
-            self.arrays.retire_row(dev.row)
-            self.n_passive -= 1
+            self._unpark(dev)
+        walk = dev.walk
+        ticks_run = walk.index
         dev.result = assemble_result(
-            dev.platform, dev.tally.flush(), ticks_run, self.dt,
-            dev.tally.completion_time,
+            dev.platform, walk.flush(), ticks_run, self.dt,
+            walk.completion_time,
             harvested_j(self.P[dev.base:], ticks_run, self.dt),
         )
         dev.mode = MODE_FINAL
@@ -408,13 +383,13 @@ class FleetKernel:
             if enders:
                 for dev in enders:
                     if dev.mode is not MODE_FINAL:
-                        self._finalize(dev, dev.n_ticks)
+                        self._finalize(dev)
                 if not self.n_live:
                     break
             if self.n_passive:
                 crossed = arrays.charge_tick(arrays.gather_power(power, i))
                 if crossed is not None:
-                    self._rejoin(crossed, i)
+                    self._rejoin(crossed)
             if self._active:
                 self._tick_active(i)
             # With telemetry disabled this is the loop's only extra

@@ -181,17 +181,17 @@ class FleetTelemetry:
                 if mode is MODE_PASSIVE:
                     state = dev.dormant_state or "off"
                 else:
-                    state = dev.tally.state or "boot"
+                    state = dev.walk.state or "boot"
                     if dev.storage is not None:
                         active_energy.append(dev.storage.energy_j)
                 stats = dev.platform.stats()
                 forward_progress += int(stats.get("forward_progress", 0))
                 backups += int(stats.get("backups", 0))
                 restores += int(stats.get("restores", 0))
-                tally = dev.tally
-                run_s_total += tally.state_time.get("run", 0.0)
-                if tally.state == "run":
-                    run_s_total += tally.ticks * dt
+                walk = dev.walk
+                run_s_total += walk.state_time.get("run", 0.0)
+                if walk.state == "run":
+                    run_s_total += walk.ticks * dt
             states[state] = states.get(state, 0) + 1
 
         # Stored energy: dormant rows live in the SoA arrays (the

@@ -40,21 +40,20 @@ Three engine optimisations keep long traces cheap (see
 
 Both bulk paths keep one contract: they stop before every event tick
 (fast-forward before the tick that reaches the wake target), which
-then runs through the platform's own ``tick()``.  They run through one
-probe loop: fast-forward first, then the batch kernel, each disarmed
-after a miss and re-armed on the next state transition or after the
-exact tick that follows a bulk run.  Before every call into the
-platform the simulator stamps the bus clock and flushes that tick's
+then runs through the platform's own ``tick()``.  Both engines walk a
+device with one :class:`RunWalk`, which probes the bulk paths
+(fast-forward first), ticks and keeps the run books: the simulator
+drives one over the trace, the fleet kernel one per device.  Before
+every step the simulator stamps the bus clock and flushes that tick's
 outages, so the events a platform emits land in the exact engine's
-order.  Every path keeps its books in one :class:`RunTally`, the same
-one the fleet kernel keeps per device.
+order.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -162,26 +161,84 @@ def assemble_result(
     return result
 
 
-class RunTally:
-    """One run's books: seconds per state and the completion stamp.
+class RunWalk:
+    """One device's walk through its ticks, and its run books.
 
-    Shared by :meth:`SystemSimulator.run` and the fleet kernel
-    (:mod:`repro.fleet.kernel`), so every engine keeps them with the
-    same float operations.  Consecutive ticks of one state, from
-    scalar ticks and bulk runs alike, merge into the open run
-    (:attr:`state`, :attr:`ticks`) as an integer count; a transition
-    flushes it into :attr:`state_time` with a single ``ticks * dt``
-    product.
+    :meth:`SystemSimulator.run` drives one walk over the whole trace,
+    and the fleet kernel (:mod:`repro.fleet.kernel`) one per device, a
+    lockstep tick at a time, so both engines probe, tick and keep books
+    with this one copy.  The walk runs the ticks of
+    ``p_in_w[start:stop]``, and :attr:`index` counts the ticks run.
+    ``paths`` names the bulk paths in probe order; a path that misses
+    is disarmed, so a platform stuck in an unbatchable state does not
+    pay a failed call per tick, and any state transition re-arms every
+    path.  A bulk run stops before an event tick, where the same probe
+    would miss, so the tick after it runs exactly and then re-arms
+    every path too.
+
+    Consecutive ticks of one state, from scalar ticks and bulk runs
+    alike, merge into the open run (:attr:`state`, :attr:`ticks`) as
+    an integer count; a transition flushes it into :attr:`state_time`
+    with a single ``ticks * dt`` product.
     """
 
-    __slots__ = ("dt", "state_time", "state", "ticks", "completion_time")
+    __slots__ = (
+        "platform", "p_in_w", "start", "stop", "dt", "paths", "armed",
+        "rejoin", "index", "bulk_ticks", "state_time", "state", "ticks",
+        "completion_time",
+    )
 
-    def __init__(self, dt_s: float) -> None:
+    def __init__(self, platform: Platform, p_in_w: List[float], start: int,
+                 stop: int, dt_s: float, paths: List[str]) -> None:
+        self.platform = platform
+        self.p_in_w = p_in_w
+        self.start = start
+        self.stop = stop
         self.dt = dt_s
+        # ``(name, bound method)`` of each named path the platform has;
+        # ``self.paths[armed:]`` are the ones still armed.
+        self.paths = tuple(
+            (name, getattr(platform, name)) for name in paths
+            if getattr(platform, name, None) is not None
+        )
+        self.armed = 0
+        self.rejoin = False
+        self.index = 0
+        #: Ticks run by each bulk path.
+        self.bulk_ticks = {name: 0 for name, _ in self.paths}
         self.state_time: Dict[str, float] = {}
         self.state: Optional[str] = None
         self.ticks = 0
         self.completion_time: Optional[float] = None
+
+    def step(self):
+        """Run one bulk run or one scalar tick: returns the bulk
+        path's ``(state, ticks)`` runs, or the :class:`TickReport`."""
+        index = self.index
+        paths = self.paths
+        while self.armed < len(paths):
+            name, advance = paths[self.armed]
+            runs = advance(self.p_in_w, self.start + index, self.stop, self.dt)
+            if runs:
+                self.account(runs)
+                self.bulk_ticks[name] += self.index - index
+                return runs
+            self.armed += 1
+        report = self.platform.tick(self.p_in_w[self.start + index], self.dt)
+        self.index = index + 1
+        if self.add(report.state, 1) or self.rejoin:
+            self.armed = 0
+        self.rejoin = False
+        return report
+
+    def account(self, runs: List[Tuple[str, int]]) -> None:
+        """Book ``(state, ticks)`` runs advanced outside the platform's
+        ``tick()``; the next step runs exactly."""
+        for state, count in runs:
+            self.add(state, count)
+            self.index += count
+        self.armed = len(self.paths)
+        self.rejoin = True
 
     def add(self, state: str, ticks: int) -> bool:
         """Account ``ticks`` ticks of ``state``; True on a transition."""
@@ -202,17 +259,17 @@ class RunTally:
             self.ticks = 0
         return self.state_time
 
-    def finish(self, platform: Platform, ticks_run: int) -> bool:
-        """Stamp :attr:`completion_time` the first time ``platform`` is
-        finished after ``ticks_run`` ticks; True on that call only.
+    def finished(self) -> bool:
+        """True on the first call after a step that left the platform
+        finished, which stamps :attr:`completion_time`.
 
         The stamp is one past the finishing tick on every path: an
         ``"isa"``-mode batch consumes the finishing tick (unlike the
         recurrence kernel, which stops before it), so callers check
-        after each scalar tick and after each bulk run alike.
+        after every step.
         """
-        if self.completion_time is None and platform.finished:
-            self.completion_time = ticks_run * self.dt
+        if self.completion_time is None and self.platform.finished:
+            self.completion_time = self.index * self.dt
             return True
         return False
 
@@ -348,21 +405,17 @@ class SystemSimulator:
         storage = getattr(platform, "storage", None)
         want_ticks = bus is not None and bus.wants(ev.TICK)
         want_samples = bus is not None and self.sample_stride > 0
-        # The bulk paths, ``(name, bound method)`` in probe order, each
-        # selected by its own knob.  Only an explicit ``sim.tick``
-        # subscription forces the exact engine — every other event is
-        # synthesized bit-identically from the bulk runs.  A platform
-        # that is already finished at entry completes on its first
-        # tick; the exact path keeps that accounting.
+        # The bulk paths in probe order, each selected by its own knob.
+        # Only an explicit ``sim.tick`` subscription forces the exact
+        # engine — every other event is synthesized bit-identically
+        # from the bulk runs.  A platform that is already finished at
+        # entry completes on its first tick; the exact path keeps that
+        # accounting.
         paths = []
         if not want_ticks and not platform.finished:
-            for name, knob in (
-                ("fast_forward", self.use_fast_forward),
-                ("exact_batch", self.use_exact_batch),
-            ):
-                advance = getattr(platform, name, None)
-                if knob is not False and advance is not None:
-                    paths.append((name, advance))
+            knobs = {"fast_forward": self.use_fast_forward,
+                     "exact_batch": self.use_exact_batch}
+            paths = [name for name, knob in knobs.items() if knob is not False]
         if bus is not None:
             # The synthesizer owns ALL outage emission (bulk segments
             # and exact ticks alike) so one state machine sees every
@@ -382,74 +435,41 @@ class SystemSimulator:
                 dt_s=dt,
             )
 
-        tally = RunTally(dt)
-        bulk_ticks = {"fast_forward": 0, "exact_batch": 0}
-        ticks_exact = 0
-        index = 0
-        # ``paths[armed:]`` are the probes still armed.  A miss disarms
-        # the path that missed, so a platform stuck in an unbatchable
-        # state does not pay a failed call per tick; any state
-        # transition re-arms every path.  A bulk run stops before an
-        # event tick, where the same probe would miss, so the tick
-        # after it runs exactly and then re-arms every path too.
-        n_paths = len(paths)
-        armed = 0
-        rejoin = False
-
-        while index < n_ticks:
-            if bus is not None:
+        walk = RunWalk(platform, p_in_w, 0, n_ticks, dt, paths)
+        step, finished = walk.step, walk.finished
+        while walk.index < n_ticks:
+            if bus is None:
+                step()
+            else:
+                index, prev = walk.index, walk.state
                 # A platform emits only at the first tick of a call.
                 bus.now_s = index * dt
                 synth.flush_outages(index)
-            runs = None
-            while armed < n_paths:
-                name, advance = paths[armed]
-                runs = advance(p_in_w, index, n_ticks, dt)
-                if runs:
-                    break
-                armed += 1
-            if runs:
-                if synth is not None:
-                    synth.integrate(index, runs, tally.state)
-                begin = index
-                for state, count in runs:
-                    tally.add(state, count)
-                    index += count
-                bulk_ticks[name] += index - begin
-                if tally.finish(platform, index) and self.stop_when_finished:
-                    break
-                armed = n_paths
-                rejoin = True
-                continue
-            report = platform.tick(p_in_w[index], dt)
-            state = report.state
-            index += 1
-            ticks_exact += 1
-            prev = tally.state
-            if tally.add(state, 1):
-                if bus is not None:
-                    bus.emit(ev.STATE_TRANSITION, state=state, prev=prev)
-                armed = 0
-            elif rejoin:
-                armed = 0
-            rejoin = False
-            if want_samples and (index - 1) % self.sample_stride == 0:
-                bus.emit(ev.SAMPLE, state=state, tick=index - 1)
-            if want_ticks:
-                bus.emit(
-                    ev.TICK,
-                    state=state,
-                    instructions=report.instructions,
-                    energy_j=(
-                        float(storage.energy_j) if storage is not None else 0.0
-                    ),
-                )
-            if tally.finish(platform, index) and self.stop_when_finished:
+                out = step()
+                if not isinstance(out, TickReport):
+                    synth.integrate(index, out, prev)
+                else:
+                    state = out.state
+                    if state != prev:
+                        bus.emit(ev.STATE_TRANSITION, state=state, prev=prev)
+                    if want_samples and index % self.sample_stride == 0:
+                        bus.emit(ev.SAMPLE, state=state, tick=index)
+                    if want_ticks:
+                        bus.emit(
+                            ev.TICK,
+                            state=state,
+                            instructions=out.instructions,
+                            energy_j=(
+                                float(storage.energy_j)
+                                if storage is not None else 0.0
+                            ),
+                        )
+            if finished() and self.stop_when_finished:
                 break
-        ticks_run = index
-        self.ticks_fast_forwarded = bulk_ticks["fast_forward"]
-        self.ticks_batched = bulk_ticks["exact_batch"]
-        self.ticks_exact = ticks_exact
+        ticks_run = walk.index
+        self.ticks_fast_forwarded = walk.bulk_ticks.get("fast_forward", 0)
+        self.ticks_batched = walk.bulk_ticks.get("exact_batch", 0)
+        self.ticks_exact = ticks_run - sum(walk.bulk_ticks.values())
 
         if bus is not None:
             end_t = ticks_run * dt
@@ -463,8 +483,8 @@ class SystemSimulator:
             )
 
         result = assemble_result(
-            self.platform, tally.flush(), ticks_run, dt,
-            tally.completion_time, harvested_j(p_dc, ticks_run, dt),
+            self.platform, walk.flush(), ticks_run, dt,
+            walk.completion_time, harvested_j(p_dc, ticks_run, dt),
         )
         if self.metrics is not None:
             self._publish_metrics(result)

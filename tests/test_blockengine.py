@@ -403,6 +403,39 @@ class TestCompilation:
         assert os.environ.get("NVPSIM_NO_BLOCK_ENGINE") is None
         assert wl._engine() is not None
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_simulate_flag_restores_the_switch(self, fails, capsys,
+                                               monkeypatch):
+        """``simulate --no-block-engine`` turns the engine off for its
+        own run only, also when the run raises."""
+        import os
+
+        from repro import cli
+        from repro.system.simulator import SystemSimulator
+
+        seen = []
+        run = SystemSimulator.run
+
+        def checked(simulator):
+            seen.append(blockengine.enabled())
+            if fails:
+                raise RuntimeError("run failed")
+            return run(simulator)
+
+        monkeypatch.setattr(SystemSimulator, "run", checked)
+        monkeypatch.delenv("NVPSIM_NO_BLOCK_ENGINE", raising=False)
+        argv = ["simulate", "--kernel", "crc", "--duration", "0.2",
+                "--no-block-engine"]
+        if fails:
+            with pytest.raises(RuntimeError, match="run failed"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert seen == [False]
+        assert blockengine.enabled()
+        assert "NVPSIM_NO_BLOCK_ENGINE" not in os.environ
+
 
 class TestCapabilityProtocol:
     def test_functional_workload_advertises_isa(self):

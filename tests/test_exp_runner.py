@@ -223,7 +223,7 @@ class TestRunnerApi:
             fast_spec(seed=[1, 2]).expand()
         )
         assert [r.status for r in outcome] == ["failed", "failed"]
-        assert all(r.error == "timed out after 0.0s" for r in outcome)
+        assert all(r.error == "timed out after 1e-06s" for r in outcome)
         assert all(r.result is None for r in outcome)
         assert outcome.failed == 2 and outcome.executed == 0
         assert len(cache) == 0

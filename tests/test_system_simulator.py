@@ -15,7 +15,7 @@ from repro.system.presets import (
     standard_rectifier,
     supercap,
 )
-from repro.system.simulator import SystemSimulator, TickReport
+from repro.system.simulator import RunWalk, SystemSimulator, TickReport
 from repro.system.thresholds import ThresholdPlan, plan_thresholds
 from repro.workloads.base import AbstractWorkload
 
@@ -152,3 +152,72 @@ class TestTickReport:
     def test_defaults(self):
         report = TickReport("off")
         assert report.instructions == 0
+
+
+class ScriptedPlatform:
+    """Ticks report ``states`` in turn; ``batch`` answers each probe
+    with ``[("run", n)]`` runs, or ``None`` where ``n`` is 0."""
+
+    label = "scripted"
+    finished = False
+
+    def __init__(self, states, batch):
+        self.states = list(states)
+        self.batch = list(batch)
+        self.calls = []
+
+    def tick(self, p_in_w, dt_s):
+        self.calls.append("tick")
+        return TickReport(self.states.pop(0))
+
+    def exact_batch(self, p_in_w, start, stop, dt_s):
+        self.calls.append("probe")
+        ticks = self.batch.pop(0)
+        return [("run", ticks)] if ticks else None
+
+
+class TestRunWalk:
+    """The probe arming both engines share, against scripted calls."""
+
+    @staticmethod
+    def walk(platform, steps):
+        walk = RunWalk(platform, [0.0] * 100, 0, 100, 1e-4, ["exact_batch"])
+        for _ in range(steps):
+            walk.step()
+        return walk
+
+    def test_tick_after_a_bulk_run_is_exact_and_rearms(self):
+        # The tick after each bulk run keeps the run's state, so only
+        # the rejoin rule re-arms the probe.
+        platform = ScriptedPlatform(["run"] * 3, [2, 2, 2])
+        walk = self.walk(platform, 6)
+        assert platform.calls == ["probe", "tick"] * 3
+        assert walk.index == 9
+        assert walk.bulk_ticks == {"exact_batch": 6}
+        assert (walk.state, walk.ticks) == ("run", 9)
+
+    def test_miss_disarms_until_a_transition(self):
+        platform = ScriptedPlatform(
+            ["run", "run", "run", "off", "run"], [0, 0, 3]
+        )
+        walk = self.walk(platform, 5)
+        # The first tick is a transition (from no state), so the
+        # second probe runs; the miss after it holds until "off".
+        assert platform.calls == [
+            "probe", "tick", "probe", "tick", "tick", "tick", "probe",
+        ]
+        assert walk.index == 7
+        assert walk.flush() == pytest.approx({"run": 6e-4, "off": 1e-4})
+
+    def test_accounted_runs_make_the_next_step_exact(self):
+        platform = ScriptedPlatform(["off", "run", "run"], [0, 4])
+        walk = self.walk(platform, 1)
+        walk.account([("off", 5)])
+        walk.step()
+        walk.account([])
+        walk.step()
+        walk.step()
+        assert platform.calls == ["probe", "tick", "tick", "tick", "probe"]
+        assert walk.index == 12
+        assert (walk.state, walk.ticks) == ("run", 6)
+        assert walk.state_time == {"off": 6 * 1e-4}
