@@ -277,23 +277,26 @@ class BackupController:
             raise ValueError(
                 f"expected {self.data_words} data words, got {len(data_words)}"
             )
-        for index in range(self.control_words):
-            self._control_array.write(index, 0)
+        self._control_array.write_block(0, [0] * self.control_words)
         _, dirty = self.strategy.bits_to_write(data_words, self._prev_data_words)
         if self._data_array is not None:
-            for index in dirty:
-                stored = (
-                    ecc_code.encode(data_words[index] & 0xFFFF)
-                    if self.ecc
-                    else data_words[index]
-                )
-                self._data_array.write(index, stored)
+            stored = [
+                ecc_code.encode(data_words[index] & 0xFFFF)
+                if self.ecc
+                else data_words[index]
+                for index in dirty
+            ]
             # Undirtied words must still be *valid* in the array on the
             # first backup; the strategy guarantees a full first write.
             # The SRAM working-set words are modelled content-free.
-            sram_fill = ecc_code.encode(0) if self.ecc else 0
-            for offset in range(self.sram_words):
-                self._data_array.write(self.data_words + offset, sram_fill)
+            sram = [ecc_code.encode(0) if self.ecc else 0] * self.sram_words
+            if len(dirty) == self.data_words:
+                # Every word is dirty: one block holds the whole image.
+                self._data_array.write_block(0, stored + sram)
+            else:
+                for index, word in zip(dirty, stored):
+                    self._data_array.write(index, word)
+                self._data_array.write_block(self.data_words, sram)
         self._prev_data_words = list(data_words)
         self._has_image = True
         self.backup_count += 1

@@ -4,7 +4,8 @@ The fleet engine advances N heterogeneous devices — each with its own
 platform preset, capacitor sizing, RNG seed, and trace offset —
 through simulated time together.  Dormant devices (off/charge/done)
 live in a struct-of-arrays layout and bulk-advance through one
-vectorized charge step per tick; active devices tick exactly.  Every
+charge step per tick (the native row kernel); active devices tick
+exactly.  Every
 device's :class:`~repro.system.result.SimulationResult` is bit-for-bit
 identical to running the single-device engine on its sub-trace.
 

@@ -3,14 +3,14 @@
 One :class:`FleetKernel` walks a whole fleet through simulated time
 tick by tick.  Dormant devices (off/charge/done) live in the
 struct-of-arrays state (:class:`repro.fleet.soa.FleetArrays`) and
-bulk-advance through one vectorized charge step per tick; devices that
+bulk-advance through one charge step per tick; devices that
 are powered on step, one lockstep tick at a time, through the same
 walk the single-device engine drives.  A device is parked from the
 platform's :meth:`~repro.system.fastpath.DormantCharging.dormant_state`
 and charges toward its
 :meth:`~repro.system.fastpath.DormantCharging.wake_target_j` — the
 state and target the single-device fast path reads — and the
-vectorized step stops before the tick that reaches it; the device then
+charge step stops before the tick that reaches it; the device then
 joins the exact path in that same lockstep tick, so its own ``tick()``
 runs the wake attempt and every transition executes the same Python
 code in both engines.
@@ -20,7 +20,7 @@ therefore **bit-for-bit identical** to running
 :class:`~repro.system.simulator.SystemSimulator` on the device's own
 sub-trace (property-tested in ``tests/test_fastpath_equivalence.py``):
 
-* the vectorized charge step reproduces ``charge_many`` — and hence
+* the charge step reproduces ``charge_many`` — and hence
   repeated ``storage.step(p, 0.0, dt)`` — exactly (see
   :mod:`repro.fleet.soa`);
 * each device steps through the engine's own
@@ -38,7 +38,7 @@ Only a device whose storage is a
 :class:`~repro.storage.capacitor.Capacitor` is ever parked in the
 arrays; the rest (the oracle has no storage, a tiered store or a front
 end is not a single capacitor) simply stay on the exact per-tick path —
-correctness never depends on the vectorization being available.
+correctness never depends on a device being parked.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class FleetKernel:
     # -- passive-row management ----------------------------------------
 
     def _route(self, dev: _FleetDevice) -> bool:
-        """Park the device on the vectorized path if it is dormant.
+        """Park the device on its row if it is dormant.
 
         Returns whether it was parked; a device that was not stays on
         the exact path.  A finished device charges toward an
@@ -282,7 +282,7 @@ class FleetKernel:
         return True
 
     def _unpark(self, dev: _FleetDevice) -> None:
-        """Take a parked row off the vectorized path: book its dormant
+        """Take a parked row out of the arrays: book its dormant
         ticks into the device's walk, whose next step then runs
         exactly, and sync the storage object."""
         pend = int(self.arrays.pending[dev.row])

@@ -1,12 +1,14 @@
 /* Native sequential kernels of nvpsim.
  *
- * Three float loops carry a simulation: the dormant fast-forward
+ * Four float loops carry a simulation: the dormant fast-forward
  * (Capacitor.charge_many), the batched powered-on loop
- * (exactkernel.storage_run) and the Ornstein-Uhlenbeck recurrence of
- * the trace generators (harvest.sources._ou_process).  This file holds
- * them in C.  repro/native/reference.py holds the same functions, with
- * the same signatures, in Python: it is the fallback when this file
- * cannot be built, and the definition it is diffed against.
+ * (exactkernel.storage_run), the lockstep tick of a fleet's parked
+ * rows (FleetArrays.charge_tick) and the Ornstein-Uhlenbeck recurrence
+ * of the trace generators (harvest.sources._ou_process).  This file
+ * holds them in C.  repro/native/reference.py holds the same
+ * functions, with the same signatures, in Python: it is the fallback
+ * when this file cannot be built, and the definition it is diffed
+ * against.
  *
  * The bit contract: every value returned equals the reference's, bit
  * for bit.
@@ -23,7 +25,10 @@
  *    stop it before its first tick.
  *  - Where the reference raises (a trace index out of range, the
  *    square root of a negative energy), the same exception is raised
- *    at the same tick.
+ *    at the same tick.  charge_rows' numpy twin computes NaN for a
+ *    negative energy where this file raises; a fleet never holds one.
+ *  - charge_rows reads and updates numpy arrays in place through the
+ *    buffer protocol, and rejects any other dtype, shape or layout.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -227,6 +232,156 @@ charge_many(PyObject *module, PyObject *args)
         energy, total_charged, total_leaked, total_wasted);
 }
 
+/* A numpy array argument as a C-contiguous buffer: kind 'd' (float64),
+ * 'q' (int64) or '?' (bool) of shape (n,), or (fields, n) when fields
+ * > 0.  Returns -1 with an exception set when it is anything else. */
+static int
+get_rows(PyObject *obj, Py_buffer *view, const char *name, char kind,
+         Py_ssize_t fields, Py_ssize_t n, int writable)
+{
+    const char *format, *type;
+    int ok;
+    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS
+                | (writable ? PyBUF_WRITABLE : 0);
+
+    if (PyObject_GetBuffer(obj, view, flags) < 0) {
+        return -1;
+    }
+    format = view->format == NULL ? "B" : view->format;
+    if (kind == 'q') {
+        type = "int64";
+        ok = view->itemsize == 8
+             && (!strcmp(format, "q") || !strcmp(format, "l"));
+    }
+    else {
+        type = kind == 'd' ? "float64" : "bool";
+        ok = format[0] == kind && format[1] == '\0';
+    }
+    if (fields > 0) {
+        ok = ok && view->ndim == 2 && view->shape[0] == fields
+             && view->shape[1] == n;
+    }
+    else {
+        ok = ok && view->ndim == 1 && view->shape[0] == n;
+    }
+    if (!ok) {
+        PyBuffer_Release(view);
+        if (fields > 0) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s must be a C-contiguous %s array of shape "
+                         "(%zd, %zd)", name, type, fields, n);
+        }
+        else {
+            PyErr_Format(PyExc_TypeError,
+                         "%s must be a C-contiguous %s array of shape (%zd,)",
+                         name, type, n);
+        }
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(charge_rows_doc,
+"charge_rows(p, dt_s, chain, alive, target, state, pending)\n"
+"--\n\n"
+"One zero-load tick of every alive fleet row; see reference.charge_rows.");
+
+static PyObject *
+charge_rows(PyObject *module, PyObject *args)
+{
+    enum { P, CHAIN, ALIVE, TARGET, STATE, PENDING, NARRAYS };
+    static const char *names[NARRAYS] = {
+        "p", "chain", "alive", "target", "state", "pending"};
+    static const char kinds[NARRAYS] = {'d', 'd', '?', 'd', 'd', 'q'};
+    static const Py_ssize_t fields[NARRAYS] = {0, 8, 0, 0, 4, 0};
+    static const int writable[NARRAYS] = {0, 0, 0, 0, 1, 1};
+    PyObject *objs[NARRAYS];
+    Py_buffer views[NARRAYS];
+    PyObject *crossed = NULL;
+    const double *p, *chain, *target;
+    const char *alive;
+    double *energy, *charged, *leaked, *wasted;
+    long long *pending;
+    double dt;
+    Py_ssize_t n, i;
+    int held = 0, failed = 0;
+
+    if (!PyArg_ParseTuple(
+            args, "OdOOOOO:charge_rows", &objs[P], &dt, &objs[CHAIN],
+            &objs[ALIVE], &objs[TARGET], &objs[STATE], &objs[PENDING])) {
+        return NULL;
+    }
+    n = PyObject_Length(objs[P]);
+    if (n < 0) {
+        return NULL;
+    }
+    for (; held < NARRAYS; held++) {
+        if (get_rows(objs[held], &views[held], names[held], kinds[held],
+                     fields[held], n, writable[held]) < 0) {
+            failed = 1;
+            goto done;
+        }
+    }
+    p = views[P].buf;
+    chain = views[CHAIN].buf;
+    alive = views[ALIVE].buf;
+    target = views[TARGET].buf;
+    energy = views[STATE].buf;
+    charged = energy + n;
+    leaked = charged + n;
+    wasted = leaked + n;
+    pending = views[PENDING].buf;
+    for (i = 0; i < n; i++) {
+        Chain c;
+        Step s;
+        if (!alive[i]) {
+            continue;
+        }
+        c.capacitance = chain[i];
+        c.capacity = chain[n + i];
+        c.leak_ohm = chain[2 * n + i];
+        c.min_current = chain[3 * n + i];
+        c.eta_peak = chain[4 * n + i];
+        c.eta_floor = chain[5 * n + i];
+        c.v_opt = chain[6 * n + i];
+        c.v_span = chain[7 * n + i];
+        if (chain_step(&c, energy[i], p[i], dt, &s) < 0) {
+            failed = 1;
+            goto done;
+        }
+        if (s.energy >= target[i]) {
+            /* Discarded: the device's own tick() runs this tick. */
+            PyObject *index = PyLong_FromSsize_t(i);
+            if (index == NULL
+                || (crossed == NULL && (crossed = PyList_New(0)) == NULL)
+                || PyList_Append(crossed, index) < 0) {
+                Py_XDECREF(index);
+                failed = 1;
+                goto done;
+            }
+            Py_DECREF(index);
+            continue;
+        }
+        energy[i] = s.energy;
+        charged[i] += s.charged;
+        leaked[i] += s.leaked;
+        wasted[i] += s.wasted;
+        pending[i] += 1;
+    }
+done:
+    while (held > 0) {
+        PyBuffer_Release(&views[--held]);
+    }
+    if (failed) {
+        Py_XDECREF(crossed);
+        return NULL;
+    }
+    if (crossed == NULL) {
+        Py_RETURN_NONE;
+    }
+    return crossed;
+}
+
 PyDoc_STRVAR(storage_run_doc,
 "storage_run(p_in_w, start, stop, dt_s, chain, workload, stops, state)\n"
 "--\n\n"
@@ -389,6 +544,7 @@ ou_walk(PyObject *module, PyObject *args)
 
 static PyMethodDef kernel_methods[] = {
     {"charge_many", charge_many, METH_VARARGS, charge_many_doc},
+    {"charge_rows", charge_rows, METH_VARARGS, charge_rows_doc},
     {"storage_run", storage_run, METH_VARARGS, storage_run_doc},
     {"ou_walk", ou_walk, METH_VARARGS, ou_walk_doc},
     {NULL, NULL, 0, NULL},

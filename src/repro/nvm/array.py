@@ -10,6 +10,7 @@ was shorter than the outage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from repro.nvm.retention import (
     RetentionPolicy,
     UniformPolicy,
-    policy_backup_energy_j,
+    profile_backup_energy_j,
 )
 from repro.nvm.sttram import DEFAULT_STT, STTParameters
 from repro.nvm.technology import NVMTechnology, FERAM
@@ -111,18 +112,17 @@ class NVMArray:
         self.word_bits = word_bits
         self.stt_params = stt_params if stt_params is not None else DEFAULT_STT
         self.enforce_endurance = enforce_endurance
-        self._words = np.zeros(size_words, dtype=np.uint32)
-        self._valid = np.zeros(size_words, dtype=bool)
-        self._write_counts = np.zeros(size_words, dtype=np.int64)
+        # Python lists: a backup or wake touches a few words, where
+        # numpy's per-call cost would outweigh its per-word gain.
+        self._words = [0] * size_words
+        self._valid = [False] * size_words
+        self._write_counts = [0] * size_words
         self.stats = ArrayStats(bit_failures=[0] * word_bits)
-        self._word_write_energy_j = policy_backup_energy_j(
-            self.policy, technology, word_bits, self.stt_params
+        profile = tuple(self.policy.retention_profile(word_bits))
+        self._word_write_energy_j = profile_backup_energy_j(
+            profile, technology, self.stt_params
         )
-        # Failure probability per bit per unit outage is derived lazily
-        # from the policy profile.
-        self._retention_profile = np.array(
-            self.policy.retention_profile(word_bits), dtype=float
-        )
+        self._retention_profile = np.array(profile, dtype=float)
 
     @property
     def word_write_energy_j(self) -> float:
@@ -135,24 +135,39 @@ class NVMArray:
         A worn word (with ``enforce_endurance=True``) still costs the
         write energy, but its contents stick at their last value.
         """
-        self._check_address(address)
-        self.stats.writes += 1
-        self.stats.write_energy_j += self._word_write_energy_j
-        self._write_counts[address] += 1
-        if (
-            self.enforce_endurance
-            and self._write_counts[address] > self.technology.endurance_cycles
-        ):
-            self.stats.worn_writes += 1
-            return
-        mask = (1 << self.word_bits) - 1
-        self._words[address] = value & mask
-        self._valid[address] = True
+        self._check_range(address, 1)
+        self._write(address, [value])
 
     def write_block(self, base: int, values: Sequence[int]) -> None:
-        """Write a contiguous block of words."""
-        for offset, value in enumerate(values):
-            self.write(base + offset, value)
+        """Write a contiguous block of words, as that many :meth:`write`
+        calls would, after checking that the whole block fits."""
+        values = list(values)
+        self._check_range(base, len(values))
+        self._write(base, values)
+
+    def _write(self, base: int, values: List[int]) -> None:
+        stats = self.stats
+        counts = self._write_counts
+        words = self._words
+        valid = self._valid
+        mask = (1 << self.word_bits) - 1
+        word_energy = self._word_write_energy_j
+        # One addition per word keeps the float sum's bits.
+        energy = stats.write_energy_j
+        endurance = (
+            self.technology.endurance_cycles if self.enforce_endurance
+            else math.inf
+        )
+        for address, value in enumerate(values, base):
+            energy += word_energy
+            counts[address] += 1
+            if counts[address] > endurance:
+                stats.worn_writes += 1
+                continue
+            words[address] = value & mask
+            valid[address] = True
+        stats.write_energy_j = energy
+        stats.writes += len(values)
 
     def read(self, address: int) -> int:
         """Read one word, charging read energy.
@@ -161,18 +176,30 @@ class NVMArray:
             ValueError: if the word was never written (reading
                 uninitialised NVM is almost always a harness bug).
         """
-        self._check_address(address)
-        if not self._valid[address]:
-            raise ValueError(f"word {address} has never been written")
-        self.stats.reads += 1
-        self.stats.read_energy_j += (
-            self.technology.read_energy_j_per_bit * self.word_bits
-        )
-        return int(self._words[address])
+        return self.read_block(address, 1)[0]
 
     def read_block(self, base: int, count: int) -> List[int]:
-        """Read a contiguous block of words."""
-        return [self.read(base + offset) for offset in range(count)]
+        """Read a contiguous block of words, as that many :meth:`read`
+        calls would, after checking the whole block first.
+
+        Raises:
+            ValueError: if the block leaves the array, ``count`` is
+                negative, or a word in it was never written; nothing is
+                charged then.
+        """
+        self._check_range(base, count)
+        stop = base + count
+        if not all(self._valid[base:stop]):
+            address = self._valid.index(False, base, stop)
+            raise ValueError(f"word {address} has never been written")
+        stats = self.stats
+        word_energy = self.technology.read_energy_j_per_bit * self.word_bits
+        energy = stats.read_energy_j
+        for _ in range(count):
+            energy += word_energy
+        stats.read_energy_j = energy
+        stats.reads += count
+        return self._words[base:stop]
 
     def power_outage(self, duration_s: float, rng: np.random.Generator) -> int:
         """Age the array through a power outage.
@@ -181,42 +208,64 @@ class NVMArray:
         ``1 - exp(-duration / retention(bit))``; relaxed bits read back
         random values.  Returns the number of bits that actually
         flipped.
+
+        Two uniform draws per valid bit are taken from ``rng`` (the
+        relax test, then the random read-back) whenever a word is
+        valid and the outage is longer than zero, relaxed or not.
+
+        Raises:
+            ValueError: if ``duration_s`` is negative or NaN.
         """
-        if duration_s < 0:
-            raise ValueError("outage duration cannot be negative")
+        if not duration_s >= 0:
+            raise ValueError(
+                f"outage duration_s must be >= 0, got {duration_s!r}"
+            )
         self.stats.outages += 1
-        valid_idx = np.flatnonzero(self._valid)
-        if len(valid_idx) == 0 or duration_s == 0.0:
+        valid_idx = [i for i, valid in enumerate(self._valid) if valid]
+        if not valid_idx or duration_s == 0.0:
             return 0
         p_relax = 1.0 - np.exp(-duration_s / self._retention_profile)
-        relaxed = rng.random((len(valid_idx), self.word_bits)) < p_relax
-        # A relaxed cell reads back a random bit: it flips with p=0.5.
-        flips = relaxed & (rng.random(relaxed.shape) < 0.5)
+        draws = rng.random((2, len(valid_idx), self.word_bits))
+        relaxed = draws[0] < p_relax
+        if not relaxed.any():
+            # Retention far longer than the outage: the common case.
+            return 0
         failures = self.stats.bit_failures
         for bit, count in enumerate(relaxed.sum(axis=0).tolist()):
             failures[bit] += count
+        # A relaxed cell reads back a random bit: it flips with p=0.5.
+        flips = relaxed & (draws[1] < 0.5)
         if not flips.any():
             return 0
         flip_masks = (flips * _BIT_WEIGHTS[: self.word_bits]).sum(
             axis=1, dtype=np.uint32
         )
-        self._words[valid_idx] ^= flip_masks
+        words = self._words
+        for address, flip in zip(valid_idx, flip_masks.tolist()):
+            words[address] ^= flip
         return int(flips.sum())
 
     def wear_report(self) -> "WearReport":
         """Endurance snapshot (see :class:`WearReport`)."""
-        worn = int(
-            np.sum(self._write_counts > self.technology.endurance_cycles)
-        )
+        counts = self._write_counts
+        endurance = self.technology.endurance_cycles
         return WearReport(
-            max_writes=int(self._write_counts.max()),
-            mean_writes=float(self._write_counts.mean()),
-            worn_words=worn,
-            endurance_cycles=self.technology.endurance_cycles,
+            max_writes=max(counts),
+            mean_writes=sum(counts) / len(counts),
+            worn_words=sum(count > endurance for count in counts),
+            endurance_cycles=endurance,
         )
 
-    def _check_address(self, address: int) -> None:
-        if not 0 <= address < self.size_words:
+    def _check_range(self, base: int, count: int) -> None:
+        """Reject a block that is not ``count >= 0`` words inside the
+        array, before any word or counter is touched."""
+        if count < 0:
+            raise ValueError(f"word count {count} is negative")
+        if not (0 <= base and base + count <= self.size_words):
+            where = (
+                f"address {base}" if count == 1
+                else f"block of {count} words at {base}"
+            )
             raise ValueError(
-                f"address {address} outside array of {self.size_words} words"
+                f"{where} outside array of {self.size_words} words"
             )

@@ -18,8 +18,9 @@ cell reads back a uniformly random bit.
 from __future__ import annotations
 
 import abc
+import functools
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -174,8 +175,8 @@ class ParabolaPolicy(RetentionPolicy):
 
 def failure_probability(outage_s: float, retention_s: float) -> float:
     """Probability a cell relaxes during an outage of ``outage_s`` seconds."""
-    if outage_s < 0:
-        raise ValueError("outage duration cannot be negative")
+    if not outage_s >= 0:
+        raise ValueError(f"outage_s must be >= 0, got {outage_s!r}")
     if retention_s <= 0:
         raise ValueError("retention must be positive")
     return 1.0 - math.exp(-outage_s / retention_s)
@@ -235,17 +236,32 @@ def policy_backup_energy_j(
             relaxation and the policy is not uniform at nominal
             retention.
     """
-    params = params if params is not None else DEFAULT_STT
+    return profile_backup_energy_j(
+        tuple(policy.retention_profile(width)),
+        technology,
+        params if params is not None else DEFAULT_STT,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def profile_backup_energy_j(
+    profile: Tuple[float, ...],
+    technology: NVMTechnology,
+    params: STTParameters = DEFAULT_STT,
+) -> float:
+    """:func:`policy_backup_energy_j` of a policy's retention profile
+    (LSB first), memoized: the profile is a tuple and the technology
+    and device parameters are frozen dataclasses, so every NVP built
+    with the same ones shares one result."""
     nominal = write_energy_at_optimum(technology.retention_s, params)
     scale = technology.write_energy_j_per_bit / nominal
     if not technology.supports_retention_relaxation:
-        profile = policy.retention_profile(width)
         if any(t < technology.retention_s for t in profile):
             raise ValueError(
                 f"{technology.name} does not support retention relaxation"
             )
     total = 0.0
-    for bit in range(width):
-        target = min(policy.retention_s(bit, width), technology.retention_s)
+    for retention_s in profile:
+        target = min(retention_s, technology.retention_s)
         total += write_energy_at_optimum(target, params) * scale
     return total

@@ -245,7 +245,7 @@ class Capacitor:
         chain (:func:`repro.native.reference.chain_step` and its C
         twin), which :meth:`step`, :meth:`charge_many`, the batched
         storage loops of :mod:`repro.system.exactkernel` and the
-        fleet's vectorized charge step (:mod:`repro.fleet.soa`) read.
+        fleet's row kernel (:mod:`repro.fleet.soa`) read.
         """
         curve = self.efficiency
         return (
@@ -277,7 +277,7 @@ class Capacitor:
     ) -> None:
         """Adopt state evolved by a bulk engine.
 
-        The batched loops and the fleet's vectorized step are
+        The batched loops and the fleet's row kernel are
         bit-identical to :meth:`step`, so this is a plain assignment —
         no clamping, which would break the bit-for-bit guarantee.
         """

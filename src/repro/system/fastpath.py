@@ -13,7 +13,7 @@ target, wake and powered-on tick.
 
 The fleet kernel (:mod:`repro.fleet.kernel`) parks a dormant device
 from the same ``dormant_state()`` and ``wake_target_j()``: its
-vectorized charge step stops before the tick that reaches the target,
+charge step stops before the tick that reaches the target,
 and the device's own ``tick()`` then runs that tick.
 """
 

@@ -191,15 +191,12 @@ class TestSoAContract:
         arrays.target[1] = probe.energy_j
 
         def row_bits(row):
-            return [
-                getattr(arrays, name)[row].tobytes()
-                for name in ("energy", "total_charged", "total_leaked",
-                             "total_wasted", "pending")
-            ]
+            return [arrays.state[:, row].tobytes(),
+                    arrays.pending[row].tobytes()]
 
         kept = row_bits(1)
         crossed = arrays.charge_tick(np.full(3, powers[1]))
-        assert crossed.tolist() == [1]
+        assert crossed == [1]
         assert row_bits(1) == kept
         assert arrays.pending.tolist() == [2, 1, 2]
         expect = [(2, False), (1, True), (2, False)]

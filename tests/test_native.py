@@ -1,9 +1,10 @@
 """The native kernels: diffed bit for bit against their Python twin.
 
-``repro.native.kernels()`` runs the three sequential loops in C when
-the extension builds, else in ``repro.native.reference``.  Every value
-the C functions return, including the state they hand back, must
-equal the reference's bit for bit; the simulator's results must not
+``repro.native.kernels()`` runs the sequential loops and the fleet's
+row tick in C when the extension builds, else in
+``repro.native.reference``.  Every value the C functions return,
+including the state they hand back or update in place, must equal the
+reference's bit for bit; the simulator's results must not
 depend on the backend; and the first-use build must be safe when
 processes race, and tried once when it fails.
 
@@ -287,6 +288,120 @@ class TestStopRules:
         for kernels in (native.kernels(), reference):
             with pytest.raises(ValueError, match="math domain error"):
                 kernels.charge_many(*case)
+
+
+# -- the fleet's row kernel ---------------------------------------------------
+
+
+@st.composite
+def row_cases(draw):
+    """``charge_rows`` arguments: up to 12 rows of flat, curved and
+    ideal stores, some not alive, each with its own power and target."""
+    n = draw(st.integers(1, 12))
+    dt = draw(st.sampled_from([1e-4, 1e-3, 1e-6]))
+    chains, states, p, targets = [], [], [], []
+    for _ in range(n):
+        chain, energy = draw(stores())
+        power = draw(powers)
+        reached = reference.chain_step(chain, energy, power, dt)[0]
+        # inf, reached on this tick (0.0), exactly the energy this tick
+        # reaches, one ulp above it, or anywhere.
+        targets.append(draw(
+            st.sampled_from([math.inf, 0.0, reached,
+                             math.nextafter(reached, math.inf)])
+            | st.floats(0.0, chain[1])
+        ))
+        chains.append(chain)
+        states.append((energy, *draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))))
+        p.append(power)
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pending = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    return (np.array(p), dt, np.array(chains).T.copy(), np.array(alive),
+            np.array(targets), np.array(states).T.copy(),
+            np.array(pending, dtype=np.int64))
+
+
+def rows_by_chain_step(p, dt, chain, alive, target, state, pending):
+    """What ``charge_rows`` must do, row by row through chain_step."""
+    state, pending, crossed = state.copy(), pending.copy(), []
+    for row in np.flatnonzero(alive).tolist():
+        energy, charged, leaked, wasted = reference.chain_step(
+            tuple(chain[:, row].tolist()), float(state[0, row]),
+            float(p[row]), dt,
+        )
+        if energy >= target[row]:
+            crossed.append(row)
+            continue
+        totals = state[1:, row].tolist()
+        state[:, row] = (energy, totals[0] + charged, totals[1] + leaked,
+                         totals[2] + wasted)
+        pending[row] += 1
+    return crossed or None, state, pending
+
+
+def run_rows(kernels, p, dt, chain, alive, target, state, pending):
+    """``kernels.charge_rows`` on copies of the in-place arguments."""
+    state, pending = state.copy(), pending.copy()
+    crossed = kernels.charge_rows(p, dt, chain, alive, target, state, pending)
+    return crossed, state, pending
+
+
+def as_bits(out):
+    crossed, state, pending = out
+    return crossed, state.tobytes(), pending.tolist()
+
+
+#: The one-ulp capacity clip on a fleet row, beside a dead row and an
+#: ideal store fed a denormal power.
+OVERSHOOT_ROWS = (
+    np.array([1.0, 1.0, 5e-324]), 1e-4,
+    np.array([OVERSHOOT_STORE.chain(), OVERSHOOT_STORE.chain(),
+              IdealStorage(1e-3).chain()]).T.copy(),
+    np.array([True, False, True]), np.full(3, math.inf),
+    np.array([(OVERSHOOT_ENERGY, 0.0, 0.0, 0.0)] * 3).T.copy(),
+    np.zeros(3, dtype=np.int64),
+)
+
+
+class TestChargeRows:
+    """``charge_rows`` is ``chain_step`` applied to every alive row, in
+    C and in its numpy twin; the twin is tested on every backend."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=row_cases())
+    @example(case=OVERSHOOT_ROWS)
+    def test_every_alive_row_is_one_chain_step(self, case):
+        want = as_bits(rows_by_chain_step(*case))
+        for kernels in {reference, native.kernels()}:
+            assert as_bits(run_rows(kernels, *case)) == want, kernels.BACKEND
+
+    def test_capacity_clip_overshoot_is_kept(self):
+        for kernels in {reference, native.kernels()}:
+            crossed, state, pending = run_rows(kernels, *OVERSHOOT_ROWS)
+            assert crossed is None
+            assert state[0, 0] == math.nextafter(
+                OVERSHOOT_STORE.capacity_j, 1.0)
+            # The dead row keeps its bits and its pending count.
+            assert state[:, 1].tolist() == [OVERSHOOT_ENERGY, 0.0, 0.0, 0.0]
+            assert pending.tolist() == [1, 0, 1]
+
+    @needs_compiler
+    def test_c_rejects_a_wrong_layout_or_dtype(self):
+        p, dt, chain, alive, target, state, pending = OVERSHOOT_ROWS
+        for bad in (
+            dict(chain=chain.T.copy()),            # row-major (n, 8)
+            dict(state=state.T),                   # not C-contiguous
+            dict(alive=alive.astype(np.int8)),
+            dict(pending=pending.astype(np.int32)),
+            dict(p=p[:2]),
+        ):
+            args = dict(p=p, dt_s=dt, chain=chain, alive=alive,
+                        target=target, state=state.copy(),
+                        pending=pending.copy())
+            args.update(bad)
+            with pytest.raises((TypeError, ValueError)):
+                native.kernels().charge_rows(*args.values())
 
 
 # -- end to end ---------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Unit tests for the behavioral NVM array."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nvm.array import NVMArray
+from repro.nvm.array import ArrayStats, NVMArray
 from repro.nvm.ecc import CODEWORD_BITS
-from repro.nvm.retention import LinearPolicy, UniformPolicy
+from repro.nvm.retention import (
+    LinearPolicy,
+    UniformPolicy,
+    failure_probability,
+    policy_backup_energy_j,
+)
 from repro.nvm.technology import FERAM, STT_MRAM
 
 
@@ -28,8 +38,197 @@ def reference_power_outage(array, duration_s, rng):
     flip_masks = np.zeros(len(valid_idx), dtype=np.uint32)
     for bit in range(array.word_bits):
         flip_masks |= flips[:, bit].astype(np.uint32) << bit
-    array._words[valid_idx] ^= flip_masks
+    words = np.array(array._words, dtype=np.uint32)
+    words[valid_idx] ^= flip_masks
+    array._words[:] = words.tolist()
     return int(flips.sum())
+
+
+class NumpyStore:
+    """The numpy-backed store ``NVMArray`` kept before it moved to
+    Python lists, as its reference: one word per call, and two outage
+    draws."""
+
+    def __init__(self, size_words, technology, policy, word_bits,
+                 enforce_endurance):
+        self.technology = technology
+        self.word_bits = word_bits
+        self.enforce_endurance = enforce_endurance
+        self.size_words = size_words
+        self._words = np.zeros(size_words, dtype=np.uint32)
+        self._valid = np.zeros(size_words, dtype=bool)
+        self._write_counts = np.zeros(size_words, dtype=np.int64)
+        self.stats = ArrayStats(bit_failures=[0] * word_bits)
+        self.word_write_energy_j = policy_backup_energy_j(
+            policy, technology, word_bits
+        )
+        self._retention_profile = np.array(
+            policy.retention_profile(word_bits), dtype=float
+        )
+
+    def write(self, address, value):
+        assert 0 <= address < self.size_words
+        self.stats.writes += 1
+        self.stats.write_energy_j += self.word_write_energy_j
+        self._write_counts[address] += 1
+        if (
+            self.enforce_endurance
+            and self._write_counts[address] > self.technology.endurance_cycles
+        ):
+            self.stats.worn_writes += 1
+            return
+        self._words[address] = value & ((1 << self.word_bits) - 1)
+        self._valid[address] = True
+
+    def write_block(self, base, values):
+        for offset, value in enumerate(values):
+            self.write(base + offset, value)
+
+    def read(self, address):
+        assert 0 <= address < self.size_words
+        if not self._valid[address]:
+            raise ValueError(f"word {address} has never been written")
+        self.stats.reads += 1
+        self.stats.read_energy_j += (
+            self.technology.read_energy_j_per_bit * self.word_bits
+        )
+        return int(self._words[address])
+
+    def read_block(self, base, count):
+        return [self.read(base + offset) for offset in range(count)]
+
+    def power_outage(self, duration_s, rng):
+        return reference_power_outage(self, duration_s, rng)
+
+    def wear_report(self):
+        return (int(self._write_counts.max()),
+                float(self._write_counts.mean()),
+                int(np.sum(
+                    self._write_counts > self.technology.endurance_cycles)))
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+#: One store operation: a word or block write, a word or block read,
+#: or an outage.
+store_ops = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 11), st.integers(0, 2**32)),
+    st.tuples(st.just("write_block"), st.integers(0, 11),
+              st.lists(st.integers(-5, 2**20), max_size=12)),
+    st.tuples(st.just("read"), st.integers(0, 11)),
+    st.tuples(st.just("read_block"), st.integers(0, 11), st.integers(0, 12)),
+    st.tuples(st.just("outage"),
+              st.sampled_from([0.0, 1e-6, 3e-3, 0.05, 1e9])),
+)
+
+
+class TestStoreMatchesNumpyTwin:
+    """The list-backed store equals the numpy one it replaced, op for
+    op: words, flags, write counts, every stats field (the two energy
+    floats by bit pattern) and the generator's state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(store_ops, max_size=30),
+        word_bits=st.sampled_from([1, 8, 16, CODEWORD_BITS, 32]),
+        relaxed=st.booleans(),
+        endurance=st.sampled_from([None, 2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_op_for_op(self, ops, word_bits, relaxed, endurance, seed):
+        technology = STT_MRAM
+        if endurance is not None:
+            technology = dataclasses.replace(
+                STT_MRAM, endurance_cycles=endurance
+            )
+        policy = (
+            LinearPolicy(1e-4, 1e-2) if relaxed
+            else UniformPolicy(technology.retention_s)
+        )
+        kwargs = dict(technology=technology, policy=policy,
+                      word_bits=word_bits,
+                      enforce_endurance=endurance is not None)
+        new, old = NVMArray(12, **kwargs), NumpyStore(12, **kwargs)
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        for op, *args in ops:
+            if op in ("write_block", "read_block"):
+                count = len(args[1]) if op == "write_block" else args[1]
+                if args[0] + count > 12:
+                    continue  # the twin wrote or read part of the block
+            if op in ("read", "read_block"):
+                count = 1 if op == "read" else args[1]
+                if not old._valid[args[0]:args[0] + count].all():
+                    with pytest.raises(ValueError, match="never been"):
+                        getattr(new, op)(*args)
+                    continue
+            if op == "outage":
+                got = new.power_outage(args[0], rng_new)
+                want = old.power_outage(args[0], rng_old)
+            else:
+                got = getattr(new, op)(*args)
+                want = getattr(old, op)(*args)
+            assert got == want, op
+            assert new._words == old._words.tolist()
+            assert new._valid == old._valid.tolist()
+            assert new._write_counts == old._write_counts.tolist()
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            for name in ("writes", "reads", "outages", "worn_writes",
+                         "bit_failures"):
+                assert getattr(new.stats, name) == getattr(old.stats, name)
+            for name in ("write_energy_j", "read_energy_j"):
+                assert float_bits(getattr(new.stats, name)) == float_bits(
+                    getattr(old.stats, name)
+                )
+        report = new.wear_report()
+        assert (report.max_writes, report.mean_writes,
+                report.worn_words) == old.wear_report()
+
+
+class TestBlockBounds:
+    """A block op checks its whole range, and its count, before it
+    touches a word or a counter."""
+
+    def snapshot(self, array):
+        return (list(array._words), list(array._valid),
+                list(array._write_counts), dataclasses.asdict(array.stats))
+
+    @pytest.mark.parametrize("written, call", [
+        (4, ("write_block", 2, [1, 2, 3])),
+        (4, ("write_block", -1, [1])),
+        (4, ("read_block", 3, 2)),
+        (4, ("read_block", 0, -3)),
+        (4, ("read_block", -1, 1)),
+        (2, ("read_block", 0, 3)),  # word 2 was never written
+    ])
+    def test_rejected_block_changes_nothing(self, written, call):
+        array = NVMArray(4)
+        array.write_block(0, [7, 8, 9, 10][:written])
+        before = self.snapshot(array)
+        with pytest.raises(ValueError):
+            getattr(array, call[0])(*call[1:])
+        assert self.snapshot(array) == before
+
+    def test_empty_blocks_at_the_end_are_allowed(self):
+        array = NVMArray(4)
+        array.write_block(4, [])
+        assert array.read_block(4, 0) == []
+        assert array.stats.writes == array.stats.reads == 0
+
+
+class TestNaNOutage:
+    def test_array_rejects_a_nan_outage(self, rng):
+        array = NVMArray(4)
+        array.write(0, 1)
+        with pytest.raises(ValueError, match="duration_s.*nan"):
+            array.power_outage(float("nan"), rng)
+        assert array.stats.outages == 0
+
+    def test_failure_probability_rejects_nan(self):
+        with pytest.raises(ValueError, match="outage_s.*nan"):
+            failure_probability(float("nan"), 1.0)
 
 
 class TestBasicOps:
