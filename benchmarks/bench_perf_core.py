@@ -56,6 +56,7 @@ Run standalone (CI perf-smoke does) with::
 
 from __future__ import annotations
 
+import functools
 import os
 import statistics
 import time
@@ -63,7 +64,6 @@ import time
 from common import print_header, publish_metrics, publish_table
 
 from repro.harvest.sources import square_trace, wristwatch_trace
-from repro.isa import blockengine
 from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.system.presets import (
@@ -120,10 +120,12 @@ def run_heavy_trace():
     return square_trace(400e-6, 0.0, 2.0, 0.9, PERF_DURATION_S)
 
 
-def fir_workload():
+def fir_workload(block_engine=True):
     """A compiled NV16 FIR run sized to outlast the whole trace."""
     frames = max(2, int(PERF_DURATION_S * 10))
-    return make_functional_workload(build_kernel("fir"), frames=frames)
+    return make_functional_workload(
+        build_kernel("fir"), frames=frames, block_engine=block_engine
+    )
 
 
 #: (preset, platform builder, workload factory, trace factory,
@@ -132,7 +134,7 @@ def fir_workload():
 #: carried entirely by the batched active-tick exact kernel.
 #: ``nvp_fir_compiled`` runs a real NV16 program; its floor compares
 #: the full engine stack against the scalar instruction interpreter
-#: (block engine off, per-tick loop).
+#: (its factory called with ``block_engine=False``, per-tick loop).
 PRESETS = (
     ("outage_heavy_nvp", build_nvp, abstract_workload, outage_heavy_trace,
      MIN_SPEEDUP_OUTAGE, None),
@@ -209,13 +211,10 @@ def run_presets():
             # per-tick advance.  Dormant fast-forward stays on in both
             # runs, so the ratio isolates active-tick execution plus
             # batching — the two layers this preset exists to gate.
-            blockengine.set_enabled(False)
-            try:
-                noengine_result, noengine_s, _, _ = _timed_run(
-                    builder, make_workload, trace, None, False
-                )
-            finally:
-                blockengine.set_enabled(True)
+            noengine_result, noengine_s, _, _ = _timed_run(
+                builder, functools.partial(make_workload, block_engine=False),
+                trace, None, False,
+            )
             noengine_identical = (
                 noengine_result.to_dict() == exact_result.to_dict()
             )

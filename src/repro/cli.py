@@ -72,6 +72,13 @@ def _flag_config(args) -> Dict:
     }
 
 
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    """Exit 2 with one ``error:`` line naming ``flag`` if ``value < low``."""
+    if value < low:
+        print(f"error: {flag} must be >= {low}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _make_trace(args):
     """The trace the flags describe, built like a sweep point's.
 
@@ -89,9 +96,17 @@ def _make_trace(args):
 
 
 def _make_workload(args):
+    """The workload the flags describe, and its kernel build (or ``None``).
+
+    ``simulate --engine scalar`` runs a kernel on the NV16 interpreter.
+    """
     if args.kernel:
         build = build_kernel(args.kernel)
-        return make_functional_workload(build, frames=args.frames), build
+        workload = make_functional_workload(
+            build, frames=args.frames,
+            block_engine=getattr(args, "engine", "bulk") == "bulk",
+        )
+        return workload, build
     return AbstractWorkload(), None
 
 
@@ -237,21 +252,6 @@ def _open_cache(args):
 
 
 def cmd_simulate(args) -> int:
-    if not args.no_block_engine:
-        return _simulate(args)
-    from repro.isa import blockengine
-
-    # The switch is process-wide and mirrored into os.environ for
-    # child processes: put it back however the run ends.
-    enabled = blockengine.enabled()
-    blockengine.set_enabled(False)
-    try:
-        return _simulate(args)
-    finally:
-        blockengine.set_enabled(enabled)
-
-
-def _simulate(args) -> int:
     from repro import native
     from repro.exp.spec import config_hash
     from repro.obs import RunManifest
@@ -267,9 +267,7 @@ def _simulate(args) -> int:
     manifest = RunManifest.collect(
         command="simulate", seed=args.seed, config=config
     )
-    if args.sample_stride < 0:
-        print("error: --sample-stride must be >= 0", file=sys.stderr)
-        return 2
+    _check_at_least("--sample-stride", args.sample_stride, 0)
     trace = _make_trace(args)
     started = time.time()
     usage_before = sample_resources()
@@ -291,6 +289,7 @@ def _simulate(args) -> int:
     workload, build = _make_workload(args)
     platform = PLATFORM_BUILDERS[args.platform](workload)
     bus, log, metrics = _make_observability(args)
+    bulk = args.engine == "bulk"
     simulator = SystemSimulator(
         trace,
         platform,
@@ -299,8 +298,8 @@ def _simulate(args) -> int:
         bus=bus,
         metrics=metrics,
         sample_stride=args.sample_stride,
-        use_fast_forward=False if args.no_fast_forward else None,
-        use_exact_batch=False if args.no_exact_batch else None,
+        use_fast_forward=bulk,
+        use_exact_batch=bulk,
     )
     try:
         if args.profile or args.profile_out:
@@ -1013,13 +1012,34 @@ def cmd_kernels(args) -> int:
     return 1 if failures else 0
 
 
+def _compile_file(path: str, optimize: bool = False):
+    """``(source, compiled)`` of an NVC file.
+
+    An unreadable file or an NVC error exits 2 with one ``error:``
+    line naming the file.
+    """
+    from repro.lang.codegen import CodegenError, compile_source
+    from repro.lang.lexer import LexError
+    from repro.lang.parser import ParseError
+
+    try:
+        with open(path) as handle:
+            source = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        return source, compile_source(source, optimize=optimize)
+    except (LexError, ParseError, CodegenError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_compile(args) -> int:
-    with open(args.file) as handle:
-        source = handle.read()
-    from repro.lang.codegen import compile_source
     from repro.lang.lint import lint as lint_program
 
-    compiled = compile_source(source, optimize=args.optimize)
+    _check_at_least("--max-instructions", args.max_instructions, 1)
+    source, compiled = _compile_file(args.file, optimize=args.optimize)
     warnings = lint_program(source)
     if args.emit_asm:
         print(compiled.asm)
@@ -1049,18 +1069,17 @@ def cmd_compile(args) -> int:
 def cmd_profile(args) -> int:
     from repro.analysis.profiler import profile_program
 
+    _check_at_least("--top", args.top, 0)
+    _check_at_least("--max-instructions", args.max_instructions, 1)
     if args.kernel:
         build = build_kernel(args.kernel)
         program = build.program
         label = args.kernel
     else:
         if not args.file:
-            print("profile: need --kernel or --file", file=sys.stderr)
+            print("error: profile needs --kernel or --file", file=sys.stderr)
             return 2
-        from repro.lang.codegen import compile_source
-
-        with open(args.file) as handle:
-            program = compile_source(handle.read()).program
+        program = _compile_file(args.file)[1].program
         label = args.file
     metrics = None
     if args.metrics:
@@ -1078,7 +1097,10 @@ def cmd_profile(args) -> int:
     if metrics is not None:
         from repro.obs import write_metrics_csv
 
-        count = write_metrics_csv(metrics, args.metrics)
+        try:
+            count = write_metrics_csv(metrics, args.metrics)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write artifact: {exc}")
         print(f"metrics : {args.metrics} ({count} series rows)")
     return 0
 
@@ -1158,16 +1180,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="frames for --kernel workloads")
     p_sim.add_argument("--json", action="store_true",
                        help="emit the full result as JSON")
-    p_sim.add_argument("--no-fast-forward", action="store_true",
-                       help="force exact per-tick execution "
-                            "(disable the steady-state fast path)")
-    p_sim.add_argument("--no-exact-batch", action="store_true",
-                       help="disable the batched active-tick exact "
-                            "kernel (scalar interpreter only)")
-    p_sim.add_argument("--no-block-engine", action="store_true",
-                       help="execute NV16 kernels instruction by "
-                            "instruction through CPU.step (disable the "
-                            "block-compiled execution engine)")
+    p_sim.add_argument("--engine", choices=["bulk", "scalar"],
+                       default="bulk",
+                       help="bulk (default): fast-forward dormant ticks, "
+                            "batch active ones and run NV16 kernels "
+                            "through the block engine; scalar: every "
+                            "tick in the platform's tick() and every "
+                            "instruction through CPU.step, the "
+                            "bit-identical reference")
     p_sim.add_argument("--sample-stride", type=int, default=0, metavar="N",
                        help="emit a sim.sample event every N ticks "
                             "(0 = off; synthesized on the fast path)")
@@ -1439,8 +1459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile = sub.add_parser(
         "profile", help="energy-profile a kernel or NVC source file"
     )
-    p_profile.add_argument("--kernel", choices=sorted(KERNELS), default=None)
-    p_profile.add_argument("--file", default=None, help="NVC source file")
+    target = p_profile.add_mutually_exclusive_group()
+    target.add_argument("--kernel", choices=sorted(KERNELS), default=None)
+    target.add_argument("--file", default=None, help="NVC source file")
     p_profile.add_argument("--top", type=int, default=10)
     p_profile.add_argument("--max-instructions", type=int, default=5_000_000)
     p_profile.add_argument("--metrics", default=None, metavar="OUT.csv",

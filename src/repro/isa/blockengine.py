@@ -60,15 +60,18 @@ Execution
     after a budget stop — steps the block tail per instruction and
     rejoins fused execution at the next leader.
 
-The engine is process-wide switchable (``--no-block-engine`` /
-``NVPSIM_NO_BLOCK_ENGINE=1``) and counts fused vs. stepped block
-executions for ``--profile``.
+Reference
+    :class:`Interpreter` has :meth:`BlockEngine.run`'s contract and is
+    the scalar loop it is held to: one ``CPU.step()`` per instruction.
+    A workload picks its executor when it is built
+    (``FunctionalWorkload(..., block_engine=False)`` or ``repro
+    simulate --engine scalar`` selects the interpreter).  The engine
+    counts fused vs. stepped block executions for ``--profile``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.cpu import ExecutionError
@@ -82,9 +85,8 @@ from repro.isa.instructions import (
 
 __all__ = [
     "BlockEngine",
+    "Interpreter",
     "SegmentResult",
-    "enabled",
-    "set_enabled",
     "MAX_BLOCK_LEN",
 ]
 
@@ -104,32 +106,10 @@ _CONTROL_OPCODES = frozenset(BRANCH_OPCODES) | {
 #: the compile-time block-sum rounding and the runtime accumulation).
 _GUARD_EPS = 1.0e-15
 
-_ENV_DISABLE = "NVPSIM_NO_BLOCK_ENGINE"
-
-_enabled = os.environ.get(_ENV_DISABLE, "") in ("", "0")
-
-
-def enabled() -> bool:
-    """Whether compiled workloads drive the block engine."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> None:
-    """Process-wide engine switch (the ``--no-block-engine`` knob).
-
-    Also mirrors the choice into :data:`os.environ` so sweep workers
-    spawned after the call inherit it.
-    """
-    global _enabled
-    _enabled = bool(flag)
-    if _enabled:
-        os.environ.pop(_ENV_DISABLE, None)
-    else:
-        os.environ[_ENV_DISABLE] = "1"
-
 
 class SegmentResult:
-    """Outcome of one :meth:`BlockEngine.run` segment.
+    """Outcome of one executor segment (:meth:`BlockEngine.run` or
+    :meth:`Interpreter.run`).
 
     Attributes:
         executed: instructions retired by the segment.
@@ -137,13 +117,12 @@ class SegmentResult:
             (same left-to-right adds the scalar loop performs).
         time_used_s: the caller's time accumulator after the segment.
         capped: the segment retired one instruction past the caller's
-            cap (mirroring the scalar ``_unit_retired > max`` raise,
-            which fires *after* the offending instruction executes).
-        fault: an :class:`~repro.isa.cpu.ExecutionError` the scalar
-            interpreter would have raised at this point, or ``None``.
-            The CPU counters already include every instruction retired
-            before the fault, exactly as chained ``step()`` calls
-            would have left them.
+            cap (the cap trips *after* the offending instruction
+            executes).
+        fault: the :class:`~repro.isa.cpu.ExecutionError` a
+            ``CPU.step()`` raises at this point, or ``None``.  The CPU
+            counters already include every instruction retired before
+            the fault, exactly as chained ``step()`` calls leave them.
     """
 
     __slots__ = ("executed", "energy_j", "time_used_s", "capped", "fault")
@@ -161,6 +140,47 @@ class SegmentResult:
         self.time_used_s = time_used_s
         self.capped = capped
         self.fault = fault
+
+
+class Interpreter:
+    """The NV16 reference executor: one ``CPU.step()`` per instruction.
+
+    :meth:`run` is the scalar loop :meth:`BlockEngine.run` is held to,
+    with the same arguments and result, so a workload drives either one
+    through the same loop.
+    """
+
+    def run(
+        self,
+        cpu,
+        budget_s: float,
+        time_used_s: float,
+        energy_j: float,
+        cap_remaining: int,
+    ) -> SegmentResult:
+        """Step until the budget, a HALT, the cap, or a fault.
+
+        Each instruction has architecturally executed once ``step()``
+        returns (behavioral steps are atomic), so it is charged even
+        when it overshoots the budget.
+        """
+        cycle_time_s = cpu.energy_model.cycle_time_s
+        time_used = time_used_s
+        energy = energy_j
+        executed = 0
+        while time_used < budget_s:
+            try:
+                info = cpu.step()
+            except ExecutionError as fault:
+                return SegmentResult(executed, energy, time_used, fault=fault)
+            time_used += info.cycles * cycle_time_s
+            energy += info.energy_j
+            executed += 1
+            if executed > cap_remaining:
+                return SegmentResult(executed, energy, time_used, capped=True)
+            if cpu.state.halted:
+                break
+        return SegmentResult(executed, energy, time_used)
 
 
 class _Block:
@@ -470,15 +490,8 @@ class BlockEngine:
     ) -> SegmentResult:
         """Execute until the budget, a HALT, the cap, or a fault.
 
-        Semantically identical to the scalar loop::
-
-            while time_used < budget:
-                info = cpu.step()                  # may raise
-                time_used += info.cycles * cycle_time_s
-                energy += info.energy_j
-                executed += 1
-                if executed > cap_remaining: -> capped
-                if cpu.state.halted: -> stop
+        Bit for bit what :meth:`Interpreter.run` does from the same
+        state: the same CPU state, counters, accumulators and result.
 
         Args:
             cpu: the :class:`~repro.isa.cpu.CPU` to advance (its
@@ -577,59 +590,3 @@ class BlockEngine:
         self.fused_blocks += fused
         self.stepped_blocks += stepped
         return SegmentResult(executed, energy, time_used, capped, fault)
-
-    def run_count(self, cpu, count: int) -> int:
-        """Execute exactly ``count`` instructions (or until HALT).
-
-        The budget-free sibling of :meth:`run`, used by the
-        equivalence property tests to land the engine on an arbitrary
-        instruction boundary.  Accounting matches ``count`` chained
-        :meth:`~repro.isa.cpu.CPU.step` calls bit for bit; raises the
-        same :class:`~repro.isa.cpu.ExecutionError` the interpreter
-        would — including "cannot step a halted core" when a HALT
-        retires before ``count`` is reached (counters already include
-        the instructions retired before the fault).
-
-        Returns:
-            ``count`` (the HALT-as-last-instruction case included).
-        """
-        state = cpu.state
-        regs = state.regs
-        memory = cpu.memory
-        pc = state.pc
-        n = self.n_instructions
-        block_at = self._block_at
-        cpu_energy = cpu.energy_j
-        cycles = 0
-        executed = 0
-        halted = False
-        fault: Optional[ExecutionError] = None
-        while executed < count:
-            if state.halted or halted:
-                fault = ExecutionError("cannot step a halted core")
-                break
-            if not 0 <= pc < n:
-                fault = ExecutionError(
-                    f"PC {pc:#06x} outside program of {n} words"
-                )
-                break
-            blk = block_at[pc]
-            fn, _t, e, c = blk.ops[pc - blk.start]
-            next_pc = fn(regs, memory)
-            if next_pc is None:
-                pc += 1
-            else:
-                pc = next_pc
-                halted = blk.halts
-            cpu_energy += e
-            cycles += c
-            executed += 1
-        state.pc = pc
-        if halted:
-            state.halted = True
-        cpu.energy_j = cpu_energy
-        cpu.cycles += cycles
-        cpu.instructions_retired += executed
-        if fault is not None:
-            raise fault
-        return executed

@@ -326,6 +326,31 @@ def rewrite_jsonl(path: str, records: Iterable[Mapping]) -> None:
         raise
 
 
+def read_jsonl(path: str) -> Tuple[List[Dict], int]:
+    """The JSON objects of a JSONL file, and how many lines were torn.
+
+    Blank lines are skipped, and so is a line that does not parse (a
+    torn append or corruption; it is counted) or that holds anything
+    but an object.  Raises :class:`OSError` when the file cannot be
+    read.
+    """
+    records: List[Dict] = []
+    torn = 0
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                torn += 1
+                continue
+            if isinstance(record, dict):
+                records.append(record)
+    return records, torn
+
+
 def read_events_jsonl(path: str) -> EventLog:
     """Load a JSONL event file back into an :class:`EventLog`."""
     log = EventLog()
@@ -520,16 +545,4 @@ class SnapshotWriter:
 
 def read_snapshots(path: str) -> List[Dict]:
     """Read a JSONL snapshot series back; torn/blank lines are skipped."""
-    out: List[Dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                out.append(record)
-    return out
+    return read_jsonl(path)[0]

@@ -26,7 +26,7 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs.export import rewrite_jsonl
+from repro.obs.export import read_jsonl, rewrite_jsonl
 
 #: Default on-disk location, relative to the repository root.
 DEFAULT_HISTORY_PATH = os.path.join("benchmarks", "results", "history.jsonl")
@@ -62,24 +62,10 @@ def read_history(path: str) -> List[Dict]:
     interrupted append must not poison the whole trajectory) with one
     :class:`RuntimeWarning` per file per process saying how many.
     """
-    records: List[Dict] = []
-    skipped = 0
     try:
-        handle = open(path)
+        records, skipped = read_jsonl(path)
     except OSError:
-        return records
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if isinstance(record, dict) and "experiment" in record:
-                records.append(record)
+        return []
     if skipped and path not in _WARNED_PATHS:
         _WARNED_PATHS.add(path)
         warnings.warn(
@@ -88,7 +74,7 @@ def read_history(path: str) -> List[Dict]:
             RuntimeWarning,
             stacklevel=2,
         )
-    return records
+    return [record for record in records if "experiment" in record]
 
 
 def append_record(

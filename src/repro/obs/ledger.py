@@ -57,7 +57,7 @@ import time
 import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.export import rewrite_jsonl
+from repro.obs.export import read_jsonl, rewrite_jsonl
 
 #: Environment variable relocating (non-empty) or disabling (``""``)
 #: the ledger.
@@ -329,44 +329,36 @@ class RunLedger:
         the "find my fleet runs" filter (records without the stamp
         count as single-device).
         """
-        out: List[Dict] = []
         try:
-            handle = open(self.path)
+            records = read_jsonl(self.path)[0]
         except OSError:
-            return out
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if not isinstance(record, dict) or "command" not in record:
-                    continue
-                if command is not None and record.get("command") != command:
-                    continue
-                if experiment is not None and (
-                    record.get("experiment") != experiment
-                ):
-                    continue
-                if outcome is not None and record.get("outcome") != outcome:
-                    continue
-                if spec is not None and not str(
-                    record.get("spec_hash") or ""
-                ).startswith(spec):
-                    continue
-                started = float(record.get("started_unix") or 0.0)
-                if since is not None and started < since:
-                    continue
-                if until is not None and started > until:
-                    continue
-                if devices_min is not None and int(
-                    record.get("n_devices") or 1
-                ) < devices_min:
-                    continue
-                out.append(record)
+            return []
+        out: List[Dict] = []
+        for record in records:
+            if "command" not in record:
+                continue
+            if command is not None and record.get("command") != command:
+                continue
+            if experiment is not None and (
+                record.get("experiment") != experiment
+            ):
+                continue
+            if outcome is not None and record.get("outcome") != outcome:
+                continue
+            if spec is not None and not str(
+                record.get("spec_hash") or ""
+            ).startswith(spec):
+                continue
+            started = float(record.get("started_unix") or 0.0)
+            if since is not None and started < since:
+                continue
+            if until is not None and started > until:
+                continue
+            if devices_min is not None and int(
+                record.get("n_devices") or 1
+            ) < devices_min:
+                continue
+            out.append(record)
         return out
 
     def __len__(self) -> int:

@@ -319,17 +319,19 @@ class SystemSimulator:
             subscriber asked for the per-tick ``sim.tick`` event —
             every other subscription is served bit-identically from
             run-length synthesis; ``False`` forces exact per-tick
-            execution (benchmark/debug knob); ``True`` behaves like
-            ``None`` (a ``sim.tick`` subscriber still forces the
-            exact path, since per-tick samples cannot be
-            synthesized).
+            execution; ``True`` behaves like ``None`` (a ``sim.tick``
+            subscriber still forces the exact path, since per-tick
+            samples cannot be synthesized).
         use_exact_batch: batched active-path policy, same tri-state
             semantics as ``use_fast_forward`` applied to the
             platform's ``exact_batch`` capability
             (:mod:`repro.system.exactkernel`).  The two knobs are
             independent: either engine optimisation can be disabled
             while the other stays on, and results are bit-identical
-            in every combination.
+            in every combination.  BENCH_core times them one at a
+            time; ``repro simulate --engine scalar`` sets both
+            ``False`` and also builds its kernel workload on the NV16
+            interpreter.
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 Two execution modes implement the same interface:
 
-* :class:`FunctionalWorkload` runs a real NV16 binary instruction by
-  instruction (used when output values/quality matter);
+* :class:`FunctionalWorkload` runs a real NV16 binary through the
+  block-compiled engine or, bit for bit the same, the instruction
+  interpreter (used when output values/quality matter);
 * :class:`AbstractWorkload` replays an instruction-mix descriptor
   (used for long parameter sweeps where only instruction counts and
   energies matter — this mirrors how the published methodology couples
@@ -59,8 +60,8 @@ class Workload(abc.ABC):
           workload at all.
         * ``"isa"`` — ``advance`` executes a real NV16 program with
           :class:`FunctionalWorkload`'s budget envelope; the kernel
-          drives ``advance`` per tick (through the block-compiled
-          engine) and bounds its behaviour with
+          drives ``advance`` per tick (through the workload's
+          executor) and bounds its behaviour with
           :meth:`FunctionalWorkload.advance_bounds`.
         * ``None`` — unbatchable; every tick runs on the scalar path.
 
@@ -273,6 +274,11 @@ class AbstractWorkload(Workload):
         return snap
 
 
+#: The executor of every workload built with ``block_engine=False``
+#: (it keeps no state).
+_INTERPRETER = blockengine.Interpreter()
+
+
 class FunctionalWorkload(Workload):
     """Runs a real NV16 program, one unit per program run.
 
@@ -290,6 +296,11 @@ class FunctionalWorkload(Workload):
         data_images: optional per-frame data-image overlays (cycled by
             frame index) — this is how a streaming sensor feeds a new
             frame into the same program each unit.
+        block_engine: execute through the block-compiled engine
+            (:class:`~repro.isa.blockengine.BlockEngine`, compiled on
+            first use); ``False`` steps the NV16 interpreter
+            (:class:`~repro.isa.blockengine.Interpreter`), the
+            bit-identical reference the engine is held to.
     """
 
     def __init__(
@@ -299,6 +310,7 @@ class FunctionalWorkload(Workload):
         energy_model: Optional[EnergyModel] = None,
         max_instructions_per_unit: int = 5_000_000,
         data_images=None,
+        block_engine: bool = True,
     ) -> None:
         if total_units <= 0:
             raise ValueError("total_units must be positive")
@@ -309,6 +321,7 @@ class FunctionalWorkload(Workload):
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.max_instructions_per_unit = max_instructions_per_unit
         self.data_images = list(data_images) if data_images is not None else None
+        self.block_engine = block_engine
         self._units_done = 0
         self._retired = 0
         self._unit_retired = 0
@@ -330,9 +343,10 @@ class FunctionalWorkload(Workload):
         return cpu
 
     def _engine(self):
-        """The compiled block engine, or ``None`` when disabled."""
-        if not blockengine.enabled():
-            return None
+        """The executor ``advance`` drives: the block engine, compiled
+        again if the operating point changed, or the interpreter."""
+        if not self.block_engine:
+            return _INTERPRETER
         engine = self._block_engine
         model = self.energy_model
         signature = (model.frequency_hz, model.vdd, model.static_power_w)
@@ -391,45 +405,21 @@ class FunctionalWorkload(Workload):
         energy = 0.0
         time_used = 0.0
         engine = self._engine()
-        if engine is not None:
-            while not self.finished and time_used < budget:
-                if self.cpu.state.halted:
-                    self._complete_unit()
-                    continue
-                segment = engine.run(
-                    self.cpu, budget, time_used, energy,
-                    self.max_instructions_per_unit - self._unit_retired,
-                )
-                executed += segment.executed
-                energy = segment.energy_j
-                time_used = segment.time_used_s
-                self._unit_retired += segment.executed
-                if segment.fault is not None:
-                    raise segment.fault
-                if segment.capped:
-                    raise RuntimeError(
-                        "unit exceeded max_instructions_per_unit; "
-                        "program is likely stuck"
-                    )
-                if self.cpu.state.halted:
-                    self._complete_unit()
-            self._retired += executed
-            self._time_credit_s = max(0.0, budget - time_used)
-            return AdvanceResult(executed, energy, min(time_used, budget))
         while not self.finished and time_used < budget:
             if self.cpu.state.halted:
                 self._complete_unit()
                 continue
-            info = self.cpu.step()
-            step_time = info.cycles * self.energy_model.cycle_time_s
-            # The instruction has architecturally executed (behavioral
-            # model steps are atomic), so it is always charged even if
-            # it overshoots the budget slightly.
-            executed += 1
-            energy += info.energy_j
-            time_used += step_time
-            self._unit_retired += 1
-            if self._unit_retired > self.max_instructions_per_unit:
+            segment = engine.run(
+                self.cpu, budget, time_used, energy,
+                self.max_instructions_per_unit - self._unit_retired,
+            )
+            executed += segment.executed
+            energy = segment.energy_j
+            time_used = segment.time_used_s
+            self._unit_retired += segment.executed
+            if segment.fault is not None:
+                raise segment.fault
+            if segment.capped:
                 raise RuntimeError(
                     "unit exceeded max_instructions_per_unit; "
                     "program is likely stuck"

@@ -69,9 +69,17 @@ def make_functional_workload(
     build: KernelBuild,
     frames: int = 1,
     energy_model: Optional[EnergyModel] = None,
+    block_engine: bool = True,
 ) -> FunctionalWorkload:
-    """Wrap a built kernel as a frame-structured functional workload."""
-    return FunctionalWorkload(build.program, total_units=frames, energy_model=energy_model)
+    """Wrap a built kernel as a frame-structured functional workload.
+
+    ``block_engine=False`` runs it on the NV16 interpreter (see
+    :class:`~repro.workloads.base.FunctionalWorkload`).
+    """
+    return FunctionalWorkload(
+        build.program, total_units=frames, energy_model=energy_model,
+        block_engine=block_engine,
+    )
 
 
 def expected_stream(build: KernelBuild, frames: int = 1) -> np.ndarray:

@@ -10,11 +10,12 @@ NVC compiled-kernel corpus, including mid-block preemption
 ``clear_volatile`` semantics, fault parity, and the runaway-unit cap.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.isa import blockengine
-from repro.isa.blockengine import MAX_BLOCK_LEN, BlockEngine
+from repro.isa.blockengine import MAX_BLOCK_LEN, BlockEngine, Interpreter
 from repro.isa.cpu import CPU, ExecutionError
 from repro.isa.energy import EnergyModel, InstrClass
 from repro.isa.memory import MMIO_BASE
@@ -31,24 +32,25 @@ ALL_BUILDERS.update(NVC_KERNELS)
 BUDGETS = [1e-7, 3.7e-5, 2e-3, 1.1e-4, 8e-4, 5.3e-6, 9e-3]
 
 
-@pytest.fixture
-def scalar_engine_off():
-    """Temporarily force the scalar interpreter (engine disabled)."""
-    blockengine.set_enabled(False)
-    try:
-        yield
-    finally:
-        blockengine.set_enabled(True)
-
-
 def make_pair(build, frames=2, energy_model=None):
-    """Two identical workloads: one engine-driven, one scalar."""
+    """Two identical workloads: one on the block engine, one on the
+    interpreter."""
     return tuple(
         FunctionalWorkload(
-            build.program, total_units=frames, energy_model=energy_model
+            build.program, total_units=frames, energy_model=energy_model,
+            block_engine=block_engine,
         )
-        for _ in range(2)
+        for block_engine in (True, False)
     )
+
+
+def land(engine, cpu, count):
+    """Run exactly ``count`` instructions; ``False`` if it halted first.
+
+    The cap trips after the instruction that passes it, so a cap of
+    ``count - 1`` stops the segment on instruction ``count``.
+    """
+    return engine.run(cpu, math.inf, 0.0, 0.0, count - 1).capped
 
 
 def memory_counters(memory):
@@ -83,17 +85,12 @@ def workload_state(wl):
 def advance_both(engine_wl, scalar_wl, budgets):
     """Drive both workloads with the same budget schedule, comparing
     the full advance result and workload state after every call."""
-    assert blockengine.enabled()
     i = 0
     while not engine_wl.finished:
         budget = budgets[i % len(budgets)]
         i += 1
         a = engine_wl.advance(budget)
-        blockengine.set_enabled(False)
-        try:
-            b = scalar_wl.advance(budget)
-        finally:
-            blockengine.set_enabled(True)
+        b = scalar_wl.advance(budget)
         assert (a.instructions, a.energy_j, a.time_s) == (
             b.instructions, b.energy_j, b.time_s
         )
@@ -103,6 +100,8 @@ def advance_both(engine_wl, scalar_wl, budgets):
     assert engine_wl.cpu.memory.dump_words(0, MMIO_BASE) == (
         scalar_wl.cpu.memory.dump_words(0, MMIO_BASE)
     )
+    # The interpreter side never compiled: it is the reference.
+    assert scalar_wl._block_engine is None
 
 
 class TestAdvanceBitExactness:
@@ -150,30 +149,28 @@ class TestAdvanceBitExactness:
         )
         program = build.program.instructions
         engine = BlockEngine(program, model)
-        cpu = CPU(program, energy_model=model)
-        segment = engine.run(cpu, 1.0, 0.0, 0.0, len(program))
-        assert engine.profile_counts()["stepped"] == 0
         scalar = CPU(program, energy_model=model)
         time_used = energy = 0.0
         while not scalar.state.halted:
             info = scalar.step()
             time_used += info.cycles * model.cycle_time_s
             energy += info.energy_j
-        assert (segment.time_used_s, segment.energy_j, cpu.energy_j) == (
-            time_used, energy, scalar.energy_j
-        )
-        assert cpu.cycles == scalar.cycles
+        for executor in (engine, Interpreter()):
+            cpu = CPU(program, energy_model=model)
+            segment = executor.run(cpu, 1.0, 0.0, 0.0, len(program))
+            assert (segment.time_used_s, segment.energy_j, cpu.energy_j) == (
+                time_used, energy, scalar.energy_j
+            )
+            assert cpu.cycles == scalar.cycles
+            assert segment.executed == scalar.instructions_retired
+        assert engine.profile_counts()["stepped"] == 0
 
     def test_zero_and_subcycle_budgets(self):
         build = KERNELS["fir"]()
         engine_wl, scalar_wl = make_pair(build, frames=1)
         for budget in (0.0, 1e-9, 0.0, 5e-4, 0.0):
             a = engine_wl.advance(budget)
-            blockengine.set_enabled(False)
-            try:
-                b = scalar_wl.advance(budget)
-            finally:
-                blockengine.set_enabled(True)
+            b = scalar_wl.advance(budget)
             assert (a.instructions, a.energy_j, a.time_s) == (
                 b.instructions, b.energy_j, b.time_s
             )
@@ -185,7 +182,8 @@ class TestMidBlockPreemption:
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_lockstep_every_instruction(self, name):
-        """run_count(1) == step(), compared after *every* instruction.
+        """One capped instruction == step(), compared after *every*
+        instruction.
 
         This is the strongest boundary property: the engine lands on
         every dynamic instruction index of the kernel (almost all of
@@ -195,10 +193,9 @@ class TestMidBlockPreemption:
         build = ALL_BUILDERS[name]()
         engine_wl, scalar_wl = make_pair(build, frames=1)
         engine = engine_wl._engine()
-        assert engine is not None
         steps = 0
         while not scalar_wl.cpu.state.halted and steps < 60_000:
-            engine.run_count(engine_wl.cpu, 1)
+            land(engine, engine_wl.cpu, 1)
             scalar_wl.cpu.step()
             steps += 1
             ec, sc = engine_wl.cpu, scalar_wl.cpu
@@ -219,7 +216,7 @@ class TestMidBlockPreemption:
         """A snapshot taken mid-block restores and completes identically.
 
         Lands the engine on a spread of dynamic instruction indices via
-        run_count, snapshots through the workload's backup API, then
+        its cap, snapshots through the workload's backup API, then
         restores into fresh engine-driven and scalar workloads and runs
         both to completion with the same budgets.
         """
@@ -231,9 +228,7 @@ class TestMidBlockPreemption:
         landed = 0
         for index in (1, 7, 97, 641, 1999, 4441):
             wl = FunctionalWorkload(build.program, total_units=1)
-            try:
-                engine.run_count(wl.cpu, index)
-            except ExecutionError:
+            if not land(engine, wl.cpu, index):
                 continue  # kernel shorter than index: halted earlier
             landed += 1
             wl._unit_retired = index
@@ -247,17 +242,17 @@ class TestMidBlockPreemption:
             advance_both(engine_wl, scalar_wl, BUDGETS)
         assert landed >= 3
 
-    def test_restore_into_other_engine_mode(self, scalar_engine_off):
+    def test_restore_into_other_engine_mode(self):
         """A snapshot taken under the scalar interpreter resumes under
         the engine bit-identically (and vice versa, by symmetry of the
         other tests)."""
         build = KERNELS["crc"]()
-        wl = FunctionalWorkload(build.program, total_units=1)
+        wl = FunctionalWorkload(build.program, total_units=1,
+                                block_engine=False)
         for _ in range(315):
             wl.cpu.step()
         wl._unit_retired = 315
         snap = wl.snapshot()
-        blockengine.set_enabled(True)
         engine_wl, scalar_wl = make_pair(build, frames=1)
         engine_wl.restore(snap)
         engine_wl._unit_retired = 315
@@ -274,11 +269,7 @@ class TestVolatilitySemantics:
         build = ALL_BUILDERS[name]()
         engine_wl, scalar_wl = make_pair(build)
         a = engine_wl.advance(4e-4)
-        blockengine.set_enabled(False)
-        try:
-            b = scalar_wl.advance(4e-4)
-        finally:
-            blockengine.set_enabled(True)
+        b = scalar_wl.advance(4e-4)
         assert (a.instructions, a.energy_j) == (b.instructions, b.energy_j)
         # Power failure: volatile RAM wiped, unit restarts from scratch.
         for wl in (engine_wl, scalar_wl):
@@ -312,12 +303,8 @@ class TestFaultParity:
         engine_wl, scalar_wl = make_pair(build, frames=1)
         with pytest.raises(ExecutionError) as engine_exc:
             engine_wl.advance(1e-3)
-        blockengine.set_enabled(False)
-        try:
-            with pytest.raises(ExecutionError) as scalar_exc:
-                scalar_wl.advance(1e-3)
-        finally:
-            blockengine.set_enabled(True)
+        with pytest.raises(ExecutionError) as scalar_exc:
+            scalar_wl.advance(1e-3)
         assert str(engine_exc.value) == str(scalar_exc.value)
         # Counters include every instruction retired before the fault,
         # and the raise left _retired/_time_credit_s untouched — the
@@ -326,20 +313,17 @@ class TestFaultParity:
 
     def test_runaway_unit_cap_matches_scalar(self):
         build = self.runaway()
-        engine_wl = FunctionalWorkload(
-            build.program, total_units=1, max_instructions_per_unit=1000
-        )
-        scalar_wl = FunctionalWorkload(
-            build.program, total_units=1, max_instructions_per_unit=1000
+        engine_wl, scalar_wl = (
+            FunctionalWorkload(
+                build.program, total_units=1, max_instructions_per_unit=1000,
+                block_engine=block_engine,
+            )
+            for block_engine in (True, False)
         )
         with pytest.raises(RuntimeError) as engine_exc:
             engine_wl.advance(1.0)
-        blockengine.set_enabled(False)
-        try:
-            with pytest.raises(RuntimeError) as scalar_exc:
-                scalar_wl.advance(1.0)
-        finally:
-            blockengine.set_enabled(True)
+        with pytest.raises(RuntimeError) as scalar_exc:
+            scalar_wl.advance(1.0)
         assert str(engine_exc.value) == str(scalar_exc.value)
         # The scalar cap fires *after* the offending instruction
         # executes (1001 retired); the engine mirrors that exactly.
@@ -351,13 +335,15 @@ class TestFaultParity:
         engine = BlockEngine(build.program.instructions, EnergyModel())
         cpu = CPU(build.program.instructions)
         cpu.state.halted = True
-        with pytest.raises(ExecutionError, match="halted core"):
-            engine.run_count(cpu, 1)
-        segment = engine.run(cpu, 1.0, 0.0, 0.0, 10)
-        assert segment.fault is not None
+        segments = [
+            executor.run(cpu, 1.0, 0.0, 0.0, 10)
+            for executor in (engine, Interpreter())
+        ]
         with pytest.raises(ExecutionError) as scalar_exc:
             cpu.step()
-        assert str(segment.fault) == str(scalar_exc.value)
+        for segment in segments:
+            assert segment.executed == 0
+            assert str(segment.fault) == str(scalar_exc.value)
 
 
 class TestCompilation:
@@ -390,51 +376,6 @@ class TestCompilation:
         second = wl._engine()
         assert second is not first
         assert second.model_signature[0] == 2e6
-
-    def test_disable_switch_mirrors_environment(self, scalar_engine_off):
-        import os
-
-        assert not blockengine.enabled()
-        assert os.environ.get("NVPSIM_NO_BLOCK_ENGINE") == "1"
-        build = KERNELS["fir"]()
-        wl = FunctionalWorkload(build.program, total_units=1)
-        assert wl._engine() is None
-        blockengine.set_enabled(True)
-        assert os.environ.get("NVPSIM_NO_BLOCK_ENGINE") is None
-        assert wl._engine() is not None
-
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_simulate_flag_restores_the_switch(self, fails, capsys,
-                                               monkeypatch):
-        """``simulate --no-block-engine`` turns the engine off for its
-        own run only, also when the run raises."""
-        import os
-
-        from repro import cli
-        from repro.system.simulator import SystemSimulator
-
-        seen = []
-        run = SystemSimulator.run
-
-        def checked(simulator):
-            seen.append(blockengine.enabled())
-            if fails:
-                raise RuntimeError("run failed")
-            return run(simulator)
-
-        monkeypatch.setattr(SystemSimulator, "run", checked)
-        monkeypatch.delenv("NVPSIM_NO_BLOCK_ENGINE", raising=False)
-        argv = ["simulate", "--kernel", "crc", "--duration", "0.2",
-                "--no-block-engine"]
-        if fails:
-            with pytest.raises(RuntimeError, match="run failed"):
-                cli.main(argv)
-        else:
-            assert cli.main(argv) == 0
-        capsys.readouterr()
-        assert seen == [False]
-        assert blockengine.enabled()
-        assert "NVPSIM_NO_BLOCK_ENGINE" not in os.environ
 
 
 class TestCapabilityProtocol:

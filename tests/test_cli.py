@@ -125,6 +125,20 @@ class TestToolchainCommands:
     def test_profile_needs_target(self, capsys):
         assert main(["profile"]) == 2
 
+    def test_profile_takes_one_target(self, capsys, nvc_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--kernel", "crc", "--file", nvc_file])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument --kernel" in capsys.readouterr().err
+
+    def test_profile_unwritable_metrics_is_an_error_line(self, tmp_path):
+        path = tmp_path / "missing-dir" / "profile.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--kernel", "crc", "--metrics", str(path)])
+        assert str(excinfo.value.code).startswith(
+            "error: cannot write artifact:"
+        )
+
 
 class TestJsonAndOptimize:
     def test_simulate_json(self, capsys):
@@ -245,9 +259,27 @@ class TestAllPlatformChoices:
         assert "result" in out
 
 
+def assert_one_error_line_exit_2(capsys, argv, key):
+    """``argv`` exits 2 with one ``error:`` line on stderr naming
+    ``key``, and prints nothing on stdout."""
+    # A flag check returns 2; a trace/workload flag exits with 2.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ")
+    assert key in lines[0]
+    assert captured.out == ""
+
+
 class TestMalformedFlags:
-    """A malformed trace/workload flag or interval exits 2 with one
-    ``error:`` line naming its config key, before anything is built."""
+    """A malformed flag, or an NVC file that cannot be read or
+    compiled, exits 2 with one ``error:`` line naming its config key,
+    flag or file, before anything is built."""
 
     @pytest.mark.parametrize("argv, key", [
         (["simulate", "--duration", "nan"], "duration_s"),
@@ -264,17 +296,71 @@ class TestMalformedFlags:
         (["compare", "--mean-uw", "nan"], "mean_uw"),
         (["outages", "--duration", "-1"], "duration_s"),
         (["simulate", "--seed", "-1"], "seed"),
+        (["simulate", "--sample-stride", "-1"], "--sample-stride"),
+        (["profile", "--kernel", "fir", "--top", "-3"], "--top"),
+        (["profile", "--kernel", "fir", "--max-instructions", "-1"],
+         "--max-instructions"),
+        (["compile", "--run", "--max-instructions", "-5", "prog.nvc"],
+         "--max-instructions"),
+        (["profile"], "--kernel or --file"),
     ])
     def test_one_error_line_exit_2(self, capsys, argv, key):
-        # A flag check returns 2; a trace/workload flag exits with 2.
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1, lines
-        assert lines[0].startswith("error: ")
-        assert key in lines[0]
-        assert captured.out == ""
+        assert_one_error_line_exit_2(capsys, argv, key)
+
+    @pytest.mark.parametrize("command", [["compile"], ["profile", "--file"]])
+    @pytest.mark.parametrize("source", [
+        None,
+        "func main() { out(1 @ 2); }\n",
+        "func main() { out(1 +); }\n",
+        "func main() { out(x); }\n",
+    ], ids=["missing", "lex-error", "parse-error", "codegen-error"])
+    def test_bad_nvc_file_names_the_file(self, capsys, tmp_path, command,
+                                         source):
+        path = tmp_path / "prog.nvc"
+        if source is not None:
+            path.write_text(source)
+        assert_one_error_line_exit_2(capsys, command + [str(path)], str(path))
+
+
+class TestEngineChoice:
+    """``simulate --engine scalar`` (every tick through ``tick()``,
+    every instruction through ``CPU.step``) is the reference the
+    default bulk engines are held to: the same ``--json`` result,
+    events JSONL and Chrome trace, byte for byte."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--platform", "checkpoint", "--kernel", "fir"],
+        ["--platform", "oracle", "--kernel", "matmul"],
+        ["--platform", "checkpoint", "--sample-stride", "37"],
+    ])
+    def test_scalar_engine_gives_the_same_bytes(self, capsys, tmp_path,
+                                                monkeypatch, flags):
+        from repro.system.simulator import SystemSimulator
+
+        simulators = []
+        run = SystemSimulator.run
+
+        def recorded(simulator):
+            simulators.append(simulator)
+            return run(simulator)
+
+        monkeypatch.setattr(SystemSimulator, "run", recorded)
+        outputs = []
+        for engine in ("bulk", "scalar"):
+            events = tmp_path / f"{engine}.jsonl"
+            trace = tmp_path / f"{engine}.trace.json"
+            assert main([
+                "simulate", "--duration", "1", *flags, "--engine", engine,
+                "--events", str(events), "--trace", str(trace), "--json",
+            ]) == 0
+            outputs.append((
+                capsys.readouterr().out, events.read_bytes(),
+                trace.read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
+        bulk, scalar = simulators
+        assert bulk.ticks_fast_forwarded + bulk.ticks_batched > 0
+        assert scalar.ticks_fast_forwarded == scalar.ticks_batched == 0
+        if "--kernel" in flags:
+            assert bulk.platform.workload._block_engine is not None
+            assert scalar.platform.workload._block_engine is None
