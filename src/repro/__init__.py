@@ -111,11 +111,9 @@ from repro.system.presets import (
 from repro.workloads import AbstractWorkload, FunctionalWorkload, Workload
 from repro.workloads.suite import (
     KERNELS,
-    abstract_twin,
     build_kernel,
     expected_stream,
     make_functional_workload,
-    measure_kernel,
 )
 from repro.quality import mse, psnr
 
@@ -179,7 +177,6 @@ __all__ = [
     "WaitComputePlatform",
     "WakeupModel",
     "Workload",
-    "abstract_twin",
     "analyze_outages",
     "build_checkpoint",
     "build_kernel",
@@ -190,7 +187,6 @@ __all__ = [
     "constant_trace",
     "expected_stream",
     "make_functional_workload",
-    "measure_kernel",
     "mse",
     "nvp_capacitor",
     "plan_thresholds",

@@ -10,7 +10,7 @@ ways of computing on harvested power:
 * **software checkpointing** (:mod:`repro.baselines.checkpoint`):
   a volatile MCU with on-chip NVM (the MSP430-FRAM model embraced by
   Mementos / Hibernus / QuickRecall) copies its state through a
-  software loop, either periodically or on a voltage trigger.
+  software loop when a voltage trigger fires (Hibernus class).
 * **oracle** (:mod:`repro.baselines.oracle`): uninterrupted execution
   at the trace's mean power — the upper bound used for normalisation.
 """

@@ -1,4 +1,4 @@
-"""Software-checkpointing baselines (Mementos / Hibernus class).
+"""The software-checkpointing baseline (Hibernus class).
 
 A volatile MCU with on-chip NVM (the MSP430-FRAM model) preserves
 progress by copying its registers and live RAM to NVM through a
@@ -9,11 +9,9 @@ an NVP's hardware backup this is:
   saves a conservative RAM window on top of the registers;
 * **slower** — each word costs load/store instructions rather than a
   parallel flip-flop write;
-* **triggered differently** —
-  - ``"periodic"`` (Mementos): checkpoint every N instructions, and
-    roll back to the last checkpoint on power loss;
-  - ``"voltage"`` (Hibernus): checkpoint once, when stored energy
-    falls to a threshold, then sleep — resume on recovery.
+* **triggered differently** — the Hibernus-class voltage trigger
+  checkpoints once, when stored energy falls to a threshold, then
+  sleeps and resumes on recovery.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ class CheckpointConfig:
         checkpoint_words: words copied per checkpoint (registers plus
             the conservative live-RAM window).
         instructions_per_word: software copy-loop cost per word.
-        trigger: ``"periodic"`` or ``"voltage"``.
-        period_instructions: checkpoint period for the periodic trigger.
         margin: energy-safety multiplier for the voltage trigger.
         boot_time_s: MCU wake-up/re-init time (software restore adds
             the copy-back on top).
@@ -50,8 +46,6 @@ class CheckpointConfig:
     technology: NVMTechnology = FERAM
     checkpoint_words: int = 96
     instructions_per_word: int = 4
-    trigger: str = "voltage"
-    period_instructions: int = 2_000
     margin: float = 1.5
     boot_time_s: float = 400e-6
     label: str = "sw-checkpoint"
@@ -61,10 +55,6 @@ class CheckpointConfig:
             raise ValueError("checkpoint_words must be positive")
         if self.instructions_per_word <= 0:
             raise ValueError("instructions_per_word must be positive")
-        if self.trigger not in ("periodic", "voltage"):
-            raise ValueError(f"unknown trigger {self.trigger!r}")
-        if self.period_instructions <= 0:
-            raise ValueError("period must be positive")
         if self.margin < 1.0:
             raise ValueError("margin must be >= 1.0")
         if self.boot_time_s < 0:
@@ -95,7 +85,6 @@ class CheckpointPlatform(DormantCharging):
         self.ledger = ForwardProgressLedger()
         self._state = "off"
         self._stall_s = 0.0
-        self._instr_since_cp = 0
         self._snapshot = workload.snapshot()
         self._has_checkpoint = False
         self._plan: Optional[ThresholdPlan] = None
@@ -117,14 +106,6 @@ class CheckpointPlatform(DormantCharging):
         writes = cfg.technology.backup_energy_j(cfg.checkpoint_words * 16)
         return software + writes
 
-    def checkpoint_time_s(self) -> float:
-        """Duration of one software checkpoint."""
-        cfg = self.config
-        copy_instr = cfg.checkpoint_words * cfg.instructions_per_word
-        software = copy_instr * self.workload.mean_instruction_time_s()
-        writes = cfg.technology.backup_time_s(cfg.checkpoint_words * 16, 16)
-        return software + writes
-
     def restore_energy_j(self) -> float:
         """Energy of one software resume (read-back copy loop)."""
         cfg = self.config
@@ -142,7 +123,7 @@ class CheckpointPlatform(DormantCharging):
         return cfg.boot_time_s + software + reads
 
     def thresholds(self, dt_s: float) -> ThresholdPlan:
-        """Energy thresholds (voltage-trigger variant)."""
+        """Energy thresholds of the voltage trigger."""
         if self._plan is None:
             self._plan = plan_thresholds(
                 backup_cost_j=self.checkpoint_energy_j(),
@@ -160,8 +141,8 @@ class CheckpointPlatform(DormantCharging):
         return self.workload.finished
 
     # -- state machine -------------------------------------------------------
-    # ``tick`` and ``fast_forward`` come from DormantCharging; both
-    # trigger variants sleep the same way, toward the start threshold.
+    # ``tick`` and ``fast_forward`` come from DormantCharging: the
+    # platform sleeps toward the start threshold.
 
     def off_state(self) -> Optional[str]:
         """``"off"`` while asleep, ``None`` while powered on."""
@@ -173,80 +154,38 @@ class CheckpointPlatform(DormantCharging):
 
     def _run_tick(self, p_in_w: float, dt_s: float) -> TickReport:
         """One powered-on tick: checkpoint at the threshold, else execute."""
-        plan = self.thresholds(dt_s)
-        if (
-            self.config.trigger == "voltage"
-            and self.storage.energy_j <= plan.backup_threshold_j
-        ):
+        if self.storage.energy_j <= self.thresholds(dt_s).backup_threshold_j:
             return self._checkpoint_and_sleep(p_in_w, dt_s)
 
         exec_budget = max(0.0, dt_s - self._stall_s)
         self._stall_s = max(0.0, self._stall_s - dt_s)
         advance = self.workload.advance(exec_budget)
         self.ledger.execute(advance.instructions)
-        self._instr_since_cp += advance.instructions
-
-        extra_energy = 0.0
-        if (
-            self.config.trigger == "periodic"
-            and self._instr_since_cp >= self.config.period_instructions
-        ):
-            extra_energy = self._inline_checkpoint()
-
-        load_w = (advance.energy_j + extra_energy) / dt_s
+        load_w = advance.energy_j / dt_s
         step = self.storage.step(p_in_w, load_w, dt_s)
         self.consumed_j += step.delivered_j
         if step.deficit:
             self.ledger.rollback()
             self.workload.clear_volatile()
             self._state = "off"
-            return TickReport("run", advance.instructions)
         return TickReport("run", advance.instructions)
 
     def exact_batch(self, p_in_w, start, stop, dt_s):
         """Batch powered-on ``"run"`` ticks (exact-kernel engine).
 
         Same contract as
-        :meth:`repro.core.nvp.NVPPlatform.exact_batch`.  The voltage
-        trigger stops before the backup-threshold crossing; the
-        periodic trigger stops before the tick whose instructions trip
-        the checkpoint period.  Deficits and the finishing tick always
-        stay on the scalar path.
+        :meth:`repro.core.nvp.NVPPlatform.exact_batch`: stops before
+        the backup-threshold crossing.  Deficits and the finishing
+        tick always stay on the scalar path.
         """
         if self._state != "on":
             return None
-
-        def stops():
-            if self.config.trigger == "voltage":
-                return {
-                    "stop_energy_j": self.thresholds(dt_s).backup_threshold_j
-                }
-            return {
-                "period_limit": self.config.period_instructions,
-                "period_count": self._instr_since_cp,
-            }
-
-        volatile = self.ledger.volatile
-        runs = exactkernel.run_batch(self, p_in_w, start, stop, dt_s, stops)
-        if runs:
-            # Every batched instruction is volatile work done since the
-            # last checkpoint, exactly as the scalar path counts it.
-            self._instr_since_cp += self.ledger.volatile - volatile
-        return runs
+        return exactkernel.run_batch(
+            self, p_in_w, start, stop, dt_s,
+            lambda: {"stop_energy_j": self.thresholds(dt_s).backup_threshold_j},
+        )
 
     # -- transitions -----------------------------------------------------------
-
-    def _inline_checkpoint(self) -> float:
-        """Periodic checkpoint taken while running; returns its energy."""
-        energy = self.checkpoint_energy_j()
-        self._snapshot = self.workload.snapshot()
-        self._has_checkpoint = True
-        self.checkpoints += 1
-        self.checkpoint_energy_total_j += energy
-        self.ledger.commit()
-        self._instr_since_cp = 0
-        self._stall_s += self.checkpoint_time_s()
-        return energy
 
     def _checkpoint_and_sleep(self, p_in_w: float, dt_s: float) -> TickReport:
         """Voltage-triggered checkpoint, then power down."""
@@ -265,7 +204,6 @@ class CheckpointPlatform(DormantCharging):
         self.workload.clear_volatile()
         self._state = "off"
         self._stall_s = 0.0
-        self._instr_since_cp = 0
         self.storage.step(p_in_w, 0.0, dt_s)
         return TickReport("backup")
 

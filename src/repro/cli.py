@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, NoReturn, Optional
 
 import numpy as np
 
@@ -72,11 +72,26 @@ def _flag_config(args) -> Dict:
     }
 
 
-def _check_at_least(flag: str, value: int, low: int) -> None:
-    """Exit 2 with one ``error:`` line naming ``flag`` if ``value < low``."""
-    if value < low:
-        print(f"error: {flag} must be >= {low}", file=sys.stderr)
-        raise SystemExit(2)
+def _flag_error(message: str) -> NoReturn:
+    """Exit 2 with one ``error:`` line: a malformed flag, caught before
+    anything runs."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_flag(flag: str, ok: bool, rule: str) -> None:
+    """Exit 2 with ``error: <flag> must be <rule>`` unless ``ok``.
+
+    Written as a test that passes, so NaN fails every rule.
+    """
+    if not ok:
+        _flag_error(f"{flag} must be {rule}")
+
+
+def _check_at_least(flag: str, value: Optional[int], low: int) -> None:
+    """Exit 2 with one ``error:`` line naming ``flag`` if ``value < low``
+    (``None``, a flag left unset, passes)."""
+    _check_flag(flag, value is None or value >= low, f">= {low}")
 
 
 def _make_trace(args):
@@ -90,8 +105,7 @@ def _make_trace(args):
     try:
         config = resolve_config(_flag_config(args))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _flag_error(str(exc))
     return build_trace(config)
 
 
@@ -388,15 +402,13 @@ def cmd_compare(args) -> int:
     from repro.exp import SweepInterrupted, SweepRunner
     from repro.obs.ledger import OUTCOME_INTERRUPTED, sweep_record
 
+    _check_at_least("--jobs", args.jobs, 1)
     trace = _make_trace(args)
     configs = [
         {**_flag_config(args), "platform": name, "label": name}
         for name in PLATFORM_BUILDERS
     ]
-    try:
-        runner = SweepRunner(jobs=args.jobs)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    runner = SweepRunner(jobs=args.jobs)
     started = time.time()
     try:
         outcome = runner.run(configs)
@@ -451,6 +463,10 @@ def cmd_sweep(args) -> int:
     from repro.obs import events as ev
     from repro.obs.ledger import OUTCOME_INTERRUPTED, sweep_record
 
+    _check_at_least("--jobs", args.jobs, 1)
+    timeout = args.timeout
+    _check_flag("--timeout", timeout is None or 0 < timeout < math.inf,
+                "positive and finite")
     try:
         spec = ExperimentSpec.from_file(args.spec)
     except (OSError, ValueError) as exc:
@@ -495,13 +511,10 @@ def cmd_sweep(args) -> int:
         configs = spec.expand()
     except ValueError as exc:
         raise SystemExit(f"error: bad spec: {exc}")
-    try:
-        runner = SweepRunner(
-            jobs=args.jobs, cache=cache, timeout_s=args.timeout, bus=bus,
-            tracer=tracer,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    runner = SweepRunner(
+        jobs=args.jobs, cache=cache, timeout_s=args.timeout, bus=bus,
+        tracer=tracer,
+    )
     started = time.time()
     interrupted = False
     try:
@@ -568,6 +581,11 @@ def cmd_fleet_run(args) -> int:
 
     watch = bool(getattr(args, "watch", False))
     command = "fleet-watch" if watch else "fleet"
+    every_s = args.telemetry_every
+    _check_flag("--telemetry-every",
+                every_s is None or 0 < every_s < math.inf,
+                "positive and finite")
+    _check_at_least("--replay-device", args.replay_device, 0)
     try:
         spec = FleetSpec.from_file(args.spec)
     except (OSError, ValueError) as exc:
@@ -576,10 +594,13 @@ def cmd_fleet_run(args) -> int:
         configs = spec.devices()
     except ValueError as exc:
         raise SystemExit(f"error: bad fleet spec: {exc}")
+    index = args.replay_device
+    if index is not None and index >= len(configs):
+        _flag_error(f"--replay-device {index} out of range "
+                    f"(fleet has {len(configs)} devices)")
 
     # Telemetry is on when asked for (flags or spec cadence) and
     # always under `watch` — the dashboard feeds on fleet.sample.
-    every_s = args.telemetry_every
     if every_s is None:
         every_s = spec.telemetry_every_s
     telemetry = None
@@ -665,13 +686,7 @@ def cmd_fleet_run(args) -> int:
             raise SystemExit(f"error: cannot write results: {exc}")
         if not args.json:
             print(f"results : {path}")
-    if args.replay_device is not None:
-        index = args.replay_device
-        if not 0 <= index < len(configs):
-            raise SystemExit(
-                f"error: --replay-device {index} out of range "
-                f"(fleet has {len(configs)} devices)"
-            )
+    if index is not None:
         # Drill down: re-run one device through the single-device
         # engine with full observability.  Exact by construction —
         # fleet results are bit-identical to the single engine.
@@ -710,6 +725,13 @@ def cmd_fleet_correlate(args) -> int:
 
     from repro.fleet import FleetSpec, correlation_report, render_correlation
 
+    window = args.window
+    _check_flag("--window", window is None or 0 < window < math.inf,
+                "positive and finite")
+    _check_flag("--threshold", 0 <= args.threshold < math.inf,
+                "finite and non-negative")
+    _check_flag("--storm-fraction", 0 <= args.storm_fraction <= 1,
+                "in [0, 1]")
     try:
         spec = FleetSpec.from_file(args.spec)
         configs = spec.devices()
@@ -723,6 +745,8 @@ def cmd_fleet_correlate(args) -> int:
             storm_fraction=args.storm_fraction,
         )
     except ValueError as exc:
+        # A window past the longest device trace, or a device trace
+        # the spec cannot build: both are known only once it is built.
         raise SystemExit(f"error: {exc}")
     if args.out:
         try:
@@ -744,6 +768,7 @@ def cmd_bench_report(args) -> int:
     """Diff the benchmark history against a baseline and gate regressions."""
     from repro.obs.history import build_report, read_history
 
+    _check_flag("--max-regression", 0 < args.max_regression < 1, "in (0, 1)")
     if not read_history(args.history):
         print(f"error: no benchmark history at {args.history}", file=sys.stderr)
         return 2
@@ -786,23 +811,24 @@ def cmd_bench_report(args) -> int:
     return 0
 
 
-def _parse_when(value: Optional[str]) -> Optional[float]:
+def _parse_when(flag: str, value: Optional[str]) -> Optional[float]:
     """``--since``/``--until`` values: unix seconds or local dates."""
     if value is None:
         return None
+    when = None
     try:
-        return float(value)
+        when = float(value)
     except ValueError:
-        pass
-    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d"):
-        try:
-            return time.mktime(time.strptime(value, fmt))
-        except ValueError:
-            continue
-    raise SystemExit(
-        f"error: cannot parse time {value!r} "
-        "(use unix seconds or YYYY-MM-DD [HH:MM[:SS]])"
-    )
+        for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d"):
+            try:
+                when = time.mktime(time.strptime(value, fmt))
+                break
+            except ValueError:
+                continue
+    _check_flag(flag, when is not None and math.isfinite(when),
+                "finite unix seconds or YYYY-MM-DD [HH:MM[:SS]], "
+                f"got {value!r}")
+    return when
 
 
 def _runs_ledger(args):
@@ -830,17 +856,20 @@ def cmd_runs_list(args) -> int:
     """Tabulate (or dump) matching ledger records, oldest first."""
     import json
 
+    _check_at_least("--limit", args.limit, 1)
+    since = _parse_when("--since", args.since)
+    until = _parse_when("--until", args.until)
     ledger = _runs_ledger(args)
     records = ledger.records(
         command=args.command_filter,
         experiment=args.experiment,
         outcome=args.outcome,
         spec=args.spec,
-        since=_parse_when(args.since),
-        until=_parse_when(args.until),
+        since=since,
+        until=until,
         devices_min=args.devices_min,
     )
-    if args.limit and args.limit > 0:
+    if args.limit is not None:
         records = records[-args.limit:]
     if args.json:
         print(json.dumps(records, indent=2))

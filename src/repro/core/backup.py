@@ -205,12 +205,6 @@ class BackupController:
         )
         return control + data + self.config.controller_overhead_j
 
-    def worst_case_backup_time_s(self) -> float:
-        """Duration of a full-image backup."""
-        return self.config.technology.backup_time_s(
-            self.total_backup_bits, self.config.backup_parallelism
-        )
-
     def restore_energy_j(self) -> float:
         """Energy of a full restore (read-back + controller overhead)."""
         return (

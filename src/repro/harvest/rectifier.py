@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.harvest.traces import PowerTrace
-
 
 @dataclass(frozen=True)
 class Rectifier:
@@ -58,9 +56,9 @@ class Rectifier:
         """DC output power for a whole array of input powers.
 
         Element-for-element equal to calling :meth:`output_power` on
-        each sample (same IEEE-754 operations in the same order), so
-        the simulator's vectorized pre-pass and the scalar per-tick
-        path agree bit-for-bit.
+        each sample (same IEEE-754 operations in the same order): the
+        scalar form states the curve, and this is the form every run
+        rectifies its trace with.
         """
         samples = np.asarray(samples_w, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -70,14 +68,6 @@ class Rectifier:
                 self.eta_max * samples / (samples + self.knee_power_w),
             )
         return samples * eta
-
-    def convert(self, trace: PowerTrace) -> PowerTrace:
-        """Apply the rectifier to a whole trace."""
-        return PowerTrace(
-            self.output_power_array(trace.samples_w),
-            trace.dt_s,
-            source=f"{trace.source}+rect",
-        )
 
 
 #: An ideal front end for experiments that want to isolate other effects.

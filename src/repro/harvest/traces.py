@@ -84,16 +84,6 @@ class PowerTrace:
         """Total harvested energy over the trace."""
         return float(self.samples_w.sum() * self.dt_s)
 
-    def power_at(self, t_s: float) -> float:
-        """Instantaneous power at time ``t_s`` (zero-order hold).
-
-        Raises:
-            ValueError: if ``t_s`` is outside the trace.
-        """
-        if t_s < 0 or t_s >= self.duration_s:
-            raise ValueError(f"t={t_s} outside trace of {self.duration_s}s")
-        return float(self.samples_w[int(t_s / self.dt_s)])
-
     # -- transformations ---------------------------------------------------
 
     def scaled_to_mean(self, mean_power_w: float) -> "PowerTrace":
@@ -150,36 +140,6 @@ class PowerTrace:
         return PowerTrace(
             self.samples_w[index:].copy(), self.dt_s, self.source
         )
-
-    def repeated(self, times: int) -> "PowerTrace":
-        """Return the trace tiled ``times`` times."""
-        if times < 1:
-            raise ValueError("repeat count must be at least 1")
-        return PowerTrace(np.tile(self.samples_w, times), self.dt_s, self.source)
-
-    def resampled(self, dt_s: float) -> "PowerTrace":
-        """Return a copy resampled to a new period (linear interpolation)."""
-        if dt_s <= 0:
-            raise ValueError("sampling period must be positive")
-        old_t = np.arange(len(self.samples_w)) * self.dt_s
-        n_new = max(1, int(round(self.duration_s / dt_s)))
-        new_t = np.arange(n_new) * dt_s
-        samples = np.interp(new_t, old_t, self.samples_w)
-        return PowerTrace(samples, dt_s, self.source)
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Save to an ``.npz`` file."""
-        np.savez_compressed(
-            path, samples_w=self.samples_w, dt_s=self.dt_s, source=self.source
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "PowerTrace":
-        """Load a trace saved with :meth:`save`."""
-        data = np.load(path, allow_pickle=False)
-        return cls(data["samples_w"], float(data["dt_s"]), str(data["source"]))
 
     def __repr__(self) -> str:
         return (

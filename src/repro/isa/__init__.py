@@ -3,8 +3,8 @@
 Nonvolatile-processor prototypes in the literature are built around
 small 8051/MSP430-class cores.  ``repro.isa`` provides an equivalent
 behavioral substrate: a compact 16-bit load/store ISA (``NV16``), a
-two-pass assembler, a disassembler, a cycle- and energy-accounted CPU
-core, and a segmented memory model (RAM / NVM / MMIO).
+two-pass assembler, a cycle- and energy-accounted CPU core, and a
+segmented memory model (RAM / NVM / MMIO).
 
 The ISA is deliberately simple and fully specified so that the rest of
 the framework can reason about *instructions committed* (forward
@@ -20,7 +20,6 @@ from repro.isa.instructions import (
     encode,
 )
 from repro.isa.assembler import AssemblerError, Program, assemble
-from repro.isa.disasm import disassemble, disassemble_program
 from repro.isa.memory import (
     MemoryMap,
     MMIO_BASE,
@@ -50,7 +49,5 @@ __all__ = [
     "assemble",
     "classify",
     "decode",
-    "disassemble",
-    "disassemble_program",
     "encode",
 ]

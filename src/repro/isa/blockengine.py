@@ -403,14 +403,6 @@ class BlockEngine:
         energy_model: EnergyModel,
     ) -> None:
         self.n_instructions = len(program)
-        #: Recompile trigger: the operating point the tables were
-        #: classified against (``EnergyModel.scaled`` returns copies,
-        #: so in practice this never changes for a live workload).
-        self.model_signature = (
-            energy_model.frequency_hz,
-            energy_model.vdd,
-            energy_model.static_power_w,
-        )
         self.fused_blocks = 0
         self.stepped_blocks = 0
         self._blocks: List[_Block] = []

@@ -93,10 +93,6 @@ class CPU:
 
     # -- state management -------------------------------------------------
 
-    def reset(self, pc: int = 0) -> None:
-        """Reset architectural state (registers cleared, PC set)."""
-        self.state = CPUState(pc=pc)
-
     def snapshot(self) -> CPUState:
         """Capture architectural state (what a hardware backup saves)."""
         return self.state.copy()

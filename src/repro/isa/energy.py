@@ -141,25 +141,6 @@ class EnergyModel:
         """Wall-clock time for one instruction, seconds."""
         return self.cycles[cls] * self.cycle_time_s
 
-    def average_power(self, mix: Dict[InstrClass, float] | None = None) -> float:
-        """Average power (W) for an instruction mix.
-
-        Args:
-            mix: mapping from class to fraction (should sum to 1).  The
-                default is a generic embedded mix dominated by ALU and
-                memory operations.
-        """
-        if mix is None:
-            mix = DEFAULT_MIX
-        total_energy = 0.0
-        total_time = 0.0
-        for cls, fraction in mix.items():
-            total_energy += fraction * self.instruction_energy(cls)
-            total_time += fraction * self.instruction_time(cls)
-        if total_time <= 0:
-            raise ValueError("instruction mix has zero total time")
-        return total_energy / total_time
-
     def scaled(self, frequency_hz: float | None = None, vdd: float | None = None) -> "EnergyModel":
         """Return a copy with a different operating point."""
         return EnergyModel(

@@ -18,7 +18,7 @@ mirroring the memory organisation of NVP prototypes:
 from __future__ import annotations
 
 import functools
-from typing import Iterable, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.isa.instructions import WORD_MASK
 
@@ -107,14 +107,6 @@ class MemoryMap:
 
     # -- bulk access used by the workload harness (not charged) ---------
 
-    def load_words(self, base: int, values: Iterable[int]) -> None:
-        """Initialise memory starting at ``base`` without access charges."""
-        for offset, value in enumerate(values):
-            address = base + offset
-            if not 0 <= address < MMIO_BASE:
-                raise ValueError(f"bulk load at {address:#x} overflows data memory")
-            self._words[address] = value & WORD_MASK
-
     def load_image(self, image: Mapping[int, int]) -> None:
         """Initialise memory from an ``{address: word}`` mapping."""
         for address, value in image.items():
@@ -122,22 +114,6 @@ class MemoryMap:
                 raise ValueError(f"image word at {address:#x} overflows data memory")
             self._words[address] = value & WORD_MASK
 
-    def dump_words(self, base: int, count: int) -> List[int]:
-        """Read ``count`` words starting at ``base`` without charges."""
-        if not 0 <= base <= base + count <= ADDRESS_SPACE:
-            raise ValueError("dump range outside address space")
-        return list(self._words[base : base + count])
-
     def clear_volatile(self) -> None:
         """Model a power failure: zero all RAM words, keep NVM and MMIO."""
         self._words[RAM_BASE:NVM_BASE] = _ram_zeros()
-
-    def snapshot_ram(self) -> List[int]:
-        """Copy of the volatile RAM segment (for checkpointing models)."""
-        return list(self._words[RAM_BASE:NVM_BASE])
-
-    def restore_ram(self, snapshot: List[int]) -> None:
-        """Restore the volatile RAM segment from :meth:`snapshot_ram`."""
-        if len(snapshot) != NVM_BASE - RAM_BASE:
-            raise ValueError("RAM snapshot has wrong length")
-        self._words[RAM_BASE:NVM_BASE] = snapshot

@@ -391,23 +391,21 @@ static PyObject *
 storage_run(PyObject *module, PyObject *args)
 {
     PyObject *p_in_w, *state;
-    PyObject *limit_obj, *ipu_obj, *period_limit_obj, *period_count_obj;
-    PyObject *retired_obj, *volatile_obj;
+    PyObject *limit_obj, *ipu_obj, *retired_obj, *volatile_obj;
     Py_ssize_t start, stop, index;
     double dt, tpi, epi, threshold;
     double energy, total_charged, total_leaked, total_wasted;
     double total_delivered, consumed, stall, credit;
-    long long limit, ipu, period_limit, period_count, retired, volatile_;
-    int has_limit, has_period, unit_boundary;
+    long long limit, ipu, retired, volatile_;
+    int has_limit, unit_boundary;
     int fits = 1;
     Chain c;
 
     if (!PyArg_ParseTuple(
-            args, "Onnd" CHAIN_FORMAT "(ddOO)(dOOp)O!:storage_run",
+            args, "Onnd" CHAIN_FORMAT "(ddOO)(dp)O!:storage_run",
             &p_in_w, &start, &stop, &dt, CHAIN_ARGS(c),
             &tpi, &epi, &limit_obj, &ipu_obj,
-            &threshold, &period_limit_obj, &period_count_obj,
-            &unit_boundary, &PyTuple_Type, &state)
+            &threshold, &unit_boundary, &PyTuple_Type, &state)
         || !PyArg_ParseTuple(
             state, "ddddddddOO:state",
             &energy, &total_charged, &total_leaked, &total_wasted,
@@ -415,8 +413,6 @@ storage_run(PyObject *module, PyObject *args)
             &retired_obj, &volatile_obj)
         || read_int64(limit_obj, &has_limit, &limit, &fits) < 0
         || read_int64(ipu_obj, NULL, &ipu, &fits) < 0
-        || read_int64(period_limit_obj, &has_period, &period_limit, &fits) < 0
-        || read_int64(period_count_obj, NULL, &period_count, &fits) < 0
         || read_int64(retired_obj, NULL, &retired, &fits) < 0
         || read_int64(volatile_obj, NULL, &volatile_, &fits) < 0) {
         return NULL;
@@ -430,7 +426,7 @@ storage_run(PyObject *module, PyObject *args)
         double exec_budget, new_stall, budget, instructions;
         double time_used, rem, new_credit, load_w;
         double p_in, new_energy, demand, delivered;
-        long long count, reached, period_reached, new_volatile;
+        long long count, reached, new_volatile;
         Step s;
 
         if (energy <= threshold) {
@@ -451,14 +447,10 @@ storage_run(PyObject *module, PyObject *args)
         }
         count = (long long)instructions;
         if (__builtin_add_overflow(retired, count, &reached)
-            || __builtin_add_overflow(period_count, count, &period_reached)
             || __builtin_add_overflow(volatile_, count, &new_volatile)) {
             break;
         }
         if (has_limit && reached >= limit) {
-            break;
-        }
-        if (has_period && period_reached >= period_limit) {
             break;
         }
         if (unit_boundary && count
@@ -487,7 +479,6 @@ storage_run(PyObject *module, PyObject *args)
         credit = new_credit;
         retired = reached;
         volatile_ = new_volatile;
-        period_count = period_reached;
         consumed += delivered;
         total_charged += s.charged;
         total_leaked += s.leaked;

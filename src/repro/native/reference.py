@@ -183,24 +183,22 @@ def storage_run(p_in_w, start, stop, dt_s, chain, workload, stops, state):
     * ``workload`` is ``(time_per_instr, energy_per_instr, limit,
       instructions_per_unit)``; ``limit`` is the instruction count at
       which the workload finishes, ``None`` if it never does.
-    * ``stops`` is ``(threshold_j, period_limit, period_count,
-      stop_at_unit_boundary)``; ``period_limit`` is ``None`` without a
-      periodic checkpoint.
+    * ``stops`` is ``(threshold_j, stop_at_unit_boundary)``.
     * ``state`` is ``(energy, charged, leaked, wasted, delivered,
       consumed, stall, credit, retired, volatile)``.
 
     Stops before the first tick where the energy at tick start is at
     most ``threshold_j``, the instruction count is not an int64 (or
-    is NaN), the workload would finish, ``period_count`` would reach
-    ``period_limit``, a unit boundary would be crossed (when asked),
-    or the load cannot be met.  The C twin also stops before a tick
-    whose counters would leave int64, past 9.2e18 instructions.
+    is NaN), the workload would finish, a unit boundary would be
+    crossed (when asked), or the load cannot be met.  The C twin also
+    stops before a tick whose counters would leave int64, past 9.2e18
+    instructions.
 
     Returns ``(ticks, state)``: the ticks committed and the state
     after them.
     """
     tpi, epi, limit, ipu = workload
-    threshold, period_limit, period_count, unit_boundary = stops
+    threshold, unit_boundary = stops
     (energy, total_charged, total_leaked, total_wasted, total_delivered,
      consumed, stall, credit, retired, volatile) = state
     dt = dt_s
@@ -221,11 +219,9 @@ def storage_run(p_in_w, start, stop, dt_s, chain, workload, stops, state):
         if not -_TWO63 <= instructions < _TWO63:
             break
         count = int(instructions)
-        # The finishing, periodic-checkpoint and unit-commit ticks stay
-        # scalar, so the platform's own code commits them.
+        # The finishing and unit-commit ticks stay scalar, so the
+        # platform's own code commits them.
         if limit is not None and retired + count >= limit:
-            break
-        if period_limit is not None and period_count + count >= period_limit:
             break
         if (
             unit_boundary
@@ -253,7 +249,6 @@ def storage_run(p_in_w, start, stop, dt_s, chain, workload, stops, state):
         credit = new_credit
         retired += count
         volatile += count
-        period_count += count
         consumed += delivered
         total_charged += charged
         total_leaked += leaked

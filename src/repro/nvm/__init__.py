@@ -15,8 +15,7 @@ latches.  This package provides:
   (:mod:`repro.nvm.retention`),
 * a behavioral NVM array with energy accounting
   (:mod:`repro.nvm.array`), and
-* a self-write-termination write-circuit model
-  (:mod:`repro.nvm.writecircuit`).
+* a SEC-DED code for backed-up words (:mod:`repro.nvm.ecc`).
 """
 
 from repro.nvm.technology import (
@@ -49,15 +48,13 @@ from repro.nvm.retention import (
     failure_probability,
     sample_bit_failures,
 )
-from repro.nvm.array import NVMArray, WearReport
+from repro.nvm.array import NVMArray
 from repro.nvm.ecc import DecodeStatus, decode as ecc_decode, encode as ecc_encode
-from repro.nvm.writecircuit import SelfTerminatingWriteCircuit, WriteCircuitReport
 
 __all__ = [
     "DecodeStatus",
     "FERAM",
     "FEFET",
-    "WearReport",
     "ecc_decode",
     "ecc_encode",
     "LinearPolicy",
@@ -72,10 +69,8 @@ __all__ = [
     "SRAM_REFERENCE",
     "STTParameters",
     "STT_MRAM",
-    "SelfTerminatingWriteCircuit",
     "TECHNOLOGIES",
     "UniformPolicy",
-    "WriteCircuitReport",
     "failure_probability",
     "optimal_pulse_width",
     "required_delta",

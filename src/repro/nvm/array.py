@@ -49,31 +49,6 @@ class ArrayStats:
         return sum(self.bit_failures)
 
 
-@dataclass(frozen=True)
-class WearReport:
-    """Endurance snapshot of an array.
-
-    Attributes:
-        max_writes: write count of the most-worn word.
-        mean_writes: average write count across all words.
-        worn_words: words whose write count exceeds the technology's
-            endurance.
-        endurance_cycles: the technology's endurance budget.
-    """
-
-    max_writes: int
-    mean_writes: float
-    worn_words: int
-    endurance_cycles: float
-
-    @property
-    def headroom(self) -> float:
-        """Remaining endurance fraction of the most-worn word."""
-        if self.endurance_cycles <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.max_writes / self.endurance_cycles)
-
-
 class NVMArray:
     """A word-addressed nonvolatile array.
 
@@ -244,17 +219,6 @@ class NVMArray:
         for address, flip in zip(valid_idx, flip_masks.tolist()):
             words[address] ^= flip
         return int(flips.sum())
-
-    def wear_report(self) -> "WearReport":
-        """Endurance snapshot (see :class:`WearReport`)."""
-        counts = self._write_counts
-        endurance = self.technology.endurance_cycles
-        return WearReport(
-            max_writes=max(counts),
-            mean_writes=sum(counts) / len(counts),
-            worn_words=sum(count > endurance for count in counts),
-            endurance_cycles=endurance,
-        )
 
     def _check_range(self, base: int, count: int) -> None:
         """Reject a block that is not ``count >= 0`` words inside the

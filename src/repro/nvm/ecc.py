@@ -131,20 +131,3 @@ def overhead_fraction() -> float:
     """Storage/energy overhead of the code: extra bits per data bit."""
     return (CODEWORD_BITS - DATA_BITS) / DATA_BITS
 
-
-def protect_word(
-    value: int, relaxed_mask: int, rng
-) -> Tuple[int, DecodeStatus]:
-    """Simulate storing ``value`` through an outage with ECC.
-
-    ``relaxed_mask`` marks which of the 22 codeword cells relaxed; each
-    relaxed cell reads back randomly.  Returns the decoded value and
-    the decoder status.
-    """
-    codeword = encode(value)
-    corrupted = codeword
-    for bit in range(CODEWORD_BITS):
-        if relaxed_mask & (1 << bit) and rng.random() < 0.5:
-            corrupted ^= 1 << bit
-    result = decode(corrupted)
-    return result.value, result.status

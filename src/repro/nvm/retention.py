@@ -201,24 +201,6 @@ def sample_bit_failures(
     return mask
 
 
-def corrupt_word(value: int, relaxed_mask: int, rng: np.random.Generator) -> int:
-    """Randomise the relaxed bits of a stored word.
-
-    A relaxed cell reads back 0 or 1 with equal probability, so on
-    average half the relaxed bits actually flip.
-    """
-    result = value
-    bit = 0
-    mask = relaxed_mask
-    while mask:
-        if mask & 1:
-            if rng.random() < 0.5:
-                result ^= 1 << bit
-        mask >>= 1
-        bit += 1
-    return result
-
-
 def policy_backup_energy_j(
     policy: RetentionPolicy,
     technology: NVMTechnology,

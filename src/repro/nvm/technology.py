@@ -109,23 +109,6 @@ class NVMTechnology:
 
         return self.wakeup_time_s + math.ceil(bits / parallelism) * self.read_latency_s
 
-    def lifetime_s(self, backup_rate_hz: float) -> float:
-        """Device lifetime under a sustained backup rate.
-
-        Each backup writes every state cell once, so the cells wear at
-        the backup rate and the endurance budget divides through:
-        ``lifetime = endurance / rate``.  This is the endurance
-        screen that rules low-endurance technologies out of
-        high-emergency-rate harvesting environments (and why ReRAM
-        NVPs pair adaptive retention with wear-aware design).
-
-        Raises:
-            ValueError: if the rate is not positive.
-        """
-        if backup_rate_hz <= 0:
-            raise ValueError("backup rate must be positive")
-        return self.endurance_cycles / backup_rate_hz
-
 
 SRAM_REFERENCE = NVMTechnology(
     name="SRAM",

@@ -6,7 +6,7 @@ is a consumer of that bus:
 
 * :mod:`repro.obs.events` — typed events (outages, state transitions,
   backup/restore lifecycle, policy decisions) and the bus itself;
-* :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry with
+* :mod:`repro.obs.metrics` — Counter/Gauge registry with
   labeled series;
 * :mod:`repro.obs.export` — JSONL event logs, Chrome trace-event JSON
   (openable in Perfetto / ``chrome://tracing``), CSV metrics dumps;
@@ -59,13 +59,11 @@ from repro.obs.export import (
     chrome_trace,
     flatten_snapshot,
     load_chrome_trace,
-    prometheus_text,
     read_snapshots,
     snapshot_prometheus,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_csv,
-    write_prometheus,
 )
 from repro.obs.fleetstats import (
     FixedBinHistogram,
@@ -76,7 +74,7 @@ from repro.obs.fleetstats import (
     windowed_outages,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.summary import FleetMonitor, LiveSummary, SweepMonitor
 
 __all__ = [
@@ -85,7 +83,6 @@ __all__ = [
     "EventLog",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "RunManifest",
     "FixedBinHistogram",
@@ -98,11 +95,9 @@ __all__ = [
     "co_outage_matrix",
     "find_storms",
     "flatten_snapshot",
-    "prometheus_text",
     "read_snapshots",
     "snapshot_prometheus",
     "windowed_outages",
-    "write_prometheus",
     "FastPathEventSynthesizer",
     "Span",
     "SpanTracer",

@@ -1,4 +1,4 @@
-"""Exporters: JSONL event logs, Chrome traces, CSV, Prometheus text.
+"""Exporters: JSONL event logs, Chrome traces, CSV, Prometheus gauges.
 
 The Chrome exporter emits the Trace Event Format understood by
 Perfetto and ``chrome://tracing``: platform state spans and
@@ -15,10 +15,8 @@ sorted ``(name, value)`` pairs (keys joined with ``_``),
 :func:`snapshot_prometheus` renders those pairs as Prometheus gauges,
 and :class:`SnapshotWriter` appends the raw snapshots to a JSONL
 time-series file (optionally mirroring the latest snapshot to a
-``.prom`` textfile a node-exporter-style collector can scrape).
-:func:`prometheus_text` does the same for a whole
-:class:`~repro.obs.metrics.MetricsRegistry`.  All output is
-byte-stable for identical inputs: names sorted, labels sorted, floats
+``.prom`` textfile a node-exporter-style collector can scrape).  All
+output is byte-stable for identical inputs: names sorted, floats
 rendered with ``repr`` (shortest round-trip).
 """
 
@@ -33,7 +31,7 @@ import tempfile
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.obs import events as ev
-from repro.obs.events import Event, EventLog
+from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 
 #: Thread ids used in exported traces.
@@ -351,22 +349,6 @@ def read_jsonl(path: str) -> Tuple[List[Dict], int]:
     return records, torn
 
 
-def read_events_jsonl(path: str) -> EventLog:
-    """Load a JSONL event file back into an :class:`EventLog`."""
-    log = EventLog()
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            name = record.pop("name")
-            t_s = record.pop("t_s")
-            seq = record.pop("seq")
-            log.append(Event(name, t_s, seq, record))
-    return log
-
-
 def write_metrics_csv(registry: MetricsRegistry, path: str) -> int:
     """Dump every metric series to CSV; returns the data-row count."""
     rows = registry.rows()
@@ -378,7 +360,7 @@ def write_metrics_csv(registry: MetricsRegistry, path: str) -> int:
     return len(rows)
 
 
-# -- Prometheus text exposition -------------------------------------------
+# -- Prometheus text rendering ----------------------------------------------
 
 
 _PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -392,21 +374,6 @@ def _prom_name(name: str) -> str:
     return mangled
 
 
-def _prom_escape(value: str) -> str:
-    return (
-        value.replace("\\", "\\\\").replace("\n", "\\n").replace('"', '\\"')
-    )
-
-
-def _prom_labels(pairs: Iterable[Tuple[str, str]]) -> str:
-    """``{a="x",b="y"}`` with label names sorted; ``""`` when empty."""
-    rendered = ",".join(
-        f'{_prom_name(str(k))}="{_prom_escape(str(v))}"'
-        for k, v in sorted(pairs)
-    )
-    return "{" + rendered + "}" if rendered else ""
-
-
 def _prom_value(value: float) -> str:
     value = float(value)
     if math.isinf(value):
@@ -416,46 +383,6 @@ def _prom_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def prometheus_text(registry: MetricsRegistry, prefix: str = "") -> str:
-    """Render a whole registry in Prometheus text exposition format.
-
-    Counters and gauges become single samples; histograms expose
-    cumulative ``_bucket{le=...}`` samples plus ``_sum`` / ``_count``.
-    Metric names are sorted, label sets are sorted, so output is
-    byte-stable for identical registry contents.
-    """
-    lines: List[str] = []
-    for metric in registry.metrics():
-        name = _prom_name(prefix + metric.name)
-        if metric.help:
-            lines.append(f"# HELP {name} {_prom_escape(metric.help)}")
-        lines.append(f"# TYPE {name} {metric.kind}")
-        for key, child in sorted(metric.series().items()):
-            if metric.kind == "histogram":
-                cumulative = 0
-                for bound, n in zip(child.buckets, child.counts):
-                    cumulative += n
-                    le = "+Inf" if math.isinf(bound) else _prom_value(bound)
-                    labels = _prom_labels(tuple(key) + (("le", le),))
-                    lines.append(f"{name}_bucket{labels} {cumulative}")
-                labels = _prom_labels(key)
-                lines.append(f"{name}_sum{labels} {_prom_value(child.sum)}")
-                lines.append(f"{name}_count{labels} {child.count}")
-            else:
-                labels = _prom_labels(key)
-                lines.append(f"{name}{labels} {_prom_value(child.value)}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(registry: MetricsRegistry, path: str,
-                     prefix: str = "") -> int:
-    """Write registry exposition to a textfile; returns the byte count."""
-    text = prometheus_text(registry, prefix=prefix)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return len(text.encode())
 
 
 # -- telemetry snapshots ---------------------------------------------------

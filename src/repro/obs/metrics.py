@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms with labeled series.
+"""Metrics registry: counters and gauges with labeled series.
 
 Prometheus-flavoured but dependency-free.  A metric is registered once
 on a :class:`MetricsRegistry` with a fixed label-name tuple; each
@@ -22,20 +22,14 @@ labeling by tick) degrades to a warning instead of unbounded memory.
 
 from __future__ import annotations
 
-import math
 import warnings
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 LabelValues = Tuple[Tuple[str, str], ...]
 
 #: Maximum labeled series per metric before new combinations are
 #: dropped into the shared overflow child.
 DEFAULT_MAX_SERIES = 1000
-
-#: Default histogram buckets (seconds-ish / generic magnitudes).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, math.inf
-)
 
 
 def _label_key(label_names: Tuple[str, ...], values: Dict[str, str]) -> LabelValues:
@@ -218,86 +212,6 @@ class Gauge(_Metric):
         return self._default_child().value
 
 
-class _HistogramChild:
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Tuple[float, ...]) -> None:
-        self.buckets = buckets
-        self.counts = [0] * len(buckets)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                break
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bucket upper bounds."""
-        if not 0 <= q <= 1:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for index, n in enumerate(self.counts):
-            seen += n
-            # The ``n`` guard keeps q=0 (target 0) from matching an
-            # empty leading bucket: q=0 means the first *populated* one.
-            if n and seen >= target:
-                bound = self.buckets[index]
-                return bound if math.isfinite(bound) else self.sum / self.count
-        return self.buckets[-2] if len(self.buckets) > 1 else 0.0
-
-    def fields(self) -> List[Tuple[str, float]]:
-        rows: List[Tuple[str, float]] = [("sum", self.sum), ("count", self.count)]
-        cumulative = 0
-        for bound, n in zip(self.buckets, self.counts):
-            cumulative += n
-            label = "le_inf" if math.isinf(bound) else f"le_{bound:g}"
-            rows.append((label, cumulative))
-        return rows
-
-
-class Histogram(_Metric):
-    """Bucketed distribution of observed values."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: Tuple[str, ...],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
-    ) -> None:
-        super().__init__(name, help, label_names, max_series=max_series)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("need at least one bucket")
-        if not math.isinf(bounds[-1]):
-            bounds = bounds + (math.inf,)
-        self.buckets = bounds
-
-    def _new_child(self) -> _HistogramChild:
-        return _HistogramChild(self.buckets)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
-
-    @property
-    def count(self) -> int:
-        return self._default_child().count
-
-    @property
-    def sum(self) -> float:
-        return self._default_child().sum
-
-
 class MetricsRegistry:
     """Owns every metric of one run; the unit the exporters consume.
 
@@ -347,20 +261,6 @@ class MetricsRegistry:
             Gauge(name, help, tuple(labels), fn=fn, max_series=self.max_series)
         )  # type: ignore[return-value]
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Iterable[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._register(
-            Histogram(
-                name, help, tuple(labels), buckets,
-                max_series=self.max_series,
-            )
-        )  # type: ignore[return-value]
-
     def get(self, name: str) -> _Metric:
         """Look up a registered metric.
 
@@ -374,10 +274,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def metrics(self) -> List[_Metric]:
-        """Every registered metric, sorted by name (exporter order)."""
-        return [self._metrics[name] for name in sorted(self._metrics)]
 
     def rows(self) -> List[Tuple[str, str, str, str, float]]:
         """Every series of every metric as flat CSV-ready rows."""

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.harvest.traces import PowerTrace
 from repro.system.result import SimulationResult
 
 
@@ -93,10 +92,6 @@ class PowerAwareFrequencyPolicy:
                 frequency_hz=chosen,
             )
         return chosen
-
-    def recommend_for_trace(self, trace: PowerTrace) -> float:
-        """Recommended clock for a trace (uses its mean power)."""
-        return self.recommend(max(trace.mean_power_w, 1e-12))
 
     def table(self) -> Dict[float, float]:
         """The trained income → frequency mapping."""

@@ -1,11 +1,5 @@
-"""Output-quality metrics (MSE / PSNR / SNR) for kernel outputs."""
+"""Output-quality metrics (MSE / PSNR) for kernel outputs."""
 
-from repro.quality.metrics import (
-    bit_accuracy,
-    mae,
-    mse,
-    psnr,
-    snr_db,
-)
+from repro.quality.metrics import mse, psnr
 
-__all__ = ["bit_accuracy", "mae", "mse", "psnr", "snr_db"]
+__all__ = ["mse", "psnr"]

@@ -12,26 +12,15 @@ import math
 import numpy as np
 
 
-def _aligned(reference, result) -> tuple:
+def mse(reference, result) -> float:
+    """Mean squared error between a reference and a result."""
     ref = np.asarray(reference, dtype=float)
     res = np.asarray(result, dtype=float)
     if ref.shape != res.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {res.shape}")
     if ref.size == 0:
         raise ValueError("cannot score empty arrays")
-    return ref, res
-
-
-def mse(reference, result) -> float:
-    """Mean squared error between a reference and a result."""
-    ref, res = _aligned(reference, result)
     return float(np.mean((ref - res) ** 2))
-
-
-def mae(reference, result) -> float:
-    """Mean absolute error."""
-    ref, res = _aligned(reference, result)
-    return float(np.mean(np.abs(ref - res)))
 
 
 def psnr(reference, result, max_value: float = 255.0) -> float:
@@ -47,31 +36,3 @@ def psnr(reference, result, max_value: float = 255.0) -> float:
     if error == 0.0:
         return math.inf
     return 10.0 * math.log10(max_value * max_value / error)
-
-
-def snr_db(reference, result) -> float:
-    """Signal-to-noise ratio in dB (``inf`` for identical arrays)."""
-    ref, res = _aligned(reference, result)
-    noise = float(np.sum((ref - res) ** 2))
-    signal = float(np.sum(ref**2))
-    if signal == 0.0:
-        raise ValueError("reference has zero signal power")
-    if noise == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal / noise)
-
-
-def bit_accuracy(reference, result, bits: int = 16) -> float:
-    """Fraction of identical bits between two integer arrays."""
-    ref = np.asarray(reference, dtype=np.int64)
-    res = np.asarray(result, dtype=np.int64)
-    if ref.shape != res.shape:
-        raise ValueError(f"shape mismatch: {ref.shape} vs {res.shape}")
-    if ref.size == 0:
-        raise ValueError("cannot score empty arrays")
-    if not 1 <= bits <= 63:
-        raise ValueError("bits must be in 1..63")
-    mask = (1 << bits) - 1
-    diff = (ref ^ res) & mask
-    wrong = sum(bin(int(d)).count("1") for d in diff.ravel())
-    return 1.0 - wrong / (ref.size * bits)

@@ -1,8 +1,9 @@
 """Idealised energy store: no leakage, perfect conversion.
 
-Used as a reference to separate architectural effects (backup/restore
-overheads) from storage losses, and as the upper bound in the
-capacitor-sizing experiment.
+A reference that separates architectural effects (backup/restore
+overheads) from storage losses.  No command or paper-claim bench
+builds one; the storage, fast-path, fleet and native-kernel tests
+diff the loss-free arithmetic against it.
 
 The ideal store is a :class:`~repro.storage.capacitor.Capacitor` whose
 parameters turn every loss into an exact float identity: ``C = 1``, a

@@ -4,10 +4,10 @@ Fast-forward (:mod:`repro.system.fastpath`) eliminated dormant-tick
 cost; the scalar per-tick interpreter over *active* execution was the
 remaining floor (the ``oracle_guard`` preset in BENCH_core sat at
 1.0x).  Between irregular events — backup-threshold crossings, power
-deficits, workload unit boundaries and completions, periodic
-checkpoints — a powered-on platform running an
-:class:`~repro.workloads.base.AbstractWorkload` is a straight-line
-recurrence, so whole runs of ticks can be advanced in one call.
+deficits, workload unit boundaries and completions — a powered-on
+platform running an :class:`~repro.workloads.base.AbstractWorkload`
+is a straight-line recurrence, so whole runs of ticks can be advanced
+in one call.
 
 This module is that engine.  Platforms expose it as the opt-in
 ``exact_batch(p_in_w, start, stop, dt_s)`` capability (the active-path
@@ -53,9 +53,9 @@ order):
 
 Event ticks are detected on *candidate* values: the loop computes the
 tick's deltas into locals, and on a deficit (or a pre-tick threshold
-crossing, unit boundary, periodic-checkpoint trip, or finishing tick)
-discards them and stops — the scalar path then re-executes the tick
-from the identical platform state.
+crossing, unit boundary, or finishing tick) discards them and stops —
+the scalar path then re-executes the tick from the identical platform
+state.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ __all__ = [
     "isa_storage_run",
 ]
 
-#: Conservative relative margin used by the ISA pre-checks.  Covers the
+#: Conservative relative margin used by the ISA pre-check.  Covers the
 #: accumulated float rounding of per-instruction time/energy sums for
 #: runs up to ~10^7 instructions per tick (error ~n * 2^-52 << 1e-8).
 _ISA_MARGIN = 1.0e-8
@@ -110,10 +110,10 @@ def run_batch(
 
     and on whether the platform has a storage element (the oracle has
     none).  ``stops`` returns the storage kernels' keyword stop rules
-    (``stop_energy_j``, ``period_limit``, ``period_count``,
-    ``stop_at_unit_boundary``); it is called once, at ``start``, the
-    tick the simulator stamped the bus clock for, so a lazily planned
-    threshold emits with the tick the exact engine would use.
+    (``stop_energy_j``, ``stop_at_unit_boundary``); it is called once,
+    at ``start``, the tick the simulator stamped the bus clock for, so
+    a lazily planned threshold emits with the tick the exact engine
+    would use.
     Unit-boundary stops cannot be pre-checked on a functional
     workload, so that combination declines.
 
@@ -209,8 +209,6 @@ def storage_run(
     stop: int,
     dt_s: float,
     stop_energy_j: Optional[float] = None,
-    period_limit: Optional[int] = None,
-    period_count: int = 0,
     stop_at_unit_boundary: bool = False,
 ) -> int:
     """Batch powered-on ticks of a storage-backed platform.
@@ -222,18 +220,14 @@ def storage_run(
 
     * stored energy at tick start ``<= stop_energy_j`` (the NVP /
       Hibernus voltage trigger; ``None`` disables);
-    * ``period_count`` + the tick's instruction count reaches
-      ``period_limit`` (the Mementos periodic checkpoint;
-      ``None`` disables);
     * the tick's instructions cross a workload unit boundary
       (wait-and-compute commits; ``stop_at_unit_boundary``);
     * the workload would finish;
     * the storage reports a deficit (power collapse).
 
-    ``period_count`` is the platform's instructions-since-checkpoint
-    counter at batch start; every batched instruction also lands in
-    ``ledger.volatile``.  The loop is the native kernel's
-    (:func:`repro.native.reference.storage_run` and its C twin).
+    Every batched instruction lands in ``ledger.volatile``.  The loop
+    is the native kernel's (:func:`repro.native.reference.storage_run`
+    and its C twin).
     Returns the ticks consumed.
     """
     workload = platform.workload
@@ -251,8 +245,6 @@ def storage_run(
         ),
         (
             -math.inf if stop_energy_j is None else stop_energy_j,
-            period_limit,
-            period_count,
             stop_at_unit_boundary,
         ),
         (
@@ -320,25 +312,19 @@ def isa_storage_run(
     stop: int,
     dt_s: float,
     stop_energy_j: Optional[float] = None,
-    period_limit: Optional[int] = None,
-    period_count: int = 0,
 ) -> int:
     """Batch powered-on storage-backed ticks of a functional workload.
 
     Same stop conditions as :func:`storage_run`, but the per-tick
     instruction count and energy come from really executing the
     workload's ``advance`` (block engine), so event ticks cannot be
-    predicted from a closed form.  Instead each tick passes two
-    *conservative* pre-checks before ``advance`` is called:
-
-    * ``period_count`` plus a worst-case instruction bound
-      (``int(budget / min_instruction_time * (1 + eps)) + 2``)
-      stays below ``period_limit``;
-    * post-charge/leak stored energy (computable exactly before the
-      advance — it does not depend on the load) covers a worst-case
-      demand bound (``(budget + max_instruction_time) * max_power``
-      plus margins, where ``max_power`` is the worst
-      energy-per-second over the instruction classes).
+    predicted from a closed form.  Instead each tick passes a
+    *conservative* pre-check before ``advance`` is called: the
+    post-charge/leak stored energy (computable exactly before the
+    advance — it does not depend on the load) covers a worst-case
+    demand bound (``(budget + max_instruction_time) * max_power``
+    plus margins, where ``max_power`` is the worst energy-per-second
+    over the instruction classes).
 
     A failed pre-check stops the batch and the tick re-executes on
     the scalar path from identical state — conservative stops only
@@ -355,7 +341,7 @@ def isa_storage_run(
     energy, total_charged, total_leaked, total_wasted = storage.soa_state()
     total_delivered = storage.total_delivered_j
 
-    min_time, max_time, max_power = workload.advance_bounds()
+    max_time, max_power = workload.advance_bounds()
     advance = workload.advance
     stall = platform._stall_s
     consumed = platform.consumed_j
@@ -378,14 +364,7 @@ def isa_storage_run(
             new_stall = stall - dt
             if new_stall < 0.0:
                 new_stall = 0.0
-            # Worst-case instruction count this tick could retire.
             worst_budget = exec_budget + workload._time_credit_s
-            worst_count = int(worst_budget / min_time * margin) + 2
-            if (
-                period_limit is not None
-                and period_count + worst_count >= period_limit
-            ):
-                break  # might trip the periodic checkpoint: go scalar
             # -- storage candidate: charge and leak do not depend on
             #    the load, so they run before the workload advances --
             new_energy, charged, leaked, wasted = chain_step(
@@ -409,7 +388,6 @@ def isa_storage_run(
             energy = new_energy
             stall = new_stall
             total_instr += adv.instructions
-            period_count += adv.instructions
             consumed += delivered
             total_charged += charged
             total_leaked += leaked

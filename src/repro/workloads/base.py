@@ -150,7 +150,8 @@ class AbstractWorkload(Workload):
     Args:
         total_units: number of work units; ``None`` for unbounded.
         instructions_per_unit: instructions per unit.
-        energy_model: charging model (clock frequency matters).
+        energy_model: charging model (clock frequency matters); fixed
+            at construction.
         mix: instruction-class mix; defaults to the generic embedded mix.
     """
 
@@ -167,21 +168,29 @@ class AbstractWorkload(Workload):
             raise ValueError("total_units must be positive or None")
         self.total_units = total_units
         self.instructions_per_unit = instructions_per_unit
-        self.energy_model = energy_model if energy_model is not None else EnergyModel()
+        self._energy_model = (
+            energy_model if energy_model is not None else EnergyModel()
+        )
         self.mix = dict(mix) if mix is not None else dict(DEFAULT_MIX)
         total_fraction = sum(self.mix.values())
         if total_fraction <= 0:
             raise ValueError("instruction mix must have positive total weight")
         self._energy_per_instr = sum(
-            frac / total_fraction * self.energy_model.instruction_energy(cls)
+            frac / total_fraction * self._energy_model.instruction_energy(cls)
             for cls, frac in self.mix.items()
         )
         self._time_per_instr = sum(
-            frac / total_fraction * self.energy_model.instruction_time(cls)
+            frac / total_fraction * self._energy_model.instruction_time(cls)
             for cls, frac in self.mix.items()
         )
         self._retired = 0
         self._time_credit_s = 0.0
+
+    @property
+    def energy_model(self) -> EnergyModel:
+        """The charging model; read-only, since the per-instruction
+        time and energy are derived from it at construction."""
+        return self._energy_model
 
     # -- Workload interface ------------------------------------------------
 
@@ -290,12 +299,10 @@ class FunctionalWorkload(Workload):
     Args:
         program: an assembled :class:`~repro.isa.assembler.Program`.
         total_units: number of frames to process.
-        energy_model: cycle/energy charging model.
+        energy_model: cycle/energy charging model; fixed at
+            construction.
         max_instructions_per_unit: safety valve against runaway
             programs.
-        data_images: optional per-frame data-image overlays (cycled by
-            frame index) — this is how a streaming sensor feeds a new
-            frame into the same program each unit.
         block_engine: execute through the block-compiled engine
             (:class:`~repro.isa.blockengine.BlockEngine`, compiled on
             first use); ``False`` steps the NV16 interpreter
@@ -309,18 +316,16 @@ class FunctionalWorkload(Workload):
         total_units: int = 1,
         energy_model: Optional[EnergyModel] = None,
         max_instructions_per_unit: int = 5_000_000,
-        data_images=None,
         block_engine: bool = True,
     ) -> None:
         if total_units <= 0:
             raise ValueError("total_units must be positive")
-        if data_images is not None and len(data_images) == 0:
-            raise ValueError("data_images cannot be empty when given")
         self.program = program
         self.total_units = total_units
-        self.energy_model = energy_model if energy_model is not None else EnergyModel()
+        self._energy_model = (
+            energy_model if energy_model is not None else EnergyModel()
+        )
         self.max_instructions_per_unit = max_instructions_per_unit
-        self.data_images = list(data_images) if data_images is not None else None
         self.block_engine = block_engine
         self._units_done = 0
         self._retired = 0
@@ -334,24 +339,27 @@ class FunctionalWorkload(Workload):
         self._block_engine = None
         self._advance_bounds: Optional[tuple] = None
 
+    @property
+    def energy_model(self) -> EnergyModel:
+        """The charging model; read-only, since the CPU, the compiled
+        block engine and :meth:`advance_bounds` all hold it."""
+        return self._energy_model
+
     def _fresh_cpu(self) -> CPU:
-        cpu = CPU(self.program.instructions, MemoryMap(), self.energy_model)
+        cpu = CPU(self.program.instructions, MemoryMap(), self._energy_model)
         cpu.memory.load_image(self.program.data_image)
-        if self.data_images is not None:
-            frame = self._units_done % len(self.data_images)
-            cpu.memory.load_image(self.data_images[frame])
         return cpu
 
     def _engine(self):
         """The executor ``advance`` drives: the block engine, compiled
-        again if the operating point changed, or the interpreter."""
+        on first use, or the interpreter."""
         if not self.block_engine:
             return _INTERPRETER
         engine = self._block_engine
-        model = self.energy_model
-        signature = (model.frequency_hz, model.vdd, model.static_power_w)
-        if engine is None or engine.model_signature != signature:
-            engine = blockengine.BlockEngine(self.program.instructions, model)
+        if engine is None:
+            engine = blockengine.BlockEngine(
+                self.program.instructions, self._energy_model
+            )
             self._block_engine = engine
         return engine
 
@@ -397,7 +405,7 @@ class FunctionalWorkload(Workload):
         if time_budget_s < 0:
             raise ValueError("time budget cannot be negative")
         budget = time_budget_s + self._time_credit_s
-        min_step_s = self.energy_model.cycle_time_s
+        min_step_s = self._energy_model.cycle_time_s
         if budget < min_step_s or self.finished:
             self._time_credit_s = budget if not self.finished else 0.0
             return AdvanceResult(0, 0.0, 0.0)
@@ -506,24 +514,22 @@ class FunctionalWorkload(Workload):
         )
 
     def advance_bounds(self) -> tuple:
-        """Worst-case ``(min_time, max_time, max_power)`` per instruction.
+        """Worst-case ``(max_time, max_power)`` per instruction.
 
         The batched exact kernel uses these to bound what one
         ``advance(budget)`` call can do without executing it: no tick
-        can retire more than ``budget / min_time + 1`` instructions,
-        nor draw more than ``(budget + max_time) * max_power`` joules
+        can draw more than ``(budget + max_time) * max_power`` joules
         (every instruction's energy is at most its execution time times
         the worst energy-per-second over the nine instruction classes,
         and the last instruction may overshoot the budget by at most
-        ``max_time``).  All three are fixed properties of the energy
-        model, so they are computed once.
+        ``max_time``).  Both are fixed properties of the energy model,
+        so they are computed once.
         """
         bounds = self._advance_bounds
         if bounds is None:
-            model = self.energy_model
+            model = self._energy_model
             times = {cls: model.instruction_time(cls) for cls in InstrClass}
             bounds = (
-                min(times.values()),
                 max(times.values()),
                 max(
                     model.instruction_energy(cls) / times[cls]

@@ -1,9 +1,11 @@
-"""Kernels written in NVC and compiled to NV16.
+"""Test corpus: kernels written in NVC and compiled to NV16.
 
-Demonstrates the compiler path end-to-end: the same sensing kernels
-the assembly suite provides, expressed in the high-level language,
-compiled, and packaged as :class:`~repro.workloads.asmkit.KernelBuild`
-objects with bit-exact NumPy references.
+Not part of the package: the compiler tests and the block-engine
+diffs use these to drive the compiler path end to end.  They are the
+same sensing kernels the assembly suite provides, expressed in the
+high-level language, compiled, and packaged as
+:class:`~repro.workloads.asmkit.KernelBuild` objects with bit-exact
+NumPy references.
 """
 
 from __future__ import annotations

@@ -33,8 +33,6 @@ class TestConfigValidation:
         [
             {"checkpoint_words": 0},
             {"instructions_per_word": 0},
-            {"trigger": "bogus"},
-            {"period_instructions": 0},
             {"margin": 0.5},
             {"boot_time_s": -1.0},
         ],
@@ -60,10 +58,6 @@ class TestCostModel:
             checkpoint.checkpoint_energy_j()
             > 5 * nvp.controller.worst_case_backup_energy_j()
         )
-        assert (
-            checkpoint.checkpoint_time_s()
-            > 5 * nvp.controller.worst_case_backup_time_s()
-        )
 
     def test_restore_includes_boot(self):
         platform = make_platform()
@@ -81,7 +75,7 @@ class TestVoltageTrigger:
         # outages, so every off-period forces a checkpoint.
         workload = AbstractWorkload(instructions_per_unit=5_000)
         platform = CheckpointPlatform(
-            workload, lossless_cap(0.33e-6), CheckpointConfig(trigger="voltage")
+            workload, lossless_cap(0.33e-6), CheckpointConfig()
         )
         trace = square_trace(
             high_w=1000e-6, low_w=0.0, period_s=0.2, duty=0.5, duration_s=duration
@@ -99,37 +93,6 @@ class TestVoltageTrigger:
         platform, result = self.run_square()
         assert platform.ledger.persistent > 0
         assert result.rollbacks == 0
-
-
-class TestPeriodicTrigger:
-    def test_checkpoints_every_period(self):
-        config = CheckpointConfig(trigger="periodic", period_instructions=1_000)
-        platform = make_platform(config)
-        trace = constant_trace(800e-6, 1.0)
-        result = SystemSimulator(trace, platform, stop_when_finished=False).run()
-        executed = result.total_executed
-        # One checkpoint per ~1000 instructions (within rounding).
-        assert result.backups == pytest.approx(executed / 1_000, rel=0.2)
-
-    def test_rollback_to_last_checkpoint_on_crash(self):
-        config = CheckpointConfig(trigger="periodic", period_instructions=500)
-        platform = make_platform(config)
-        # Boot it on abundant power.
-        for _ in range(20_000):
-            platform.tick(800e-6, DT)
-            if platform.ledger.persistent > 0:
-                break
-        assert platform.ledger.persistent > 0
-        persistent_before = platform.ledger.persistent
-        # Cut power below a tick's worth of run energy -> brownout.
-        # (The checkpoint's copy-loop stall takes a few ticks to clear.)
-        platform.storage.set_energy(1e-12)
-        for _ in range(100):
-            platform.tick(0.0, DT)
-            if platform.ledger.rollbacks:
-                break
-        assert platform.ledger.rollbacks >= 1
-        assert platform.ledger.persistent == persistent_before
 
 
 class TestStats:

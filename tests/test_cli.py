@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -306,6 +308,56 @@ class TestMalformedFlags:
     ])
     def test_one_error_line_exit_2(self, capsys, argv, key):
         assert_one_error_line_exit_2(capsys, argv, key)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep", "SPEC", "--jobs", "0"], "--jobs"),
+        (["sweep", "SPEC", "--timeout", "nan"], "--timeout"),
+        (["sweep", "SPEC", "--timeout", "0"], "--timeout"),
+        (["compare", "--jobs", "0"], "--jobs"),
+        (["bench-report", "--max-regression", "nan"], "--max-regression"),
+        (["bench-report", "--max-regression", "1.5"], "--max-regression"),
+        (["fleet", "run", "FLEET", "--telemetry-every", "nan"],
+         "--telemetry-every"),
+        (["fleet", "watch", "FLEET", "--telemetry-every", "-1"],
+         "--telemetry-every"),
+        (["fleet", "run", "FLEET", "--replay-device", "9999"],
+         "--replay-device"),
+        (["fleet", "run", "FLEET", "--replay-device", "-1"],
+         "--replay-device"),
+        (["fleet", "correlate", "FLEET", "--window", "nan"], "--window"),
+        (["fleet", "correlate", "FLEET", "--threshold", "nan"],
+         "--threshold"),
+        (["fleet", "correlate", "FLEET", "--storm-fraction", "2"],
+         "--storm-fraction"),
+        (["runs", "list", "--since", "1d"], "--since"),
+        (["runs", "list", "--since", "nan"], "--since"),
+        (["runs", "list", "--until", "inf"], "--until"),
+        (["runs", "list", "--limit", "0"], "--limit"),
+        (["runs", "list", "--limit", "-1"], "--limit"),
+    ])
+    def test_run_flags_exit_2_before_running(self, capsys, tmp_path,
+                                             monkeypatch, argv, key):
+        """Sweep, fleet, report and ledger flags are checked before a
+        spec runs, a cache opens or a ledger record is written."""
+        from repro.obs.ledger import RunLedger
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "flags", "base": {"duration_s": 0.2},
+            "axes": {"platform": ["nvp", "wait"]},
+        }))
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps({
+            "name": "flags", "base": {"duration_s": 0.2}, "replicas": 2,
+        }))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        paths = {"SPEC": str(spec), "FLEET": str(fleet)}
+        assert_one_error_line_exit_2(
+            capsys, [paths.get(arg, arg) for arg in argv], key
+        )
+        assert not cache.exists()
+        assert RunLedger.from_env().records() == []
 
     @pytest.mark.parametrize("command", [["compile"], ["profile", "--file"]])
     @pytest.mark.parametrize("source", [

@@ -68,11 +68,6 @@ class TestSRAMBackup:
         )
         assert loaded.total_backup_bits == bare.total_backup_bits + 1024 * 16
 
-    def test_backup_time_includes_working_set(self):
-        bare = BackupController(NVPConfig(), data_words=8)
-        loaded = BackupController(NVPConfig(sram_backup_words=1024), data_words=8)
-        assert loaded.worst_case_backup_time_s() > bare.worst_case_backup_time_s()
-
     def test_restore_costs_include_working_set(self):
         bare = BackupController(NVPConfig(), data_words=8)
         loaded = BackupController(NVPConfig(sram_backup_words=1024), data_words=8)

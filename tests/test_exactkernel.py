@@ -354,46 +354,37 @@ class TestStorageRunProperties:
     def test_deficit_tick_is_left_for_the_scalar_path(self):
         """The collapse tick's candidate values are fully discarded.
 
-        A periodic-trigger checkpoint platform with an unreachable
-        period has no voltage protection, so on a dead trace it runs
-        its storage down to a genuine deficit.
+        Wait-and-compute's stops have no energy threshold, so with its
+        store cut below one unit's energy it runs down to a genuine
+        deficit on a dead trace before the unit boundary.
         """
-        from repro.baselines.checkpoint import (
-            CheckpointConfig,
-            CheckpointPlatform,
-        )
         from repro.storage.capacitor import Capacitor
 
         def warmed():
-            platform = CheckpointPlatform(
-                AbstractWorkload(),
-                Capacitor(150e-9),
-                CheckpointConfig(
-                    trigger="periodic", period_instructions=10**9
-                ),
-            )
-            index = 0
-            while platform._state != "on":
-                platform.tick(powers[index], DT)
-                index += 1
-            return platform, index
+            platform = WaitComputePlatform(AbstractWorkload(), Capacitor(4.7e-6))
+            for _ in range(10_000):
+                if platform._state == "on":
+                    break
+                platform.tick(80e-6, DT)
+            assert platform._state == "on"
+            platform.storage.set_energy(0.25 * platform.unit_energy_target_j())
+            return platform
 
-        powers = [80e-6] * 4000 + [0.0] * 50000
-        batched, start = warmed()
-        scalar, start2 = warmed()
-        assert start == start2
+        powers = [0.0] * 50000
+        batched, scalar = warmed(), warmed()
         ticks = exactkernel.storage_run(
-            batched, powers, start, len(powers), DT
+            batched, powers, 0, len(powers), DT, stop_at_unit_boundary=True
         )
         # Without a stop threshold the batch runs until the deficit.
-        assert start + ticks < len(powers)
-        for i in range(start, start + ticks):
+        assert 0 < ticks < len(powers)
+        assert batched.workload.units_completed == 0
+        for i in range(ticks):
             report = scalar.tick(powers[i], DT)
             assert report.state == "run"
         assert_platforms_equal(batched, scalar)
         # The very next tick is the collapse both engines agree on.
-        batched.tick(powers[start + ticks], DT)
-        scalar.tick(powers[start + ticks], DT)
+        batched.tick(powers[ticks], DT)
+        scalar.tick(powers[ticks], DT)
         assert batched._state == scalar._state == "off"
         assert batched.ledger.rollbacks == scalar.ledger.rollbacks == 1
         assert_platforms_equal(batched, scalar)
@@ -504,20 +495,6 @@ class TestIsaKernelEquivalence:
         scalar, _ = self.run_kernel_sim(
             builder, trace, kernel=kernel, batch=False, swf=swf
         )
-        assert sim.ticks_batched > 0
-        assert batched.to_dict() == scalar.to_dict()
-
-    def test_periodic_checkpoint_trigger_batches_conservatively(self):
-        from repro.baselines.checkpoint import CheckpointConfig
-
-        config = CheckpointConfig(trigger="periodic", period_instructions=700)
-
-        def builder(workload):
-            return build_checkpoint(workload, config=config)
-
-        trace = wristwatch_trace(3.0, seed=11)
-        batched, sim = self.run_kernel_sim(builder, trace, batch=None)
-        scalar, _ = self.run_kernel_sim(builder, trace, batch=False)
         assert sim.ticks_batched > 0
         assert batched.to_dict() == scalar.to_dict()
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_cli import assert_one_error_line_exit_2
 
 
 @pytest.fixture
@@ -117,11 +118,14 @@ class TestSweepCommand:
     @pytest.mark.parametrize("timeout", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_timeout_is_clean_error(self, spec_file, cache_dir,
-                                              timeout, jobs):
+                                              capsys, timeout, jobs):
         # NaN and infinity once failed every point on a pool (``jobs``
         # 2) and were silently ignored in-process (``jobs`` 1).
-        with pytest.raises(SystemExit, match="^error: .*timeout"):
-            main(["sweep", spec_file, "--jobs", jobs, "--timeout", timeout])
+        assert_one_error_line_exit_2(
+            capsys,
+            ["sweep", spec_file, "--jobs", jobs, "--timeout", timeout],
+            "--timeout",
+        )
 
     def test_jobs_1_fails_points_past_the_timeout(self, spec_file, cache_dir,
                                                   capsys):

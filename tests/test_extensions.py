@@ -14,7 +14,6 @@ from repro.harvest.sources import (
     thermal_trace,
     wristwatch_trace,
 )
-from repro.nvm.technology import FERAM, RERAM, STT_MRAM
 from repro.storage.capacitor import Capacitor, ChargeEfficiency
 from repro.storage.frontend import DualChannelFrontEnd, SingleChannelFrontEnd
 from repro.system.peripherals import (
@@ -68,23 +67,6 @@ class TestHybridHarvesting:
 
     def test_hybrid_deterministic(self):
         assert hybrid_trace(0.5, seed=3) == hybrid_trace(0.5, seed=3)
-
-
-class TestEnduranceLifetime:
-    def test_lifetime_formula(self):
-        assert FERAM.lifetime_s(100.0) == pytest.approx(1e12)
-
-    def test_reram_endurance_is_the_binding_constraint(self):
-        """At ~200 backups/s, ReRAM's 1e8 endurance gives days of life
-        while FeRAM and STT-MRAM last decades — the endurance screen."""
-        rate = 200.0
-        assert RERAM.lifetime_s(rate) < 10 * 86_400
-        assert FERAM.lifetime_s(rate) > 3.15e7 * 10
-        assert STT_MRAM.lifetime_s(rate) > 3.15e7 * 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FERAM.lifetime_s(0.0)
 
 
 def lossless_cap(capacitance=1e-6):

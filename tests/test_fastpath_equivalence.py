@@ -381,14 +381,6 @@ class TestRectifierArrayPath:
         scalar_out = np.array([rect.output_power(float(p)) for p in samples])
         assert np.array_equal(array_out, scalar_out)
 
-    def test_convert_uses_array_path(self):
-        trace = wristwatch_trace(0.2, seed=1)
-        rect = standard_rectifier()
-        converted = rect.convert(trace)
-        assert np.array_equal(
-            converted.samples_w, rect.output_power_array(trace.samples_w)
-        )
-
 
 class TestTraceDtype:
     def test_power_trace_guarantees_contiguous_float64(self):

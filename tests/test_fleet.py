@@ -20,6 +20,7 @@ from repro.fleet import (
 )
 from repro.storage.capacitor import Capacitor, ChargeEfficiency
 from repro.storage.ideal import IdealStorage
+from tests.test_cli import assert_one_error_line_exit_2
 
 
 def make_spec(**overrides):
@@ -341,10 +342,26 @@ class TestFleetCli:
         with pytest.raises(SystemExit, match="error: .*stagger_s"):
             main(["fleet", "run", str(path)])
 
-    def test_non_finite_cadence_errors_cleanly(self, spec_file, cache_dir):
-        with pytest.raises(SystemExit, match="error: .*every_s"):
-            main(["fleet", "run", spec_file, "--telemetry-every", "nan"])
+    def test_non_finite_cadence_exits_2(self, spec_file, cache_dir, capsys):
+        assert_one_error_line_exit_2(
+            capsys, ["fleet", "run", spec_file, "--telemetry-every", "nan"],
+            "--telemetry-every",
+        )
 
-    def test_replay_index_out_of_range(self, spec_file, cache_dir):
-        with pytest.raises(SystemExit):
-            main(["fleet", "run", spec_file, "--replay-device", "99"])
+    def test_replay_index_out_of_range_exits_2_before_running(
+        self, spec_file, cache_dir, capsys, tmp_path
+    ):
+        from repro.obs.ledger import RunLedger
+
+        results = tmp_path / "results"
+        telemetry = tmp_path / "telemetry.jsonl"
+        for index in ("99", "-1"):
+            assert_one_error_line_exit_2(capsys, [
+                "fleet", "run", spec_file, "--replay-device", index,
+                "--results-dir", str(results),
+                "--telemetry-out", str(telemetry),
+            ], "--replay-device")
+        assert not results.exists()
+        assert not telemetry.exists()
+        assert not cache_dir.exists()
+        assert RunLedger.from_env().records() == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.harvest.rectifier import IDEAL_RECTIFIER, Rectifier
-from repro.harvest.sources import constant_trace
 
 
 class TestEfficiencyCurve:
@@ -41,16 +40,6 @@ class TestEfficiencyCurve:
 
 
 class TestConvert:
-    def test_convert_matches_pointwise(self):
-        rect = Rectifier()
-        trace = constant_trace(50e-6, 0.01)
-        converted = rect.convert(trace)
-        assert converted.samples_w[0] == pytest.approx(rect.output_power(50e-6))
-
-    def test_convert_labels_source(self):
-        converted = Rectifier().convert(constant_trace(1e-6, 0.01))
-        assert converted.source.endswith("+rect")
-
     def test_low_power_penalised_harder(self):
         """Conversion losses hit weak income hardest — the wait-compute
         penalty the tutorial highlights."""

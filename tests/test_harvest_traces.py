@@ -49,20 +49,6 @@ class TestConstruction:
         assert make_trace([1.0, 2.0]) != make_trace([1.0, 3.0])
 
 
-class TestPowerAt:
-    def test_zero_order_hold(self):
-        trace = make_trace([1.0, 2.0, 3.0])
-        assert trace.power_at(0.0) == 1.0
-        assert trace.power_at(1.5e-4) == 2.0
-
-    def test_out_of_range(self):
-        trace = make_trace([1.0])
-        with pytest.raises(ValueError):
-            trace.power_at(1e-4)
-        with pytest.raises(ValueError):
-            trace.power_at(-1e-9)
-
-
 class TestTransforms:
     def test_scaled_to_mean(self):
         trace = make_trace([1.0, 3.0]).scaled_to_mean(10.0)
@@ -87,34 +73,11 @@ class TestTransforms:
         with pytest.raises(ValueError):
             trace.slice(1e-4, 1e-4)
 
-    def test_repeated(self):
-        trace = make_trace([1.0, 2.0]).repeated(3)
-        assert len(trace) == 6
-        assert list(trace.samples_w[:4]) == [1.0, 2.0, 1.0, 2.0]
-
-    def test_resampled_halves_samples(self):
-        trace = make_trace([1.0, 2.0, 3.0, 4.0]).resampled(2e-4)
-        assert len(trace) == 2
-
-    def test_resample_preserves_duration_approximately(self):
-        trace = make_trace(np.linspace(0, 1, 1000))
-        resampled = trace.resampled(3.3e-4)
-        assert resampled.duration_s == pytest.approx(trace.duration_s, rel=0.01)
-
     def test_transforms_do_not_mutate_original(self):
         trace = make_trace([1.0, 5.0])
         trace.clipped(2.0)
         trace.scaled_to_mean(100.0)
         assert list(trace.samples_w) == [1.0, 5.0]
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = make_trace([1e-6, 2e-6, 3e-6])
-        path = str(tmp_path / "trace.npz")
-        trace.save(path)
-        loaded = PowerTrace.load(path)
-        assert loaded == trace
 
 
 @given(

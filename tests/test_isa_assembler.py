@@ -1,9 +1,17 @@
 """Unit tests for the NV16 assembler."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import (
+    BRANCH_OPCODES,
+    IMM_MAX,
+    IMM_MIN,
+    IMMEDIATE_OPCODES,
+    Instruction,
+    Opcode,
+)
 from repro.isa.memory import NVM_BASE
 
 
@@ -213,3 +221,40 @@ class TestEncodedWords:
 
         prog = assemble("add r1, r2, r3\nli r4, 9\nhalt")
         assert [decode(w) for w in prog.words] == prog.instructions
+
+
+def instruction_form(op, rd, rs1, rs2, imm):
+    """The text form of one instruction and the fields it sets."""
+    name = op.name.lower()
+    if op in (Opcode.NOP, Opcode.HALT):
+        return name, Instruction(op)
+    if op is Opcode.LD:
+        text = f"{name} r{rd}, {imm}(r{rs1})"
+        return text, Instruction(op, rd=rd, rs1=rs1, imm=imm)
+    if op is Opcode.ST:
+        text = f"{name} r{rs2}, {imm}(r{rs1})"
+        return text, Instruction(op, rs1=rs1, rs2=rs2, imm=imm)
+    if op in (Opcode.LUI, Opcode.JAL):
+        return f"{name} r{rd}, {imm}", Instruction(op, rd=rd, imm=imm)
+    if op in BRANCH_OPCODES:
+        text = f"{name} r{rs1}, r{rs2}, {imm}"
+        return text, Instruction(op, rs1=rs1, rs2=rs2, imm=imm)
+    if op in IMMEDIATE_OPCODES:
+        text = f"{name} r{rd}, r{rs1}, {imm}"
+        return text, Instruction(op, rd=rd, rs1=rs1, imm=imm)
+    text = f"{name} r{rd}, r{rs1}, r{rs2}"
+    return text, Instruction(op, rd=rd, rs1=rs1, rs2=rs2)
+
+
+@given(
+    op=st.sampled_from(sorted(Opcode)),
+    rd=st.integers(0, 7),
+    rs1=st.integers(0, 7),
+    rs2=st.integers(0, 7),
+    imm=st.integers(IMM_MIN, IMM_MAX),
+)
+def test_every_instruction_form_assembles_to_its_fields(op, rd, rs1, rs2, imm):
+    """Each opcode, in its operand form, with any registers and any
+    immediate in range, assembles to exactly the fields it names."""
+    text, expected = instruction_form(op, rd, rs1, rs2, imm)
+    assert assemble(text).instructions == [expected]

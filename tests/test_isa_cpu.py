@@ -245,19 +245,12 @@ class TestExecutionControl:
         assert cpu.run(max_instructions=500) == 500
         assert not cpu.state.halted
 
-    def test_reset(self):
-        cpu = run_asm("li r1, 5\nhalt")
-        cpu.reset()
-        assert cpu.state.regs[1] == 0
-        assert cpu.state.pc == 0
-        assert not cpu.state.halted
-
 
 class TestSnapshotRestore:
     def test_snapshot_roundtrip(self):
         cpu = run_asm("li r1, 7\nli r2, 9\nhalt")
         snap = cpu.snapshot()
-        cpu.reset()
+        cpu.state = CPUState()
         assert cpu.state.regs[1] == 0
         cpu.restore(snap)
         assert cpu.state.regs[1] == 7

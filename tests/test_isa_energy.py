@@ -72,15 +72,6 @@ class TestEnergyModel:
         assert model.instruction_time(InstrClass.ALU) == pytest.approx(1e-6)
         assert model.instruction_time(InstrClass.DIV) == pytest.approx(8e-6)
 
-    def test_average_power_near_calibration_target(self):
-        """At 1 MHz the default model should draw roughly 0.21 mW."""
-        power = EnergyModel().average_power()
-        assert 0.15e-3 < power < 0.30e-3
-
-    def test_average_power_rejects_empty_mix(self):
-        with pytest.raises(ValueError):
-            EnergyModel().average_power({})
-
     def test_default_mix_sums_to_one(self):
         assert sum(DEFAULT_MIX.values()) == pytest.approx(1.0)
 

@@ -92,7 +92,7 @@ class TestReadWrite:
             assert delta_write == write, hex(address)
         assert mem.input_queue == [12]
         assert mem.output == [0x1234]
-        assert mem.dump_words(OUTPUT_PORT, 1) == [0]
+        assert mem._words[OUTPUT_PORT] == 0
 
     def test_output_port_appends(self):
         mem = MemoryMap()
@@ -114,30 +114,16 @@ class TestReadWrite:
 
 
 class TestBulkOps:
-    def test_load_words_and_dump(self):
-        mem = MemoryMap()
-        mem.load_words(0x8000, [1, 2, 3])
-        assert mem.dump_words(0x8000, 3) == [1, 2, 3]
-
-    def test_load_words_not_charged(self):
-        mem = MemoryMap()
-        mem.load_words(NVM_BASE, [1, 2])
-        assert mem.nvm_writes == 0
-
-    def test_load_words_into_mmio_rejected(self):
-        mem = MemoryMap()
-        with pytest.raises(ValueError):
-            mem.load_words(MMIO_BASE - 1, [1, 2])
-
     def test_load_image(self):
         mem = MemoryMap()
         mem.load_image({0x8000: 9, 0x8002: 11})
-        assert mem.dump_words(0x8000, 3) == [9, 0, 11]
+        assert mem._words[0x8000:0x8003] == [9, 0, 11]
+        assert mem.nvm_writes == 0
 
-    def test_dump_out_of_range_rejected(self):
+    def test_load_image_into_mmio_rejected(self):
         mem = MemoryMap()
         with pytest.raises(ValueError):
-            mem.dump_words(ADDRESS_SPACE - 1, 2)
+            mem.load_image({MMIO_BASE: 1})
 
 
 class TestVolatility:
@@ -154,23 +140,10 @@ class TestVolatility:
         mem.clear_volatile()
         assert len(mem._words) == ADDRESS_SPACE
         ram_words = NVM_BASE - RAM_BASE
-        assert mem.dump_words(RAM_BASE, ram_words) == [0] * ram_words
-        assert mem.dump_words(NVM_BASE, 1) == [3]
-        assert mem.dump_words(MMIO_BASE + 5, 1) == [77]
+        assert mem._words[RAM_BASE:NVM_BASE] == [0] * ram_words
+        assert mem._words[NVM_BASE] == 3
+        assert mem._words[MMIO_BASE + 5] == 77
         assert mem.output == [9]
         assert counters(mem) == charged
         assert mem.read(0x100) == 0
         assert mem.read(NVM_BASE + 4) == 43
-
-    def test_ram_snapshot_roundtrip(self):
-        mem = MemoryMap()
-        mem.write(0x20, 5)
-        snap = mem.snapshot_ram()
-        mem.clear_volatile()
-        mem.restore_ram(snap)
-        assert mem.read(0x20) == 5
-
-    def test_restore_ram_rejects_wrong_length(self):
-        mem = MemoryMap()
-        with pytest.raises(ValueError):
-            mem.restore_ram([0, 1, 2])

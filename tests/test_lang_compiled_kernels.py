@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.isa.cpu import CPU
 from repro.lang.codegen import compile_source
 from repro.lang.interp import interpret
-from repro.workloads.compiled import (
+from repro.workloads.images import test_image as make_image
+from tests.nvc_kernels import (
     NVC_KERNELS,
     build_moving_average,
     build_sobel,
     build_threshold_count,
     moving_average_reference,
 )
-from repro.workloads.images import test_image as make_image
 
 
 def execute(build, max_instructions=2_000_000):

@@ -1,4 +1,4 @@
-"""Tests for the morphology kernels and streaming frame inputs."""
+"""Tests for the morphology kernels."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.isa.cpu import CPU
 from repro.workloads import morphology
 from repro.workloads.images import test_image as make_image
-from repro.workloads.suite import (
-    KERNEL_INPUT_KEYWORD,
-    build_kernel,
-    make_streaming_workload,
-)
+from repro.workloads.suite import build_kernel
 
 
 def execute(build):
@@ -56,68 +52,3 @@ class TestMorphology:
             morphology.reference(np.zeros((5, 5)), "open")
         with pytest.raises(ValueError):
             morphology.assembly(5, 5, op="close")
-
-
-class TestStreamingWorkload:
-    def test_each_frame_gets_its_own_input(self):
-        frames = [make_image(8, seed=s) for s in (1, 2, 3)]
-        workload, expected = make_streaming_workload("sobel", frames)
-        while not workload.finished:
-            workload.advance(50e-3)
-        outputs = np.array(workload.outputs, dtype=np.uint16)
-        assert np.array_equal(outputs, expected)
-        # The frames genuinely differ: per-frame slices are not equal.
-        per_frame = len(expected) // 3
-        assert not np.array_equal(
-            expected[:per_frame], expected[per_frame : 2 * per_frame]
-        )
-
-    def test_streaming_1d_kernel(self):
-        from repro.workloads.images import test_bytes as make_bytes
-
-        buffers = [make_bytes(48, seed=s) for s in (5, 6)]
-        workload, expected = make_streaming_workload("crc", buffers)
-        while not workload.finished:
-            workload.advance(50e-3)
-        assert list(workload.outputs) == list(expected)
-        assert expected[0] != expected[1]  # different buffers, different CRCs
-
-    def test_streaming_under_intermittent_power(self):
-        """Different frames survive power cycling bit-exactly."""
-        from repro.core.config import NVPConfig
-        from repro.core.nvp import NVPPlatform
-        from repro.harvest.sources import square_trace
-        from repro.storage.capacitor import Capacitor, ChargeEfficiency
-        from repro.system.simulator import SystemSimulator
-
-        frames = [make_image(8, seed=s) for s in (7, 8, 9)]
-        workload, expected = make_streaming_workload("sobel", frames)
-        cap = Capacitor(
-            22e-9, v_max_v=3.3, leak_resistance_ohm=1e18,
-            efficiency=ChargeEfficiency(1.0, 1.0, 0.0, 1.0),
-        )
-        platform = NVPPlatform(workload, cap, NVPConfig(), seed=1)
-        trace = square_trace(
-            high_w=800e-6, low_w=0.0, period_s=0.011, duty=0.1, duration_s=10.0
-        )
-        result = SystemSimulator(trace, platform).run()
-        assert result.completed
-        assert result.backups >= 2
-        outputs = np.array(workload.outputs, dtype=np.uint16)
-        assert np.array_equal(outputs, expected)
-
-    def test_validation(self):
-        with pytest.raises(KeyError):
-            make_streaming_workload("matmul", [np.zeros((4, 4))])
-        with pytest.raises(ValueError):
-            make_streaming_workload("sobel", [])
-        with pytest.raises(ValueError):
-            make_streaming_workload(
-                "sobel", [make_image(8), make_image(10)]
-            )
-
-    def test_every_streamable_kernel_registered(self):
-        for name in KERNEL_INPUT_KEYWORD:
-            assert name in __import__(
-                "repro.workloads.suite", fromlist=["KERNELS"]
-            ).KERNELS

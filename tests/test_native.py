@@ -144,10 +144,6 @@ def storage_cases(draw):
     retired = draw(st.integers(0, 10**6))
     ipu = draw(st.integers(1, 10**5))
     limit = draw(st.none() | st.integers(retired, retired + 10**6))
-    period_count = draw(st.integers(0, 10**5))
-    period_limit = draw(
-        st.none() | st.integers(period_count, period_count + 10**5)
-    )
     threshold = draw(st.just(-math.inf) | st.floats(0.0, chain[1]))
     state = (
         energy,
@@ -160,7 +156,7 @@ def storage_cases(draw):
     )
     return (trace_arg(draw, samples), 0, len(samples), dt, chain,
             (tpi, epi, limit, ipu),
-            (threshold, period_limit, period_count, draw(st.booleans())),
+            (threshold, draw(st.booleans())),
             state)
 
 
@@ -226,7 +222,7 @@ def storage_case(**changes):
         p_in_w=[50e-6] * 200, start=0, stop=200, dt_s=1e-4,
         chain=store.chain(),
         workload=(1e-7, 1e-11, None, 10_000),
-        stops=(-math.inf, None, 0, False),
+        stops=(-math.inf, False),
         state=(0.9 * store.capacity_j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                0, 0),
     )
@@ -236,9 +232,8 @@ def storage_case(**changes):
 
 #: One case per stop rule, each stopping the batch part way.
 STOP_RULES = {
-    "threshold": storage_case(stops=(4.5e-6, None, 0, False)),
-    "period_limit": storage_case(stops=(-math.inf, 25_000, 0, False)),
-    "unit_boundary": storage_case(stops=(-math.inf, None, 0, True),
+    "threshold": storage_case(stops=(4.5e-6, False)),
+    "unit_boundary": storage_case(stops=(-math.inf, True),
                                   workload=(1e-7, 1e-11, None, 5_000)),
     "finishing_tick": storage_case(workload=(1e-7, 1e-11, 42_000, 10_000)),
     "deficit": storage_case(workload=(1e-7, 2e-9, None, 10_000)),

@@ -100,12 +100,6 @@ class NumpyStore:
     def power_outage(self, duration_s, rng):
         return reference_power_outage(self, duration_s, rng)
 
-    def wear_report(self):
-        return (int(self._write_counts.max()),
-                float(self._write_counts.mean()),
-                int(np.sum(
-                    self._write_counts > self.technology.endurance_cycles)))
-
 
 def float_bits(value):
     return struct.pack("<d", value)
@@ -182,9 +176,6 @@ class TestStoreMatchesNumpyTwin:
                 assert float_bits(getattr(new.stats, name)) == float_bits(
                     getattr(old.stats, name)
                 )
-        report = new.wear_report()
-        assert (report.max_writes, report.mean_writes,
-                report.worn_words) == old.wear_report()
 
 
 class TestBlockBounds:

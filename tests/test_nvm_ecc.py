@@ -1,6 +1,5 @@
 """Tests for the SECDED backup-image code."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +10,6 @@ from repro.nvm.ecc import (
     decode,
     encode,
     overhead_fraction,
-    protect_word,
 )
 
 
@@ -66,47 +64,3 @@ class TestDecode:
     def test_rejects_wide_codewords(self):
         with pytest.raises(ValueError):
             decode(1 << CODEWORD_BITS)
-
-
-class TestProtectWord:
-    def test_no_relaxation_clean(self):
-        rng = np.random.default_rng(0)
-        value, status = protect_word(0x1234, 0, rng)
-        assert value == 0x1234
-        assert status is DecodeStatus.CLEAN
-
-    def test_single_relaxed_cell_always_recovered(self):
-        rng = np.random.default_rng(1)
-        for bit in range(CODEWORD_BITS):
-            value, status = protect_word(0xBEEF, 1 << bit, rng)
-            assert value == 0xBEEF
-            assert status in (DecodeStatus.CLEAN, DecodeStatus.CORRECTED)
-
-    def test_ecc_masks_low_bit_relaxation_statistically(self):
-        """With only the lowest data cell relaxed (the typical shaped-
-        retention failure), ECC recovers the exact word every time,
-        where the unprotected word is wrong ~half the time."""
-        rng = np.random.default_rng(2)
-        wrong_unprotected = 0
-        wrong_protected = 0
-        trials = 300
-        for _ in range(trials):
-            # Unprotected: the relaxed bit reads back random.
-            raw = 0x00AA
-            if rng.random() < 0.5:
-                raw ^= 1
-            wrong_unprotected += raw != 0x00AA
-            value, _ = protect_word(0x00AA, 0b1, rng)
-            wrong_protected += value != 0x00AA
-        assert wrong_protected == 0
-        assert wrong_unprotected > trials * 0.3
-
-    def test_many_relaxed_cells_eventually_escape(self):
-        """ECC is not magic: with half the codeword relaxed, some
-        double-bit patterns get through as detected (or worse)."""
-        rng = np.random.default_rng(3)
-        statuses = set()
-        for _ in range(200):
-            _, status = protect_word(0x5555, (1 << 11) - 1, rng)
-            statuses.add(status)
-        assert DecodeStatus.DETECTED in statuses

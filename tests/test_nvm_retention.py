@@ -12,7 +12,6 @@ from repro.nvm.retention import (
     ParabolaPolicy,
     RetentionPolicy,
     UniformPolicy,
-    corrupt_word,
     failure_probability,
     policy_backup_energy_j,
     sample_bit_failures,
@@ -113,23 +112,6 @@ class TestFailureModel:
             msb_failures += (mask >> 15) & 1
         assert lsb_failures > 190
         assert msb_failures == 0
-
-    def test_corrupt_word_changes_only_relaxed_bits(self, rng):
-        value = 0b1010_1100_0101_0011
-        for _ in range(50):
-            result = corrupt_word(value, 0b1111, rng)
-            assert result & ~0b1111 == value & ~0b1111
-
-    def test_corrupt_word_with_empty_mask_is_identity(self, rng):
-        assert corrupt_word(0x1234, 0, rng) == 0x1234
-
-    def test_corrupt_word_flips_about_half(self, rng):
-        flips = 0
-        trials = 400
-        for _ in range(trials):
-            result = corrupt_word(0, 0b1, rng)
-            flips += result & 1
-        assert 0.35 < flips / trials < 0.65
 
 
 class TestPolicyEnergy:

@@ -18,7 +18,6 @@ from repro.obs.export import (
     REQUIRED_TRACE_KEYS,
     chrome_trace,
     load_chrome_trace,
-    read_events_jsonl,
     write_chrome_trace,
     write_events_jsonl,
     write_metrics_csv,
@@ -126,14 +125,15 @@ class TestChromeTrace:
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
+        path = tmp_path / "events.jsonl"
         log = make_log()
-        count = write_events_jsonl(log, path)
+        count = write_events_jsonl(log, str(path))
         assert count == len(log)
-        loaded = read_events_jsonl(path)
-        assert loaded.names() == log.names()
-        assert [e.t_s for e in loaded] == [e.t_s for e in log]
-        assert loaded[2].data["threshold_w"] == pytest.approx(33e-6)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["name"], r["t_s"], r["seq"]) for r in records] == [
+            (e.name, e.t_s, e.seq) for e in log
+        ]
+        assert records[2]["threshold_w"] == pytest.approx(33e-6)
 
     def test_lines_are_valid_json(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -292,65 +292,11 @@ class TestManifest:
 
 
 class TestPrometheusText:
-    def make_registry(self):
-        from repro.obs.metrics import MetricsRegistry
+    def test_name_mangling(self):
+        from repro.obs.export import snapshot_prometheus
 
-        registry = MetricsRegistry()
-        registry.counter(
-            "sim.backups", labels=("platform", "state"),
-            help="completed backups",
-        ).labels(state="run", platform="nvp").inc(3)
-        registry.gauge("energy.level").set(0.5)
-        hist = registry.histogram(
-            "outage.len", buckets=(0.001, 0.01, float("inf"))
-        )
-        hist.observe(0.002)
-        hist.observe(0.5)
-        return registry
-
-    def test_exposition_contents(self):
-        from repro.obs.export import prometheus_text
-
-        text = prometheus_text(self.make_registry())
-        assert "# TYPE sim_backups counter" in text
-        # Label names render sorted regardless of call order.
-        assert 'sim_backups{platform="nvp",state="run"} 3' in text
-        assert "energy_level 0.5" in text
-        assert 'outage_len_bucket{le="0.001"} 0' in text
-        assert 'outage_len_bucket{le="0.01"} 1' in text
-        assert 'outage_len_bucket{le="+Inf"} 2' in text
-        assert "outage_len_count 2" in text
-        assert text.endswith("\n")
-
-    def test_exposition_is_byte_stable(self):
-        """Golden-file property: same contents, same bytes — even when
-        labels and metrics are registered in a different order."""
-        from repro.obs.export import prometheus_text
-        from repro.obs.metrics import MetricsRegistry
-
-        other = MetricsRegistry()
-        hist = other.histogram(
-            "outage.len", buckets=(0.001, 0.01, float("inf"))
-        )
-        hist.observe(0.5)
-        hist.observe(0.002)
-        other.gauge("energy.level").set(0.5)
-        other.counter(
-            "sim.backups", labels=("platform", "state"),
-            help="completed backups",
-        ).labels(platform="nvp", state="run").inc(3)
-        assert prometheus_text(other) == prometheus_text(
-            self.make_registry()
-        )
-
-    def test_prefix_and_name_mangling(self):
-        from repro.obs.export import prometheus_text
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.gauge("fleet.watch.rate").set(1.0)
-        text = prometheus_text(registry, prefix="repro.")
-        assert "repro_fleet_watch_rate 1" in text
+        text = snapshot_prometheus({"watch": {"rate": 1.0}}, prefix="repro.fleet.")
+        assert text == "repro_fleet_watch_rate 1\n"
 
     def test_value_rendering(self):
         from repro.obs.export import _prom_value
@@ -360,15 +306,6 @@ class TestPrometheusText:
         assert _prom_value(float("inf")) == "+Inf"
         assert _prom_value(float("-inf")) == "-Inf"
         assert _prom_value(float("nan")) == "NaN"
-
-    def test_write_prometheus(self, tmp_path):
-        from repro.obs.export import prometheus_text, write_prometheus
-
-        registry = self.make_registry()
-        path = tmp_path / "metrics.prom"
-        n = write_prometheus(registry, str(path))
-        assert path.read_text() == prometheus_text(registry)
-        assert n == len(path.read_bytes())
 
 
 class TestSnapshots:

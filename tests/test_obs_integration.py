@@ -6,6 +6,7 @@ import pytest
 
 from repro.harvest.outage import DEFAULT_THRESHOLD_W, analyze_outages
 from repro.harvest.sources import square_trace, wristwatch_trace
+from repro.harvest.traces import PowerTrace
 from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.obs.export import chrome_trace, load_chrome_trace, write_chrome_trace
@@ -222,7 +223,10 @@ class TestOutageEventParity:
     @pytest.mark.parametrize("engine", ["exact", "bulk"])
     def test_events_match_batch_analysis(self, trace_name, engine):
         trace = self.TRACES[trace_name]()
-        rectified = standard_rectifier().convert(trace)
+        rectified = PowerTrace(
+            standard_rectifier().output_power_array(trace.samples_w),
+            trace.dt_s,
+        )
         stats = analyze_outages(rectified, DEFAULT_THRESHOLD_W)
         bus = EventBus()
         log = bus.record(names=(ev.OUTAGE_BEGIN, ev.OUTAGE_END))

@@ -1,6 +1,5 @@
-"""Tests for the metrics registry (counters, gauges, histograms, labels)."""
+"""Tests for the metrics registry (counters, gauges, labels)."""
 
-import math
 import warnings
 
 import pytest
@@ -73,72 +72,6 @@ class TestGauge:
         assert gauge.labels(platform="nvp").value == 7.0
 
 
-class TestHistogram:
-    def test_observe_buckets_and_sum(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("outage_s", buckets=(0.001, 0.01, 0.1))
-        for value in (0.0005, 0.005, 0.05, 5.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(5.0555)
-
-    def test_bucket_rows_are_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("outage_s", buckets=(0.001, 0.01))
-        histogram.observe(0.0005)
-        histogram.observe(0.005)
-        rows = {field: value for _, _, _, field, value in histogram.rows()}
-        assert rows["le_0.001"] == 1
-        assert rows["le_0.01"] == 2
-        assert rows["le_inf"] == 2
-
-    def test_infinite_bucket_added_automatically(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0,))
-        assert math.isinf(histogram.buckets[-1])
-
-    def test_quantile_approximation(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 1.6, 3.0):
-            histogram.observe(value)
-        assert histogram._default_child().quantile(0.5) == 2.0
-
-    def test_quantile_zero_is_first_populated_bucket(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
-        histogram.observe(1.5)  # nothing in the le_1 bucket
-        child = histogram._default_child()
-        assert child.quantile(0.0) == 2.0
-
-    def test_quantile_one_is_last_populated_bucket(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 3.0):
-            histogram.observe(value)
-        assert histogram._default_child().quantile(1.0) == 4.0
-
-    def test_quantile_of_empty_histogram_is_zero(self):
-        child = MetricsRegistry().histogram("h")._default_child()
-        assert child.quantile(0.0) == 0.0
-        assert child.quantile(0.5) == 0.0
-        assert child.quantile(1.0) == 0.0
-
-    def test_quantile_overflow_bucket_falls_back_to_mean(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0,))
-        histogram.observe(10.0)
-        histogram.observe(30.0)
-        assert histogram._default_child().quantile(0.5) == 20.0
-
-    def test_quantile_out_of_range_rejected(self):
-        child = MetricsRegistry().histogram("h")._default_child()
-        with pytest.raises(ValueError):
-            child.quantile(-0.1)
-        with pytest.raises(ValueError):
-            child.quantile(1.1)
-
-    def test_empty_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().histogram("h", buckets=())
-
-
 class TestCardinalityGuard:
     def test_series_capped_with_one_warning(self):
         registry = MetricsRegistry(max_series=3)
@@ -179,14 +112,6 @@ class TestCardinalityGuard:
             first = counter.labels(op="a")
         second = counter.labels(op="b")
         assert first is second
-
-    def test_guard_applies_to_histograms(self):
-        registry = MetricsRegistry(max_series=1)
-        histogram = registry.histogram("h", labels=("k",), buckets=(1.0,))
-        histogram.labels(k="kept").observe(0.5)
-        with pytest.warns(RuntimeWarning):
-            histogram.labels(k="extra").observe(0.5)
-        assert {row[2] for row in histogram.rows()} == {"k=kept"}
 
     def test_default_cap(self):
         counter = MetricsRegistry().counter("ops", labels=("op",))
@@ -266,12 +191,3 @@ class TestDeterministicOrdering:
         assert len(series) == 1
         (child,) = series.values()
         assert child.value == 2
-
-    def test_metrics_iteration_is_name_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("zeta")
-        registry.gauge("alpha")
-        registry.counter("mid")
-        assert [m.name for m in registry.metrics()] == [
-            "alpha", "mid", "zeta",
-        ]

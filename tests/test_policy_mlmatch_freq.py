@@ -140,12 +140,6 @@ class TestFrequencyPolicy:
         # 100 uW is geometrically equidistant; 99 uW is closer to 10 uW.
         assert policy.recommend(99e-6) == 1e6
 
-    def test_recommend_for_trace(self):
-        policy = PowerAwareFrequencyPolicy()
-        policy.add_training_point(25e-6, 1e6)
-        trace = wristwatch_trace(1.0, seed=1, mean_power_w=25e-6)
-        assert policy.recommend_for_trace(trace) == 1e6
-
     def test_validation(self):
         policy = PowerAwareFrequencyPolicy()
         with pytest.raises(ValueError):

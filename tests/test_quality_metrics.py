@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.quality.metrics import bit_accuracy, mae, mse, psnr, snr_db
+from repro.quality.metrics import mse, psnr
 
 
 class TestMSE:
@@ -22,11 +22,6 @@ class TestMSE:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mse([], [])
-
-
-class TestMAE:
-    def test_known_value(self):
-        assert mae([0, 0], [3, -4]) == pytest.approx(3.5)
 
 
 class TestPSNR:
@@ -58,35 +53,3 @@ class TestPSNR:
         reference = rng.integers(0, 256, 1024).astype(float)
         noisy = reference + rng.normal(0, 4, 1024)
         assert psnr(reference, noisy) > 30
-
-
-class TestSNR:
-    def test_identical_is_infinite(self):
-        assert snr_db([1, 2], [1, 2]) == math.inf
-
-    def test_zero_signal_rejected(self):
-        with pytest.raises(ValueError):
-            snr_db([0, 0], [1, 1])
-
-    def test_known_value(self):
-        # Signal power 100, noise power 1 -> 20 dB.
-        assert snr_db([10.0], [11.0]) == pytest.approx(20.0)
-
-
-class TestBitAccuracy:
-    def test_identical(self):
-        assert bit_accuracy([0xFFFF, 0x1234], [0xFFFF, 0x1234]) == 1.0
-
-    def test_single_bit_error(self):
-        assert bit_accuracy([0], [1], bits=16) == pytest.approx(1 - 1 / 16)
-
-    def test_all_bits_wrong(self):
-        assert bit_accuracy([0x0000], [0xFFFF], bits=16) == 0.0
-
-    def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            bit_accuracy([0], [0], bits=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bit_accuracy([0, 1], [0])

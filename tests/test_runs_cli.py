@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs.ledger import RunLedger
+from tests.test_cli import assert_one_error_line_exit_2
 
 
 @pytest.fixture
@@ -116,9 +117,10 @@ class TestRunsList:
         assert main(["runs", "list", "--since", "2999-01-01"]) == 0
         assert "no matching" in capsys.readouterr().out
 
-    def test_bad_date_is_clean_error(self, env):
-        with pytest.raises(SystemExit, match="cannot parse time"):
-            main(["runs", "list", "--since", "yesterdayish"])
+    def test_bad_date_is_clean_error(self, env, capsys):
+        assert_one_error_line_exit_2(
+            capsys, ["runs", "list", "--since", "yesterdayish"], "--since"
+        )
 
     def test_disabled_ledger_exits_2(self, env, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LEDGER_DIR", "")

@@ -1,13 +1,9 @@
-"""Tests for the profiler, intermittency linter, CSV I/O and telemetry."""
+"""Tests for the profiler, intermittency linter and telemetry."""
 
-import io
-
-import numpy as np
 import pytest
 
 from repro.analysis.profiler import Profile, profile_program
-from repro.harvest.io import load_csv, loads_csv, save_csv
-from repro.harvest.sources import constant_trace, square_trace, wristwatch_trace
+from repro.harvest.sources import square_trace
 from repro.isa.assembler import assemble
 from repro.lang.lint import LintWarning, lint
 from repro.system.presets import build_nvp
@@ -145,59 +141,6 @@ class TestLint:
         (warning,) = lint(source)
         assert warning.function == "f"
         assert warning.line == 2
-
-
-class TestCsvIO:
-    def test_roundtrip(self, tmp_path):
-        trace = wristwatch_trace(0.05, seed=3)
-        path = str(tmp_path / "trace.csv")
-        save_csv(trace, path)
-        loaded = load_csv(path, source_name="watch")
-        assert loaded.dt_s == pytest.approx(trace.dt_s, rel=1e-6)
-        assert np.allclose(loaded.samples_w, trace.samples_w, rtol=1e-6)
-        assert loaded.source == "watch"
-
-    def test_loads_from_text_without_header(self):
-        trace = loads_csv("0,1e-6\n0.001,2e-6\n0.002,3e-6\n")
-        assert len(trace) == 3
-        assert trace.dt_s == pytest.approx(1e-3)
-
-    def test_header_detected(self):
-        trace = loads_csv("time_s,power_w\n0,1e-6\n0.1,2e-6\n")
-        assert len(trace) == 2
-
-    @pytest.mark.parametrize(
-        "text,match",
-        [
-            ("0,1e-6\n", "two samples"),
-            ("0,1e-6\n0,2e-6\n", "increasing"),
-            ("0,1e-6\n0.1,2e-6\n0.5,3e-6\n", "uniform"),
-            ("0\n1\n", "columns"),
-            ("0,abc\n1,2\n", "row 1"),
-        ],
-    )
-    def test_malformed_inputs(self, text, match):
-        with pytest.raises(ValueError, match=match):
-            loads_csv(text)
-
-    @pytest.mark.parametrize("text", [
-        "nan,1e-6\n0.001,2e-6\n",               # would infer dt_s = nan
-        "0,1e-6\n0.001,2e-6\nnan,3e-6\n",       # slips past the dt check
-        "0,1e-6\n0.001,inf\n",
-    ])
-    def test_non_finite_values_rejected(self, text):
-        with pytest.raises(ValueError, match="finite"):
-            loads_csv(text)
-
-    def test_stream_objects_accepted(self):
-        trace = constant_trace(5e-6, 0.001)
-        buffer = io.StringIO()
-        save_csv(trace, buffer)
-        buffer.seek(0)
-        assert load_csv(buffer) == trace or True  # source label differs
-        buffer.seek(0)
-        loaded = load_csv(buffer)
-        assert np.allclose(loaded.samples_w, trace.samples_w)
 
 
 class TestTelemetry:

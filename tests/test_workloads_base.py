@@ -6,11 +6,9 @@ import pytest
 from repro.isa.energy import EnergyModel, InstrClass
 from repro.workloads.base import AbstractWorkload, FunctionalWorkload
 from repro.workloads.suite import (
-    abstract_twin,
     build_kernel,
     expected_stream,
     make_functional_workload,
-    measure_kernel,
 )
 
 
@@ -201,32 +199,6 @@ class TestFunctionalWorkload:
 
 
 class TestSuiteHelpers:
-    def test_measure_kernel_profile(self):
-        build = build_kernel("crc", length=32)
-        profile = measure_kernel(build)
-        assert profile["instructions"] > 0
-        mix_total = sum(v for k, v in profile.items() if k.startswith("mix_"))
-        assert mix_total == pytest.approx(1.0)
-
-    def test_abstract_twin_matches_counts(self):
-        build = build_kernel("crc", length=32)
-        profile = measure_kernel(build)
-        twin = abstract_twin(build, frames=2)
-        twin.advance(10.0)
-        assert twin.finished
-        assert twin.progress_instructions == 2 * int(profile["instructions"])
-
-    def test_twin_energy_close_to_functional(self):
-        """The abstract twin's per-instruction energy should track the
-        functional kernel within a few percent."""
-        build = build_kernel("sobel", size=8)
-        profile = measure_kernel(build)
-        twin = abstract_twin(build)
-        functional_energy = profile["energy_j"] / profile["instructions"]
-        assert twin.mean_instruction_energy_j() == pytest.approx(
-            functional_energy, rel=0.05
-        )
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):
             build_kernel("bogus")
