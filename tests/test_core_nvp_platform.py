@@ -9,7 +9,12 @@ from repro.harvest.sources import constant_trace, square_trace
 from repro.storage.capacitor import Capacitor, ChargeEfficiency
 from repro.system.simulator import SystemSimulator
 from repro.workloads.base import AbstractWorkload
-from repro.workloads.suite import build_kernel, expected_stream, make_functional_workload
+from repro.workloads.suite import (
+    KERNELS,
+    build_kernel,
+    expected_stream,
+    make_functional_workload,
+)
 
 DT = 1e-4
 
@@ -183,10 +188,11 @@ class TestFailureModes:
 
 
 class TestFunctionalUnderIntermittence:
-    def test_sobel_completes_exactly_despite_outages(self):
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_every_kernel_completes_exactly_despite_outages(self, name):
         """The headline NVP property: a real program finishes with
         bit-exact outputs across many power interruptions."""
-        build = build_kernel("sobel", size=8)
+        build = build_kernel(name)
         workload = make_functional_workload(build, frames=4)
         # A 22 nF backup capacitor cannot ride through the ~10 ms
         # outages, so every off-period forces a real backup/restore.

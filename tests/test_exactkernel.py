@@ -42,7 +42,11 @@ from repro.system.presets import (
 )
 from repro.system.simulator import SystemSimulator
 from repro.workloads.base import AbstractWorkload
-from repro.workloads.suite import build_kernel, make_functional_workload
+from repro.workloads.suite import (
+    KERNELS,
+    build_kernel,
+    make_functional_workload,
+)
 
 DT = 1e-4
 
@@ -485,7 +489,7 @@ class TestIsaKernelEquivalence:
     @pytest.mark.parametrize("builder", [
         build_nvp, build_checkpoint, build_oracle,
     ])
-    @pytest.mark.parametrize("kernel", ["fir", "crc"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("swf", [False, True])
     def test_batched_run_bit_identical(self, builder, kernel, swf):
         trace = wristwatch_trace(3.0, seed=7)
