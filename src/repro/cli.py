@@ -206,6 +206,7 @@ def _profiled_run(simulator, profile_out: Optional[str]):
         counts = engine.profile_counts()
         print(
             f"blocks  : {counts['blocks']} compiled, "
+            f"{counts['native']} native segment runs, "
             f"{counts['fused']} fused block runs, "
             f"{counts['stepped']} stepped (partial-budget) runs",
             file=sys.stderr,

@@ -1,13 +1,34 @@
-"""Block-compiled execution engine for the NV16 core.
+"""The NV16 executor: a C loop over the decoded program, with
+block-compiled Python as its fallback.
 
 :meth:`repro.isa.cpu.CPU.step` pays one Python call, one ``classify``
-dict chain and one ``StepInfo`` allocation *per instruction* — the last
-scalar-interpreter hot path in the codebase, and the reason real
-kernels (FIR, Sobel, CRC, matmul) crawl while abstract workloads fly
-through the batched exact kernel.  This module compiles a decoded
-program once into basic blocks, each both a table of specialized
-per-instruction closures and one generated function for the whole
-block, bit-for-bit identical to a pure ``step()`` loop.
+dict chain and one ``StepInfo`` allocation *per instruction* — the
+reason real kernels (FIR, Sobel, CRC, matmul) would crawl while
+abstract workloads fly through the batched exact kernel.
+:class:`BlockEngine` packs a decoded program once into a table the
+native ``nv16_run`` loop steps, and compiles it into basic blocks, each
+both a table of specialized per-instruction closures and one generated
+function for the whole block.  Both are bit-for-bit identical to a pure
+``step()`` loop.
+
+Native loop
+    When :func:`repro.native.kernels` is the compiled extension,
+    :meth:`BlockEngine.run` hands the segment to ``nv16_run``
+    (``kernels.c``): one ``switch`` per instruction over a table of
+    ``(opcode, rd, rs1, rs2, imm, cycles, seconds, joules)`` rows.  It
+    reads the registers and data words in place from the CPU's Python
+    lists, writes them back, appends output-port stores to
+    ``memory.output`` and returns the region-counter deltas; the
+    memory layout it is given is :mod:`repro.isa.memory`'s.  Float
+    accounting is the scalar loop's, instruction by instruction.  It
+    stops *before* what it does not model: any other MMIO access (an
+    input-port load pops a queue), a data word that is not an int in
+    ``0..0xFFFF``, or a cycle total past int64; the blocks then finish
+    the segment.  A register outside ``0..0xFFFF``, a non-float
+    accumulator or a :class:`~repro.isa.memory.MemoryMap` subclass
+    leaves the whole segment to the blocks.  The loop has no Python
+    twin in :mod:`repro.native.reference`: the blocks are its fallback
+    and ``CPU.step`` its definition.
 
 Compilation
     *Block discovery* finds leaders the classic way: instruction 0,
@@ -40,8 +61,9 @@ Generated code
     time_used, energy, cpu_energy)`` running the same statements in
     program order.
 
-Execution
-    :meth:`BlockEngine.run` advances a CPU under
+Block execution
+    Without the extension, :meth:`BlockEngine.run` advances a CPU
+    through the blocks under
     :meth:`~repro.workloads.base.FunctionalWorkload.advance`'s time
     budget.  Float accounting (``time_used += cycles * cycle_time_s``,
     ``energy += e``, ``cpu.energy_j += e``) is accumulated strictly
@@ -66,14 +88,17 @@ Reference
     A workload picks its executor when it is built
     (``FunctionalWorkload(..., block_engine=False)`` or ``repro
     simulate --engine scalar`` selects the interpreter).  The engine
-    counts fused vs. stepped block executions for ``--profile``.
+    counts native segments and fused vs. stepped block executions for
+    ``--profile``.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import native
 from repro.isa.cpu import ExecutionError
 from repro.isa.energy import EnergyModel, classify
 from repro.isa.instructions import (
@@ -82,6 +107,7 @@ from repro.isa.instructions import (
     Opcode,
     to_signed,
 )
+from repro.isa.memory import MMIO_BASE, NVM_BASE, OUTPUT_PORT, MemoryMap
 
 __all__ = [
     "BlockEngine",
@@ -105,6 +131,16 @@ _CONTROL_OPCODES = frozenset(BRANCH_OPCODES) | {
 #: the fused-block budget guard (several times 2**-52, covering both
 #: the compile-time block-sum rounding and the runtime accumulation).
 _GUARD_EPS = 1.0e-15
+
+#: One row of the C loop's table: opcode, rd, rs1, rs2, imm, cycles,
+#: seconds, joules (``Op`` in ``kernels.c``).
+_ROW = struct.Struct("=4i2q2d")
+
+#: The memory layout the C loop is given with every segment.
+_LAYOUT = (NVM_BASE, MMIO_BASE, OUTPUT_PORT)
+
+#: How ``nv16_run`` stopped (its enum in ``kernels.c``).
+_CAPPED, _FAULT, _YIELDED = 1, 2, 3
 
 
 class SegmentResult:
@@ -349,6 +385,31 @@ def _source(pc: int, instr: Instruction) -> Tuple[List[str], Optional[str]]:
     raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
 
 
+def _pack(program: Sequence[Instruction], costs) -> Optional[bytes]:
+    """The decoded program as the C loop's table, one :data:`_ROW` per
+    instruction and its ``(seconds, joules, cycles)``.
+
+    ``None`` when a cost is not an int64 cycle count and float seconds
+    and joules: the C loop holds only those exactly.
+    """
+    rows = []
+    for instr, (seconds, joules, cycles) in zip(program, costs):
+        if not (
+            type(cycles) is int
+            and type(seconds) is float
+            and type(joules) is float
+        ):
+            return None
+        try:
+            rows.append(_ROW.pack(
+                instr.opcode, instr.rd, instr.rs1, instr.rs2, instr.imm,
+                cycles, seconds, joules,
+            ))
+        except struct.error:
+            return None
+    return b"".join(rows)
+
+
 def _op_fn(statements: List[str], next_pc: Optional[str]):
     """One instruction as ``fn(regs, memory) -> next_pc or None``."""
     if next_pc is not None:
@@ -381,15 +442,17 @@ def _fused_fn(sources, ops, limit: int):
 
 
 class BlockEngine:
-    """A program compiled to basic blocks of generated functions.
+    """A program packed for the C loop and compiled to basic blocks of
+    generated functions.
 
     One engine serves every CPU instance a
     :class:`~repro.workloads.base.FunctionalWorkload` creates (the
     per-unit fresh CPUs share the same program and energy model); the
-    generated functions capture only compile-time constants and act on
-    the ``(regs, memory)`` passed per call.
+    table and the generated functions hold only compile-time constants
+    and act on the state passed per call.
 
     Attributes:
+        native_runs: segments the C loop ran.
         fused_blocks: blocks executed wholesale by their block function
             (the profile "hit" count).
         stepped_blocks: block executions that fell back to
@@ -403,16 +466,30 @@ class BlockEngine:
         energy_model: EnergyModel,
     ) -> None:
         self.n_instructions = len(program)
+        self.native_runs = 0
         self.fused_blocks = 0
         self.stepped_blocks = 0
         self._blocks: List[_Block] = []
         #: pc -> owning block, dense over the program.
         self._block_at: List[_Block] = []
-        self._compile(program, energy_model)
+        # (seconds, joules, cycles) of each instruction, classified
+        # through the same lookups ``step()`` performs.
+        cycle_time = energy_model.cycle_time_s
+        costs = []
+        for instr in program:
+            cls = classify(instr)
+            cycles = energy_model.instruction_cycles(cls)
+            costs.append((
+                cycles * cycle_time,
+                energy_model.instruction_energy(cls),
+                cycles,
+            ))
+        self._table = _pack(program, costs)
+        self._compile(program, costs)
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self, program: Sequence[Instruction], model: EnergyModel) -> None:
+    def _compile(self, program: Sequence[Instruction], costs) -> None:
         n = len(program)
         if n == 0:
             return
@@ -427,7 +504,6 @@ class BlockEngine:
                     if target < n:
                         leaders.add(target)
         starts = sorted(leaders)
-        cycle_time = model.cycle_time_s
         bounds = []
         for i, start in enumerate(starts):
             limit = starts[i + 1] if i + 1 < len(starts) else n
@@ -438,16 +514,10 @@ class BlockEngine:
             bounds.append((start, limit))
         for start, limit in bounds:
             sources = [_source(pc, program[pc]) for pc in range(start, limit)]
-            ops = []
-            for pc, (statements, next_pc) in enumerate(sources, start):
-                cls = classify(program[pc])
-                cycles = model.instruction_cycles(cls)
-                ops.append((
-                    _op_fn(statements, next_pc),
-                    cycles * cycle_time,
-                    model.instruction_energy(cls),
-                    cycles,
-                ))
+            ops = [
+                (_op_fn(statements, next_pc), *costs[pc])
+                for pc, (statements, next_pc) in enumerate(sources, start)
+            ]
             block = _Block(
                 start, limit, ops, _fused_fn(sources, ops, limit),
                 program[limit - 1].opcode is Opcode.HALT,
@@ -463,9 +533,11 @@ class BlockEngine:
         return len(self._blocks)
 
     def profile_counts(self) -> Dict[str, int]:
-        """Fused/stepped block counters (the ``--profile`` report)."""
+        """Native-segment and fused/stepped block counters (the
+        ``--profile`` report)."""
         return {
             "blocks": self.n_blocks,
+            "native": self.native_runs,
             "fused": self.fused_blocks,
             "stepped": self.stepped_blocks,
         }
@@ -500,10 +572,72 @@ class BlockEngine:
         """
         state = cpu.state
         if state.halted:
-            return SegmentResult(
-                0, energy_j, time_used_s,
-                fault=ExecutionError("cannot step a halted core"),
+            # As for any fault, only while budget remains.
+            fault = None
+            if time_used_s < budget_s:
+                fault = ExecutionError("cannot step a halted core")
+            return SegmentResult(0, energy_j, time_used_s, fault=fault)
+        nv16_run = getattr(native.kernels(), "nv16_run", None)
+        memory = cpu.memory
+        out = None
+        if (
+            nv16_run is not None
+            and self._table is not None
+            and type(memory) is MemoryMap
+        ):
+            out = nv16_run(
+                self._table, _LAYOUT, state.regs, memory._words,
+                memory.output, state.pc, budget_s, time_used_s, energy_j,
+                cpu.energy_j, cap_remaining,
             )
+        if out is None:
+            # No extension, or a value the C loop would not hold exactly
+            # (a register outside 0..0xFFFF, an int budget): the whole
+            # segment is the blocks'.
+            return self._run_blocks(
+                cpu, budget_s, time_used_s, energy_j, cap_remaining
+            )
+        (stop, halted, state.pc, time_used, energy, cpu.energy_j, cycles,
+         executed, ram_reads, ram_writes, nvm_reads, nvm_writes) = out
+        self.native_runs += 1
+        if halted:
+            state.halted = True
+        cpu.cycles += cycles
+        cpu.instructions_retired += executed
+        memory.ram_reads += ram_reads
+        memory.ram_writes += ram_writes
+        memory.nvm_reads += nvm_reads
+        memory.nvm_writes += nvm_writes
+        if stop == _YIELDED:
+            # The next instruction is one the loop does not model (an
+            # MMIO access other than an output-port store): the blocks
+            # finish the segment from it.
+            segment = self._run_blocks(
+                cpu, budget_s, time_used, energy, cap_remaining - executed
+            )
+            segment.executed += executed
+            return segment
+        fault = None
+        if stop == _FAULT:
+            fault = ExecutionError(
+                f"PC {state.pc:#06x} outside program of "
+                f"{self.n_instructions} words"
+            )
+        return SegmentResult(
+            executed, energy, time_used, stop == _CAPPED, fault
+        )
+
+    def _run_blocks(
+        self,
+        cpu,
+        budget_s: float,
+        time_used_s: float,
+        energy_j: float,
+        cap_remaining: int,
+    ) -> SegmentResult:
+        """:meth:`run` on the generated blocks, from a core that is not
+        halted."""
+        state = cpu.state
         regs = state.regs
         memory = cpu.memory
         pc = state.pc

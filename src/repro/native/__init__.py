@@ -1,9 +1,13 @@
 """Native sequential kernels, built on first use, with a Python twin.
 
-:func:`kernels` returns the module that runs the simulator's three
-sequential float loops: the C extension compiled from ``kernels.c``,
-or :mod:`repro.native.reference` when it cannot be built.  Both have
-the same functions and give the same bits.
+:func:`kernels` returns the module that runs the simulator's
+sequential loops: the C extension compiled from ``kernels.c``, or
+:mod:`repro.native.reference` when it cannot be built.  The four float
+loops (the dormant charge, the powered-on storage loop, the fleet's
+row tick and the OU recurrence) are in both, and give the same bits.
+The fifth, the NV16 executor ``nv16_run``, is only in C:
+:class:`~repro.isa.blockengine.BlockEngine` calls it when the module
+has it, and runs its generated blocks when it does not.
 
 The extension is built the first time :func:`kernels` is called in a
 process, never at import.  The build runs setuptools' ``build_ext`` in

@@ -10,6 +10,12 @@
  * when this file cannot be built, and the definition it is diffed
  * against.
  *
+ * The fifth function, nv16_run, executes compiled NV16 kernels for
+ * isa.blockengine.BlockEngine.  It has no twin in reference.py: the
+ * engine's generated Python blocks are its fallback, and CPU.step is
+ * the definition it is diffed against (tests/test_native.py), so the
+ * ISA is not written a fourth time.
+ *
  * The bit contract: every value returned equals the reference's, bit
  * for bit.
  *  - The flags are -ffp-contract=off (no a * b + c fused into an FMA,
@@ -29,13 +35,24 @@
  *    negative energy where this file raises; a fleet never holds one.
  *  - charge_rows reads and updates numpy arrays in place through the
  *    buffer protocol, and rejects any other dtype, shape or layout.
+ *  - nv16_run charges each instruction as CPU.step and the interpreter
+ *    loop do, in program order: time_used += seconds, energy +=
+ *    joules, cpu_energy += joules, with the budget compared before and
+ *    the cap after every instruction.  It stops before what it does
+ *    not model (an MMIO access other than an output-port store, a
+ *    data word that is not an int in 0..0xFFFF, a cycle total past
+ *    int64), and declines a segment whose state it cannot hold
+ *    exactly by returning None.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <float.h>
+#include <limits.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "the kernels need double arithmetic without excess precision"
@@ -533,11 +550,307 @@ ou_walk(PyObject *module, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* One row of BlockEngine's table: an Instruction's fields and the
+ * cycles, seconds and joules one retirement charges.  The Python side
+ * packs it with struct format "=4i2q2d"; every field is naturally
+ * aligned, so the two layouts agree without padding. */
+typedef struct {
+    int32_t opcode, rd, rs1, rs2;
+    int64_t imm, cycles;
+    double seconds, joules;
+} Op;
+
+/* The Opcode values of repro.isa.instructions: the binary encoding,
+ * which that module keeps stable. */
+enum {
+    ADD = 0x00, SUB, AND, OR, XOR, SHL, SHR, SAR, MUL, MULH, DIVU, REMU,
+    SLT, SLTU,
+    ADDI = 0x10, ANDI, ORI, XORI, SHLI, SHRI, SARI, SLTI, SLTIU, LUI,
+    LD = 0x20, ST,
+    BEQ = 0x28, BNE, BLT, BGE, BLTU, BGEU, JAL, JALR,
+    NOP = 0x3E, HALT
+};
+
+/* How nv16_run stopped: the budget ran out or a HALT retired, the cap
+ * tripped, the PC left the program, or the next instruction is one the
+ * loop does not model (it has not run). */
+enum { NV16_DONE, NV16_CAPPED, NV16_FAULT, NV16_YIELDED };
+
+/* x & 0xFFFF with Python's meaning for a negative x. */
+#define WORD(x) ((long long)((unsigned long long)(x) & 0xFFFF))
+
+/* to_signed of a word in 0..0xFFFF. */
+static inline long long
+signed16(long long word)
+{
+    return (word & 0x8000) ? word - 0x10000 : word;
+}
+
+/* Python's x >> s: the shift floors where C's is implementation-defined
+ * for a negative x. */
+static inline long long
+floor_shift(long long x, long long s)
+{
+    return x >= 0 ? x >> s : ~(~x >> s);
+}
+
+/* A list item that is an exact int in 0..0xFFFF, as *out; 0 otherwise. */
+static inline int
+word_at(PyObject *list, Py_ssize_t index, long long *out)
+{
+    PyObject *item = PyList_GET_ITEM(list, index);
+    int overflow;
+    long value;
+    if (!PyLong_CheckExact(item)) {
+        return 0;
+    }
+    value = PyLong_AsLongAndOverflow(item, &overflow);
+    if (overflow || value < 0 || value > 0xFFFF) {
+        return 0;
+    }
+    *out = value;
+    return 1;
+}
+
+/* list[index] = value, dropping the old item. */
+static inline int
+set_word(PyObject *list, Py_ssize_t index, long long value)
+{
+    PyObject *word = PyLong_FromLongLong(value);
+    PyObject *old;
+    if (word == NULL) {
+        return -1;
+    }
+    old = PyList_GET_ITEM(list, index);
+    PyList_SET_ITEM(list, index, word);
+    Py_DECREF(old);
+    return 0;
+}
+
+PyDoc_STRVAR(nv16_run_doc,
+"nv16_run(table, layout, regs, words, output, pc, budget, time_used,\n"
+"         energy, cpu_energy, cap)\n"
+"--\n\n"
+"NV16 instructions from BlockEngine's table until the budget, a HALT, the\n"
+"cap, a fault or an instruction it does not model; see BlockEngine.run.\n"
+"None when an argument is one the loop does not hold exactly.");
+
+static PyObject *
+nv16_run(PyObject *module, PyObject *args)
+{
+    PyObject *table, *regs, *words, *output;
+    PyObject *pc_obj, *budget_obj, *time_obj, *energy_obj, *cpu_energy_obj;
+    PyObject *cap_obj;
+    long long nvm_base, mmio_base, output_port;
+    long long r[8], entry[8];
+    long long pc, cap, cycles = 0, executed = 0;
+    long long ram_reads = 0, ram_writes = 0, nvm_reads = 0, nvm_writes = 0;
+    double budget, time_used, energy, cpu_energy;
+    const char *ops;
+    Py_ssize_t n, i;
+    int overflow, stop = NV16_DONE, halted = 0, failed = 0;
+
+    if (!PyArg_ParseTuple(
+            args, "S(LLL)OOOOOOOOO:nv16_run", &table, &nvm_base, &mmio_base,
+            &output_port, &regs, &words, &output, &pc_obj, &budget_obj,
+            &time_obj, &energy_obj, &cpu_energy_obj, &cap_obj)) {
+        return NULL;
+    }
+    if (PyBytes_GET_SIZE(table) % (Py_ssize_t)sizeof(Op) != 0) {
+        PyErr_SetString(PyExc_ValueError, "table is not a whole number of rows");
+        return NULL;
+    }
+    /* Anything a Python subclass could override, or a value C would
+     * round, declines the whole segment to the generated blocks. */
+    if (!PyList_CheckExact(regs) || PyList_GET_SIZE(regs) < 8
+        || !PyList_CheckExact(words) || !PyList_CheckExact(output)
+        || mmio_base < 0 || mmio_base > 0x10000
+        || PyList_GET_SIZE(words) < mmio_base
+        || !PyLong_CheckExact(pc_obj) || !PyLong_CheckExact(cap_obj)
+        || !PyFloat_CheckExact(budget_obj) || !PyFloat_CheckExact(time_obj)
+        || !PyFloat_CheckExact(energy_obj)
+        || !PyFloat_CheckExact(cpu_energy_obj)) {
+        Py_RETURN_NONE;
+    }
+    pc = PyLong_AsLongLongAndOverflow(pc_obj, &overflow);
+    if (overflow) {
+        Py_RETURN_NONE;
+    }
+    cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
+    if (overflow) {
+        cap = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    }
+    /* r0 reads as 0 whatever regs[0] holds, and is never written. */
+    r[0] = entry[0] = 0;
+    for (i = 1; i < 8; i++) {
+        if (!word_at(regs, i, &r[i])) {
+            Py_RETURN_NONE;
+        }
+        entry[i] = r[i];
+    }
+    budget = PyFloat_AS_DOUBLE(budget_obj);
+    time_used = PyFloat_AS_DOUBLE(time_obj);
+    energy = PyFloat_AS_DOUBLE(energy_obj);
+    cpu_energy = PyFloat_AS_DOUBLE(cpu_energy_obj);
+    ops = PyBytes_AS_STRING(table);
+    n = PyBytes_GET_SIZE(table) / (Py_ssize_t)sizeof(Op);
+
+    while (time_used < budget) {
+        Op op;
+        long long a, b, value, addr, next, total;
+        int write = 1;
+
+        if (pc < 0 || pc >= n) {
+            stop = NV16_FAULT;
+            break;
+        }
+        memcpy(&op, ops + pc * (Py_ssize_t)sizeof(Op), sizeof op);
+        if ((op.rd | op.rs1 | op.rs2) & ~7) {
+            PyErr_SetString(PyExc_ValueError, "table register out of range");
+            failed = 1;
+            break;
+        }
+        if (__builtin_add_overflow(cycles, op.cycles, &total)) {
+            stop = NV16_YIELDED;
+            break;
+        }
+        a = r[op.rs1];
+        b = r[op.rs2];
+        value = 0;
+        next = pc + 1;
+        switch (op.opcode) {
+        case ADD: value = a + b; break;
+        case SUB: value = a - b; break;
+        case AND: value = a & b; break;
+        case OR: value = a | b; break;
+        case XOR: value = a ^ b; break;
+        case SHL: value = a << (b & 15); break;
+        case SHR: value = a >> (b & 15); break;
+        case SAR: value = floor_shift(signed16(a), b & 15); break;
+        case MUL: value = a * b; break;
+        case MULH: value = (a * b) >> 16; break;
+        case DIVU: value = b == 0 ? 0xFFFF : a / b; break;
+        case REMU: value = b == 0 ? a : a % b; break;
+        case SLT: value = signed16(a) < signed16(b); break;
+        case SLTU: value = a < b; break;
+        case ADDI: value = a + op.imm; break;
+        case ANDI: value = a & WORD(op.imm); break;
+        case ORI: value = a | WORD(op.imm); break;
+        case XORI: value = a ^ WORD(op.imm); break;
+        /* imm & 15 is Python's imm % 16, negative imm included. */
+        case SHLI: value = a << (WORD(op.imm) & 15); break;
+        case SHRI: value = a >> (WORD(op.imm) & 15); break;
+        case SARI: value = floor_shift(signed16(a), WORD(op.imm) & 15); break;
+        case SLTI: value = signed16(a) < op.imm; break;
+        case SLTIU: value = a < WORD(op.imm); break;
+        case LUI: value = (WORD(op.imm) & 0xFF) << 8; break;
+        case LD:
+            /* MMIO reads (the input port pops a queue) are the
+             * blocks'; so is a word C would not read back exactly. */
+            addr = WORD(a + op.imm);
+            if (addr >= mmio_base || !word_at(words, addr, &value)) {
+                stop = NV16_YIELDED;
+                break;
+            }
+            /* RAM starts at address 0. */
+            if (addr < nvm_base) {
+                ram_reads++;
+            }
+            else {
+                nvm_reads++;
+            }
+            break;
+        case ST:
+            write = 0;
+            addr = WORD(a + op.imm);
+            if (addr < mmio_base) {
+                if (set_word(words, addr, b) < 0) {
+                    failed = 1;
+                    break;
+                }
+                if (addr < nvm_base) {
+                    ram_writes++;
+                }
+                else {
+                    nvm_writes++;
+                }
+            }
+            else if (addr == output_port) {
+                PyObject *word = PyLong_FromLongLong(b);
+                if (word == NULL || PyList_Append(output, word) < 0) {
+                    Py_XDECREF(word);
+                    failed = 1;
+                    break;
+                }
+                Py_DECREF(word);
+            }
+            else {
+                stop = NV16_YIELDED;
+            }
+            break;
+        case BEQ: write = 0; if (a == b) next = WORD(op.imm); break;
+        case BNE: write = 0; if (a != b) next = WORD(op.imm); break;
+        case BLT:
+            write = 0;
+            if (signed16(a) < signed16(b)) next = WORD(op.imm);
+            break;
+        case BGE:
+            write = 0;
+            if (signed16(a) >= signed16(b)) next = WORD(op.imm);
+            break;
+        case BLTU: write = 0; if (a < b) next = WORD(op.imm); break;
+        case BGEU: write = 0; if (a >= b) next = WORD(op.imm); break;
+        case JAL: value = pc + 1; next = WORD(op.imm); break;
+        /* rs1 was read into a before the link write. */
+        case JALR: value = pc + 1; next = WORD(a + op.imm); break;
+        case NOP: write = 0; break;
+        /* The PC falls through to pc + 1, as CPU._execute leaves it. */
+        case HALT: write = 0; halted = 1; break;
+        default:
+            PyErr_Format(PyExc_ValueError, "unknown opcode %d", op.opcode);
+            failed = 1;
+        }
+        if (failed || stop == NV16_YIELDED) {
+            break;
+        }
+        if (write && op.rd != 0) {
+            r[op.rd] = WORD(value);
+        }
+        pc = next;
+        time_used += op.seconds;
+        energy += op.joules;
+        cpu_energy += op.joules;
+        cycles = total;
+        executed++;
+        if (executed > cap) {
+            stop = NV16_CAPPED;
+            break;
+        }
+        if (halted) {
+            break;
+        }
+    }
+
+    for (i = 1; i < 8; i++) {
+        if (r[i] != entry[i] && set_word(regs, i, r[i]) < 0) {
+            failed = 1;
+        }
+    }
+    if (failed) {
+        return NULL;
+    }
+    return Py_BuildValue(
+        "iNLdddLLLLLL", stop, PyBool_FromLong(halted), pc, time_used, energy,
+        cpu_energy, cycles, executed, ram_reads, ram_writes, nvm_reads,
+        nvm_writes);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"charge_many", charge_many, METH_VARARGS, charge_many_doc},
     {"charge_rows", charge_rows, METH_VARARGS, charge_rows_doc},
     {"storage_run", storage_run, METH_VARARGS, storage_run_doc},
     {"ou_walk", ou_walk, METH_VARARGS, ou_walk_doc},
+    {"nv16_run", nv16_run, METH_VARARGS, nv16_run_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,6 +6,12 @@ returns when the extension cannot be built, and it is the definition
 the C code is diffed against, bit for bit: every float operation there
 runs in the order written here.
 
+``kernels.c``'s fifth function, the NV16 loop ``nv16_run``, has no
+twin here.  :class:`~repro.isa.blockengine.BlockEngine`'s generated
+blocks are its fallback, and ``CPU.step`` is the definition it is
+diffed against; a third copy of the ISA would only be one more to keep
+in step.
+
 The storage op chain is written once, as :func:`chain_step`.
 :meth:`~repro.storage.capacitor.Capacitor.step`, the two loops below
 and :func:`~repro.system.exactkernel.isa_storage_run` call it;

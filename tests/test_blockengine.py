@@ -8,6 +8,11 @@ it to that promise across the whole hand-written suite corpus plus the
 NVC compiled-kernel corpus, including mid-block preemption
 (backup/restore landing inside a basic block), ``restart_unit`` /
 ``clear_volatile`` semantics, fault parity, and the runaway-unit cap.
+
+``BlockEngine.run`` steps the C loop when the native kernels are built
+and the generated blocks otherwise.  Each class of these tests runs on
+the default backend, and its ``OnBlocks`` subclass runs it again on the
+blocks.
 """
 
 import math
@@ -15,10 +20,12 @@ import math
 import numpy as np
 import pytest
 
+from repro import native
 from repro.isa.blockengine import MAX_BLOCK_LEN, BlockEngine, Interpreter
 from repro.isa.cpu import CPU, ExecutionError
 from repro.isa.energy import EnergyModel, InstrClass
 from repro.isa.memory import MMIO_BASE
+from repro.native import reference
 from repro.workloads.asmkit import assemble_kernel
 from repro.workloads.base import AbstractWorkload, FunctionalWorkload
 from repro.workloads.suite import KERNELS, expected_stream
@@ -30,6 +37,25 @@ ALL_BUILDERS.update(NVC_KERNELS)
 #: Awkward advance budgets: tiny (sub-cycle), short (a few instructions,
 #: guaranteeing mid-block stops), and long (many fused blocks per call).
 BUDGETS = [1e-7, 3.7e-5, 2e-3, 1.1e-4, 8e-4, 5.3e-6, 9e-3]
+
+
+def on_blocks(monkeypatch):
+    """Run ``BlockEngine`` on its generated blocks: the fallback when the
+    native kernels cannot be built."""
+    monkeypatch.setattr(native, "kernels", lambda: reference)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The generated blocks, when the default backend is the C loop."""
+    if native.kernels().BACKEND != "native":
+        pytest.skip("the default backend already runs the blocks")
+    on_blocks(monkeypatch)
+
+
+def on_c_loop():
+    """Whether ``BlockEngine.run`` steps the C loop here."""
+    return native.kernels().BACKEND == "native"
 
 
 def make_pair(build, frames=2, energy_model=None):
@@ -155,15 +181,20 @@ class TestAdvanceBitExactness:
             info = scalar.step()
             time_used += info.cycles * model.cycle_time_s
             energy += info.energy_j
-        for executor in (engine, Interpreter()):
+        for runner in (engine, Interpreter()):
             cpu = CPU(program, energy_model=model)
-            segment = executor.run(cpu, 1.0, 0.0, 0.0, len(program))
+            segment = runner.run(cpu, 1.0, 0.0, 0.0, len(program))
             assert (segment.time_used_s, segment.energy_j, cpu.energy_j) == (
                 time_used, energy, scalar.energy_j
             )
             assert cpu.cycles == scalar.cycles
             assert segment.executed == scalar.instructions_retired
-        assert engine.profile_counts()["stepped"] == 0
+        counts = engine.profile_counts()
+        assert counts["stepped"] == 0
+        if on_c_loop():
+            assert (counts["native"], counts["fused"]) == (1, 0)
+        else:
+            assert counts["native"] == 0 and counts["fused"] > 0
 
     def test_zero_and_subcycle_budgets(self):
         build = KERNELS["fir"]()
@@ -336,14 +367,34 @@ class TestFaultParity:
         cpu = CPU(build.program.instructions)
         cpu.state.halted = True
         segments = [
-            executor.run(cpu, 1.0, 0.0, 0.0, 10)
-            for executor in (engine, Interpreter())
+            runner.run(cpu, 1.0, 0.0, 0.0, 10)
+            for runner in (engine, Interpreter())
         ]
         with pytest.raises(ExecutionError) as scalar_exc:
             cpu.step()
         for segment in segments:
             assert segment.executed == 0
             assert str(segment.fault) == str(scalar_exc.value)
+
+
+@pytest.mark.usefixtures("blocks")
+class TestAdvanceBitExactnessOnBlocks(TestAdvanceBitExactness):
+    """The same on the generated blocks."""
+
+
+@pytest.mark.usefixtures("blocks")
+class TestMidBlockPreemptionOnBlocks(TestMidBlockPreemption):
+    """The same on the generated blocks."""
+
+
+@pytest.mark.usefixtures("blocks")
+class TestVolatilitySemanticsOnBlocks(TestVolatilitySemantics):
+    """The same on the generated blocks."""
+
+
+@pytest.mark.usefixtures("blocks")
+class TestFaultParityOnBlocks(TestFaultParity):
+    """The same on the generated blocks."""
 
 
 class TestCompilation:
@@ -357,15 +408,32 @@ class TestCompilation:
         # Dense pc -> block coverage.
         assert len(engine._block_at) == 301
 
-    def test_profile_counts_track_fused_and_stepped(self):
+    def test_profile_counts_track_fused_and_stepped(self, monkeypatch):
+        on_blocks(monkeypatch)
         build = KERNELS["fir"]()
         wl = FunctionalWorkload(build.program, total_units=1)
         while not wl.finished:
             wl.advance(3.1e-4)
         counts = wl._block_engine.profile_counts()
         assert counts["blocks"] == wl._block_engine.n_blocks > 0
+        assert counts["native"] == 0
         assert counts["fused"] > 0
         assert counts["stepped"] > 0  # budget boundaries force tails
+
+    def test_profile_counts_track_native_segments(self):
+        if not on_c_loop():
+            pytest.skip(f"no working C compiler: {native.reason()}")
+        build = KERNELS["fir"]()
+        wl = FunctionalWorkload(build.program, total_units=1)
+        calls = 0
+        while not wl.finished:
+            wl.advance(3.1e-4)
+            calls += 1
+        counts = wl._block_engine.profile_counts()
+        # Every segment ran in C: FIR's only MMIO access is the output
+        # port, so no segment fell back to the blocks.
+        assert calls <= counts["native"]
+        assert counts["fused"] == counts["stepped"] == 0
 
     def test_engine_compiled_once_and_cached(self):
         build = KERNELS["fir"]()

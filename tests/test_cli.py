@@ -416,3 +416,29 @@ class TestEngineChoice:
         if "--kernel" in flags:
             assert bulk.platform.workload._block_engine is not None
             assert scalar.platform.workload._block_engine is None
+
+    @pytest.mark.parametrize("executor", ["native", "blocks"])
+    def test_profile_names_the_executor(self, capsys, monkeypatch, executor):
+        """``--profile``'s ``blocks`` line counts the segments the C
+        loop ran beside the generated blocks' runs."""
+        import re
+
+        from repro import native
+        from repro.native import reference
+
+        if executor == "blocks":
+            monkeypatch.setattr(native, "kernels", lambda: reference)
+        elif native.kernels().BACKEND != "native":
+            pytest.skip(f"no working C compiler: {native.reason()}")
+        assert main(["simulate", "--kernel", "crc", "--duration", "0.3",
+                     "--profile"]) == 0
+        (line,) = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("blocks  :")]
+        native_runs, fused, stepped = map(int, re.fullmatch(
+            r"blocks  : \d+ compiled, (\d+) native segment runs, (\d+) fused "
+            r"block runs, (\d+) stepped \(partial-budget\) runs", line,
+        ).groups())
+        if executor == "native":
+            assert native_runs > 0 and fused == stepped == 0
+        else:
+            assert native_runs == 0 and fused > 0

@@ -6,7 +6,9 @@ row tick in C when the extension builds, else in
 including the state they hand back or update in place, must equal the
 reference's bit for bit; the simulator's results must not
 depend on the backend; and the first-use build must be safe when
-processes race, and tried once when it fails.
+processes race, and tried once when it fails.  The NV16 loop has no
+Python twin: ``BlockEngine.run`` on it is diffed against
+``Interpreter.run``, one ``CPU.step()`` per instruction.
 
 Tests that need the compiled module skip when no compiler works in
 this environment (the session's ``kernels()`` fell back).
@@ -28,6 +30,23 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.harvest.sources import square_trace, wristwatch_trace
+from repro.isa.blockengine import BlockEngine, Interpreter
+from repro.isa.cpu import CPU
+from repro.isa.energy import EnergyModel
+from repro.isa.instructions import (
+    BRANCH_OPCODES,
+    IMM_MAX,
+    IMM_MIN,
+    Instruction,
+    Opcode,
+)
+from repro.isa.memory import (
+    INPUT_PORT,
+    MMIO_BASE,
+    NVM_BASE,
+    OUTPUT_PORT,
+    MemoryMap,
+)
 from repro.native import reference
 from repro.storage.capacitor import FLAT_EFFICIENCY, Capacitor, ChargeEfficiency
 from repro.storage.ideal import IdealStorage
@@ -38,6 +57,7 @@ from repro.system.presets import (
     standard_rectifier,
 )
 from repro.system.simulator import SystemSimulator
+from repro.workloads.asmkit import assemble_kernel
 from repro.workloads.base import AbstractWorkload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -397,6 +417,223 @@ class TestChargeRows:
             args.update(bad)
             with pytest.raises((TypeError, ValueError)):
                 native.kernels().charge_rows(*args.values())
+
+
+# -- the NV16 loop -------------------------------------------------------------
+
+
+#: Where a drawn register or immediate aims a load or store: both ends
+#: of RAM and NVM, the output and input ports, and other MMIO words.
+ADDRESSES = [0, 1, NVM_BASE - 1, NVM_BASE, NVM_BASE + 1, MMIO_BASE - 1,
+             OUTPUT_PORT, INPUT_PORT, INPUT_PORT + 1, 0xFFFF]
+
+#: Register values outside 0..0xFFFF, which the C loop declines.
+NONCANONICAL = [0x10000, 0x1FFFF, -1, 2**70]
+
+MODELS = [EnergyModel(), EnergyModel(frequency_hz=7e5, vdd=0.9)]
+
+
+@st.composite
+def nv16_cases(draw):
+    """A program over all 36 opcodes and a CPU state to run it from.
+
+    Branch and jump targets fall inside the program, just past it or
+    anywhere; ``r0`` holds a nonzero word it must never read; budgets
+    run out at 0, inside the first cycle and mid-instruction; caps of 0
+    and 1 trip on the first instruction.
+    """
+    n = draw(st.integers(1, 16))
+    # Mostly inside the program, so segments run for a while.
+    inside = st.integers(0, n - 1)
+    targets = st.one_of(
+        *[inside] * 6, st.sampled_from([n, n + 7, 0xFFFF, -1]),
+        st.integers(IMM_MIN, IMM_MAX),
+    )
+    imms = (st.integers(-4, 4) | st.sampled_from(ADDRESSES)
+            | st.integers(IMM_MIN, IMM_MAX))
+    registers = st.integers(0, 7)
+    program = []
+    # Every opcode, with one draw in four a load or a store.
+    opcodes = st.one_of(*[st.sampled_from(list(Opcode))] * 3,
+                        st.sampled_from([Opcode.LD, Opcode.ST]))
+    for _ in range(n):
+        opcode = draw(opcodes)
+        rd, rs1, rs2 = draw(st.tuples(registers, registers, registers))
+        if opcode in (Opcode.LD, Opcode.ST, Opcode.JALR):
+            # r0 as the base makes the immediate the address or target.
+            rs1 = draw(st.just(0) | registers)
+        if opcode in (Opcode.LD, Opcode.ST):
+            imm = draw(st.one_of(*[st.sampled_from(ADDRESSES)] * 3, imms))
+        elif opcode in BRANCH_OPCODES or opcode in (Opcode.JAL, Opcode.JALR):
+            imm = draw(targets)
+        else:
+            imm = draw(imms)
+        program.append(Instruction(opcode, rd, rs1, rs2, imm))
+    if draw(st.booleans()):
+        # Loop back rather than run off the end.
+        program.append(Instruction(Opcode.JAL, draw(registers), imm=0))
+    n = len(program)
+    words = st.sampled_from(ADDRESSES) | st.integers(0, 0xFFFF)
+    regs = [draw(st.integers(1, 0xFFFF))] + draw(
+        st.lists(words, min_size=7, max_size=7))
+    # A register or a data word outside 0..0xFFFF: the loop declines
+    # the segment, or stops before the load, and the blocks run it.
+    odd = draw(st.sampled_from([None] * 4 + ["register", "word"]))
+    if odd == "register":
+        regs[draw(st.integers(1, 7))] = draw(st.sampled_from(NONCANONICAL))
+    image = {address: draw(st.integers(0, 0xFFFF))
+             for address in ADDRESSES if address < MMIO_BASE}
+    if odd == "word":
+        image[draw(st.sampled_from(sorted(image)))] = 0x12345
+    model = draw(st.sampled_from(MODELS))
+    time_used = draw(st.just(0.0) | st.floats(0.0, 1e-3))
+    # No cycle (nothing runs), part of one, or a few hundred, with a
+    # remainder that can end the budget mid-instruction; or no budget
+    # and a cap.
+    cycles = draw(st.sampled_from(["none", "few", "inf"] + ["many"] * 5))
+    if cycles == "inf":
+        budget = math.inf
+        cap = draw(st.integers(0, 300))
+    else:
+        whole = {"none": 0, "few": draw(st.integers(0, 3)),
+                 "many": draw(st.integers(4, 400))}[cycles]
+        fraction = draw(st.sampled_from([0.0, 0.25, 0.5, 0.999]))
+        budget = time_used + (whole + fraction) * model.cycle_time_s
+        cap = draw(st.sampled_from([0, 1, 10**20] + ["some"] * 6))
+        if cap == "some":
+            cap = draw(st.integers(2, 400))
+    pc = draw(st.sampled_from(["inside"] * 14 + [n, -1]))
+    return dict(
+        program=program, model=model, regs=regs, image=image, odd=odd,
+        pc=draw(st.integers(0, n - 1)) if pc == "inside" else pc,
+        halted=draw(st.sampled_from([False] * 31 + [True])),
+        inputs=draw(st.lists(st.integers(0, 0xFFFF), max_size=3)),
+        outputs=draw(st.lists(st.integers(0, 0xFFFF), max_size=2)),
+        counters=draw(st.tuples(*[st.integers(0, 10**6)] * 6)),
+        cpu_energy=draw(st.just(0.0) | st.floats(0.0, 1e-3)),
+        budget=budget, time_used=time_used,
+        energy=draw(st.just(0.0) | st.floats(0.0, 1e-6)), cap=cap,
+    )
+
+
+def nv16_cpu(case):
+    """A fresh CPU in the case's state (one copy per executor)."""
+    memory = MemoryMap()
+    for address, word in case["image"].items():
+        memory._words[address] = word
+    memory.input_queue = list(case["inputs"])
+    memory.output = list(case["outputs"])
+    (memory.ram_reads, memory.ram_writes, memory.nvm_reads,
+     memory.nvm_writes, retired, cycles) = case["counters"]
+    cpu = CPU(case["program"], memory, case["model"])
+    cpu.state.regs = list(case["regs"])
+    cpu.state.pc = case["pc"]
+    cpu.state.halted = case["halted"]
+    cpu.instructions_retired, cpu.cycles = retired, cycles
+    cpu.energy_j = case["cpu_energy"]
+    return cpu
+
+
+def nv16_run(executor, case):
+    """Everything one segment leaves behind, floats by bit pattern."""
+    cpu = nv16_cpu(case)
+    segment = executor.run(cpu, case["budget"], case["time_used"],
+                           case["energy"], case["cap"])
+    memory = cpu.memory
+    return (
+        segment.executed, bits(segment.energy_j), bits(segment.time_used_s),
+        segment.capped, repr(segment.fault),
+        cpu.state.regs, cpu.state.pc, cpu.state.halted,
+        cpu.instructions_retired, cpu.cycles, bits(cpu.energy_j),
+        (memory.ram_reads, memory.ram_writes, memory.nvm_reads,
+         memory.nvm_writes),
+        memory.output, memory.input_queue, memory._words,
+    )
+
+
+def nv16_program(source):
+    """Assembled NV16 source as a decoded program."""
+    return assemble_kernel("case", source).program.instructions
+
+
+@needs_compiler
+class TestNV16Loop:
+    """``BlockEngine.run`` on the C loop equals ``Interpreter.run``."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=nv16_cases())
+    def test_segment_equals_the_interpreter(self, case):
+        engine = BlockEngine(case["program"], case["model"])
+        assert nv16_run(engine, case) == nv16_run(Interpreter(), case)
+        # The loop ran the segment unless the core was halted or a
+        # register was outside 0..0xFFFF.
+        declined = case["halted"] or case["odd"] == "register"
+        assert engine.profile_counts()["native"] == (0 if declined else 1)
+
+    @pytest.mark.parametrize("program, regs", [
+        # JALR reads rs1 before it writes the link register.
+        ([Instruction(Opcode.JALR, 1, 1, imm=1), Instruction(Opcode.HALT),
+          Instruction(Opcode.HALT), Instruction(Opcode.HALT)], [0, 2]),
+        # imm % 16 and >> floor in Python; C truncates.
+        ([Instruction(Opcode.SHLI, 1, 2, imm=-1),
+          Instruction(Opcode.SHRI, 3, 2, imm=-15),
+          Instruction(Opcode.SARI, 4, 2, imm=-13),
+          Instruction(Opcode.SAR, 5, 2, 6), Instruction(Opcode.HALT)],
+         [0, 0, 0x8001, 0, 0, 0, 0x13]),
+        # Division by zero has defined results; r0 reads as 0.
+        ([Instruction(Opcode.DIVU, 1, 2, 0), Instruction(Opcode.REMU, 3, 2, 0),
+          Instruction(Opcode.ADD, 4, 0, 2), Instruction(Opcode.HALT)],
+         [0x1234, 0, 7]),
+        # LD r0 still reads (and counts); ST to the output port appends.
+        ([Instruction(Opcode.LD, 0, 0, imm=NVM_BASE),
+          Instruction(Opcode.ST, 0, 0, 2, imm=OUTPUT_PORT),
+          Instruction(Opcode.SLTI, 1, 2, imm=-1),
+          Instruction(Opcode.SLTIU, 3, 2, imm=-1), Instruction(Opcode.HALT)],
+         [0, 0, 0xFFFE]),
+    ], ids=["jalr-link", "shifts", "divide-by-zero", "r0-load-and-output"])
+    def test_traps(self, program, regs):
+        engine = BlockEngine(program, EnergyModel())
+        case = dict(program=program, model=EnergyModel(),
+                    regs=(regs + [0] * 8)[:8], image={NVM_BASE: 5}, pc=0,
+                    halted=False, inputs=[], outputs=[], counters=(0,) * 6,
+                    cpu_energy=0.0, budget=1.0, time_used=0.0, energy=0.0,
+                    cap=100)
+        got = nv16_run(engine, case)
+        assert got == nv16_run(Interpreter(), case)
+        assert got[7], "the program halts"
+        assert engine.profile_counts()["native"] == 1
+
+    def test_a_halt_that_trips_the_cap_stays_halted(self):
+        program = nv16_program("    addi r1, r0, 1\n    halt\n")
+        engine = BlockEngine(program, EnergyModel())
+        case = dict(program=program, model=EnergyModel(), regs=[0] * 8,
+                    image={}, pc=0, halted=False, inputs=[], outputs=[],
+                    counters=(0,) * 6, cpu_energy=0.0, budget=1.0,
+                    time_used=0.0, energy=0.0, cap=1)
+        got = nv16_run(engine, case)
+        assert got == nv16_run(Interpreter(), case)
+        executed, capped, halted = got[0], got[3], got[7]
+        assert (executed, capped, halted) == (2, True, True)
+
+    def test_an_mmio_read_hands_the_segment_to_the_blocks(self):
+        """The loop stops before the input-port load; the generated
+        blocks pop the queue and finish the segment."""
+        program = nv16_program(
+            "    addi r1, r0, 3\n    li r2, 0xF001\n    ld r3, 0(r2)\n"
+            "    li r4, 0xF000\n    st r3, 0(r4)\n    halt\n"
+        )
+        engine = BlockEngine(program, EnergyModel())
+        case = dict(program=program, model=EnergyModel(), regs=[0] * 8,
+                    image={}, pc=0, halted=False, inputs=[41], outputs=[],
+                    counters=(0,) * 6, cpu_energy=0.0, budget=1.0,
+                    time_used=0.0, energy=0.0, cap=100)
+        got = nv16_run(engine, case)
+        assert got == nv16_run(Interpreter(), case)
+        assert got[12] == [41] and got[13] == []
+        counts = engine.profile_counts()
+        assert counts["native"] == 1
+        assert counts["fused"] + counts["stepped"] > 0
 
 
 # -- end to end ---------------------------------------------------------------
